@@ -79,14 +79,24 @@ def _load_config_section(path: str, command: str) -> dict:
     return section
 
 
-def _parse_range(text: str, n_default: int = 100):
-    """'lo:hi' or 'lo:hi:n' -> numpy grid."""
-    parts = text.split(":")
-    if len(parts) not in (2, 3):
-        raise InvalidConfigError(f"range must be lo:hi or lo:hi:n, got '{text}'")
-    lo, hi = float(parts[0]), float(parts[1])
-    n = int(parts[2]) if len(parts) == 3 else n_default
-    return np.linspace(lo, hi, n)
+def _parse_range(text: str, flag: str, integer: bool = False):
+    """Values of a range flag: 'lo:hi' as the integers lo..hi, or for a
+    float grid 'lo:hi' or 'lo:hi:n' as n points (default 100) from lo to
+    hi.  Anything else raises InvalidConfigError."""
+    parts = str(text).split(":")  # a config file may give a number
+    form = "lo:hi" if integer else "lo:hi or lo:hi:n"
+    if len(parts) != 2 and (integer or len(parts) != 3):
+        raise InvalidConfigError(f"{flag} must be {form}, got '{text}'")
+    number = int if integer else float
+    try:
+        lo, hi = number(parts[0]), number(parts[1])
+        n = int(parts[2]) if len(parts) == 3 else 100
+    except ValueError:
+        kind = "integers" if integer else "numbers"
+        raise InvalidConfigError(f"{flag} must be {form} of {kind}, got '{text}'") from None
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi and n >= 1):
+        raise InvalidConfigError(f"{flag} needs finite lo <= hi and n >= 1, got '{text}'")
+    return range(lo, hi + 1) if integer else np.linspace(lo, hi, n)
 
 
 def _build_bases(d: int, family: str) -> list[mub.Basis]:
@@ -218,7 +228,7 @@ def _detection_modes(args, grid, layout, modes, planes):
     zero = optics.PhaseMaskStack(
         grid, np.zeros((planes, grid.nx, grid.ny)), args.plane_spacing
     )
-    return [optics.forward_pass(zero, m, pad_factor=1) for m in modes]
+    return optics.forward_passes(zero, modes, pad_factor=1)
 
 
 def cmd_optics(args) -> int:
@@ -241,10 +251,11 @@ def cmd_optics(args) -> int:
             )
 
     outputs = _detection_modes(args, grid, layout, modes, stack.planes)
-    transfer = optics.transfer_matrix(stack, modes, outputs, pad_factor=args.pad_factor)
+    transfer, objective = optics.score_converter(
+        stack, modes, outputs, targets, pad_factor=args.pad_factor
+    )
     metrics = optics.sorter_metrics(transfer, intended=intended)
     metrics.save_json(out / "metrics.json")
-    objective = optics.matching_objective(stack, modes, targets, pad_factor=args.pad_factor)
     _echo(args, f"objective {objective:.4f}  fidelity {metrics.fidelity:.4f}  "
           f"crosstalk {metrics.mean_crosstalk:.4f}  "
           f"loss {metrics.insertion_loss_db:.3f} dB")
@@ -335,8 +346,8 @@ def cmd_keyrate(args) -> int:
     out = _out_dir(args)
 
     if args.curve == "thresholds":
-        lo, hi = (int(x) for x in args.d_range.split(":")[:2])
-        rows = keyrate.threshold_curve(range(lo, hi + 1))
+        dims = _parse_range(args.d_range, "--d-range", integer=True)
+        rows = keyrate.threshold_curve(dims)
         path = out / "thresholds.csv"
         with open(path, "w") as fh:
             fh.write("d,block_fraction,threshold\n")
@@ -349,6 +360,7 @@ def cmd_keyrate(args) -> int:
         _snapshot(args, out)
         return EXIT_OK
 
+    errors = _parse_range(args.errors, "--errors") if args.curve == "rate" else None
     if args.counts:
         d, e_u, e_b = _errors_from_counts(args)
         bound = args.bound or ("two-mub-block" if e_b > 0 else "two-mub-uniform")
@@ -380,10 +392,9 @@ def cmd_keyrate(args) -> int:
     keyrate.save_report_csv(report, out / "report.csv")
 
     if args.curve == "rate":
-        grid = _parse_range(args.errors)
         total = e_u + e_b
         frac = e_b / total if total > 0 else 0.0
-        rows = keyrate.rate_curve(report.bound, d, grid, block_fraction=frac)
+        rows = keyrate.rate_curve(report.bound, d, errors, block_fraction=frac)
         keyrate.save_curve_csv(
             out / "curve.csv", rows,
             {"bound": report.bound, "d": d, "block_fraction": frac,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -231,8 +232,9 @@ class PhaseMaskStack:
 @functools.lru_cache(maxsize=16)
 def _transfer_function(
     nx: int, ny: int, pitch: float, wavelength: float, distance: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """exp(i*z*kz) on the propagating band and the band's boolean mask."""
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """exp(i*z*kz) on the propagating band, and the boolean mask of the
+    evanescent band (None when every sample propagates)."""
     k = TWO_PI / wavelength
     kx = TWO_PI * np.fft.fftfreq(nx, pitch)[:, None]
     ky = TWO_PI * np.fft.fftfreq(ny, pitch)[None, :]
@@ -241,8 +243,20 @@ def _transfer_function(
     kz = np.sqrt(np.where(propagating, kz_sq, 0.0))
     h = np.where(propagating, np.exp(1j * distance * kz), 0.0)
     h.setflags(write=False)
-    propagating.setflags(write=False)
-    return h, propagating
+    if propagating.all():
+        return h, None
+    evanescent = ~propagating
+    evanescent.setflags(write=False)
+    return h, evanescent
+
+
+@functools.cache
+def _fft_workers() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
 
 
 def max_propagation_distance(grid: GridSpec, pad_factor: int = 2) -> float:
@@ -275,34 +289,47 @@ def _check_sampling(grid: GridSpec, distance: float, pad_factor: int) -> None:
 def _propagate_array(
     amps: np.ndarray, grid: GridSpec, distance: float, pad_factor: int
 ) -> np.ndarray:
-    """Angular-spectrum propagation of (..., nx, ny) amplitudes."""
+    """Angular-spectrum propagation of (..., nx, ny) amplitudes.
+
+    The field is zero-padded after the window rather than around it,
+    which by translation invariance gives the same result to rounding.
+    All transforms run in place in one padded buffer: along y over the
+    nx nonzero rows only, and the padding rows are dropped before the
+    inverse transform along y.  Returns a new C-contiguous array of the
+    window's size, so the padded buffer is freed.
+    """
+    # Imported here so that `import hdqkd` does not pay for scipy.
+    import scipy.fft
+
     if pad_factor < 1:
         raise InvalidConfigError(f"pad_factor must be >= 1, got {pad_factor}")
     _check_sampling(grid, distance, pad_factor)
     nx, ny = grid.nx, grid.ny
-    if pad_factor > 1:
-        px, py = nx * pad_factor, ny * pad_factor
-        ox, oy = (px - nx) // 2, (py - ny) // 2
-        work = np.zeros(amps.shape[:-2] + (px, py), dtype=np.complex128)
-        work[..., ox : ox + nx, oy : oy + ny] = amps
-    else:
-        px, py = nx, ny
-        ox = oy = 0
-        work = amps.astype(np.complex128, copy=True)
-    h, propagating = _transfer_function(px, py, grid.pitch, grid.wavelength, distance)
-    spectrum = np.fft.fft2(work, axes=(-2, -1))
-    clipped = np.abs(spectrum[..., ~propagating]) ** 2
-    if clipped.size:
-        total = float((np.abs(spectrum) ** 2).sum())
-        if total > 0.0 and float(clipped.sum()) / total > 1e-12:
+    px, py = nx * pad_factor, ny * pad_factor
+    h, evanescent = _transfer_function(px, py, grid.pitch, grid.wavelength, distance)
+    workers = _fft_workers()
+    fft = functools.partial(scipy.fft.fft, overwrite_x=True, workers=workers)
+    ifft = functools.partial(scipy.fft.ifft, overwrite_x=True, workers=workers)
+    work = np.zeros(amps.shape[:-2] + (px, py), dtype=np.complex128)
+    work[..., :nx, :ny] = amps
+    rows = fft(work[..., :nx, :], axis=-1)
+    if not np.may_share_memory(rows, work):  # scipy transformed out of place
+        work[..., :nx, :] = rows
+    work = fft(work, axis=-2)
+    if evanescent is not None:
+        clipped = float((np.abs(work[..., evanescent]) ** 2).sum())
+        total = float((np.abs(work) ** 2).sum())
+        if total > 0.0 and clipped / total > 1e-12:
             warnings.warn(
-                f"evanescent components carried {clipped.sum() / total:.3e} of the "
+                f"evanescent components carried {clipped / total:.3e} of the "
                 "spectral power and were suppressed",
                 EvanescentClippingWarning,
                 stacklevel=3,
             )
-    out = np.fft.ifft2(spectrum * h, axes=(-2, -1))
-    return out[..., ox : ox + nx, oy : oy + ny]
+    work *= h
+    work = ifft(work, axis=-2)
+    rows = ifft(work[..., :nx, :], axis=-1)
+    return np.ascontiguousarray(rows[..., :ny])
 
 
 def propagate(field: OpticalField, distance: float, pad_factor: int = 2) -> OpticalField:
@@ -339,6 +366,17 @@ def apply_mask(field: OpticalField, mask, plane: int | None = None) -> OpticalFi
     return OpticalField(field.grid, field.amplitude * np.exp(1j * phase))
 
 
+def _converter_pass(stack: PhaseMaskStack, fields, pad_factor: int) -> np.ndarray:
+    """(count, nx, ny) amplitudes of the fields sent through the converter
+    as one batch: mask p then one plane spacing, for every plane, then
+    one final spacing to the detection plane."""
+    amps = _mode_matrix(fields, stack.grid)
+    for p in range(stack.planes):
+        amps = amps * np.exp(1j * stack.masks[p])
+        amps = _propagate_array(amps, stack.grid, stack.plane_spacing, pad_factor)
+    return _propagate_array(amps, stack.grid, stack.plane_spacing, pad_factor)
+
+
 def forward_pass(
     stack: PhaseMaskStack, field: OpticalField, pad_factor: int = 2
 ) -> OpticalField:
@@ -349,17 +387,26 @@ def forward_pass(
     stack therefore reduces to free propagation over
     (planes + 1) * plane_spacing.
     """
-    if stack.grid != field.grid:
-        raise GeometryError("stack and field grids differ")
-    amps = field.amplitude
-    for p in range(stack.planes):
-        amps = amps * np.exp(1j * stack.masks[p])
-        amps = _propagate_array(amps, stack.grid, stack.plane_spacing, pad_factor)
-    amps = _propagate_array(amps, stack.grid, stack.plane_spacing, pad_factor)
-    return OpticalField(field.grid, amps)
+    (out,) = forward_passes(stack, [field], pad_factor)
+    return out
 
 
-def _mode_matrix(fields) -> np.ndarray:
+def forward_passes(
+    stack: PhaseMaskStack, fields, pad_factor: int = 2
+) -> list[OpticalField]:
+    """`forward_pass` of every field, as one batched pass."""
+    outs = _converter_pass(stack, fields, pad_factor)
+    return [OpticalField(stack.grid, amp) for amp in outs]
+
+
+def _mode_matrix(fields, grid: GridSpec | None = None) -> np.ndarray:
+    """(count, nx, ny) amplitudes of fields that share one grid."""
+    fields = list(fields)
+    if not fields:
+        raise InvalidInputError("need at least one field")
+    grid = grid or fields[0].grid
+    if any(f.grid != grid for f in fields):
+        raise GeometryError("fields live on different grids")
     return np.stack([f.amplitude for f in fields])
 
 
@@ -412,7 +459,6 @@ def wavefront_match(
     _check_orthonormal(targets, "target modes")
 
     fwd0 = _mode_matrix(inputs)  # (d, nx, ny), fields just before plane 1
-    tgt = _mode_matrix(targets)  # fields at the detection plane
     masks = np.zeros((planes, grid.nx, grid.ny))
 
     def back(a):
@@ -421,32 +467,56 @@ def wavefront_match(
     def fwd(a):
         return _propagate_array(a, grid, plane_spacing, pad_factor)
 
+    # Targets carried back from the detection plane to just after the
+    # last mask: the same in every iteration.
+    last = back(back(_mode_matrix(targets)))
     for _ in range(iterations):
         # Backward fields just after each mask, from the current stack.
         backward = [None] * planes
-        b = back(back(tgt))
-        backward[planes - 1] = b
+        b = backward[planes - 1] = last
         for p in range(planes - 2, -1, -1):
             b = back(b * np.exp(-1j * masks[p + 1]))
             backward[p] = b
-        # Forward sweep, updating each plane before passing through it.
+        # Forward sweep, updating each plane before passing through it;
+        # nothing reads the fields after the last mask.
         f = fwd0
         for p in range(planes):
             overlap = (f * backward[p].conj()).sum(axis=0)
             masks[p] = np.mod(-np.angle(overlap), TWO_PI)
-            f = fwd(f * np.exp(1j * masks[p]))
+            if p < planes - 1:
+                f = fwd(f * np.exp(1j * masks[p]))
     return PhaseMaskStack(grid, masks, plane_spacing)
+
+
+def _transfer_from_outputs(outs: np.ndarray, output_modes, grid: GridSpec) -> np.ndarray:
+    """T[i, j] = <output_mode_i | outs[j]>, checked to be passive."""
+    modes_flat = _mode_matrix(output_modes, grid).reshape(len(output_modes), -1)
+    t = modes_flat.conj() @ outs.reshape(len(outs), -1).T * grid.pitch**2
+    col_power = (np.abs(t) ** 2).sum(axis=0)
+    if col_power.max() > 1.0 + 1e-6:
+        raise InvalidInputError(
+            f"transfer column captured power {col_power.max():.9f} exceeds 1"
+        )
+    return t
+
+
+def _objective_from_outputs(outs: np.ndarray, targets, grid: GridSpec) -> float:
+    """Mean over modes n of |<target_n | outs[n]>|^2."""
+    tgt = _mode_matrix(targets, grid)
+    if len(tgt) != len(outs):
+        raise InvalidInputError(
+            f"need one target per input, got {len(tgt)} for {len(outs)}"
+        )
+    overlaps = np.einsum("nxy,nxy->n", tgt.conj(), outs) * grid.pitch**2
+    return float(np.mean(np.abs(overlaps) ** 2))
 
 
 def matching_objective(
     stack: PhaseMaskStack, inputs, targets, pad_factor: int = 2
 ) -> float:
     """Mean squared overlap between converter outputs and their targets."""
-    overlaps = [
-        abs(inner(t, forward_pass(stack, f, pad_factor))) ** 2
-        for f, t in zip(inputs, targets)
-    ]
-    return float(np.mean(overlaps))
+    outs = _converter_pass(stack, inputs, pad_factor)
+    return _objective_from_outputs(outs, targets, stack.grid)
 
 
 def transfer_matrix(
@@ -457,21 +527,24 @@ def transfer_matrix(
     Output modes must be mutually orthonormal so column power measures
     captured power (<= 1 for any passive stack).
     """
-    inputs = list(inputs)
     output_modes = list(output_modes)
     _check_orthonormal(output_modes, "output modes")
-    pitch2 = stack.grid.pitch ** 2
-    outs_flat = np.stack(
-        [forward_pass(stack, f, pad_factor).amplitude.ravel() for f in inputs]
+    outs = _converter_pass(stack, inputs, pad_factor)
+    return _transfer_from_outputs(outs, output_modes, stack.grid)
+
+
+def score_converter(
+    stack: PhaseMaskStack, inputs, output_modes, targets, pad_factor: int = 2
+) -> tuple[np.ndarray, float]:
+    """`transfer_matrix(stack, inputs, output_modes)` and
+    `matching_objective(stack, inputs, targets)` from one shared pass."""
+    output_modes = list(output_modes)
+    _check_orthonormal(output_modes, "output modes")
+    outs = _converter_pass(stack, inputs, pad_factor)
+    return (
+        _transfer_from_outputs(outs, output_modes, stack.grid),
+        _objective_from_outputs(outs, targets, stack.grid),
     )
-    modes_flat = np.stack([m.amplitude.ravel() for m in output_modes])
-    t = modes_flat.conj() @ outs_flat.T * pitch2
-    col_power = (np.abs(t) ** 2).sum(axis=0)
-    if col_power.max() > 1.0 + 1e-6:
-        raise InvalidInputError(
-            f"transfer column captured power {col_power.max():.9f} exceeds 1"
-        )
-    return t
 
 
 @dataclass(frozen=True)

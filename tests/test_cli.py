@@ -219,6 +219,32 @@ def test_keyrate_threshold_curve(tmp_path):
     assert dims == set(range(2, 10))
 
 
+@pytest.mark.parametrize("d_range", ["abc", "2", "2:x", "2:9:3", "9:2"])
+def test_keyrate_bad_d_range_is_usage_error(tmp_path, capsys, d_range):
+    code = run("keyrate", "--curve", "thresholds", "--d-range", d_range,
+               "--out", tmp_path, "--quiet")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: --d-range")
+
+
+@pytest.mark.parametrize("errors", ["0:x", "0", "0:0.5:x", "0:0.5:0", "nan:0.5", "0.5:0"])
+def test_keyrate_bad_errors_grid_is_usage_error(tmp_path, capsys, errors):
+    code = run("keyrate", "--d", 25, "--curve", "rate", "--errors", errors,
+               "--out", tmp_path, "--quiet")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: --errors")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_config_number_for_range_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"keyrate": {"d-range": 5}}))
+    code = run("keyrate", "--curve", "thresholds", "--config", cfg,
+               "--out", tmp_path, "--quiet")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: --d-range")
+
+
 def test_keyrate_needs_dimension(tmp_path):
     assert run("keyrate", "--E", 0.1, "--out", tmp_path, "--quiet") == 2
 

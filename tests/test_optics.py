@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import rel_error
+from hdqkd import cli, optics
 from hdqkd.errors import (
     DegenerateTransferError,
     GeometryError,
@@ -14,11 +16,13 @@ from hdqkd.errors import (
 )
 from hdqkd.optics import (
     ApertureLayout,
+    EvanescentClippingWarning,
     GridSpec,
     OpticalField,
     PhaseMaskStack,
     apply_mask,
     forward_pass,
+    forward_passes,
     inner,
     load_field,
     load_stack,
@@ -29,6 +33,7 @@ from hdqkd.optics import (
     save_field,
     save_mask_pgm,
     save_stack,
+    score_converter,
     sorter_metrics,
     superpose,
     transfer_matrix,
@@ -140,6 +145,53 @@ def test_evanescent_clipping_is_reported():
     field = OpticalField(grid, rng.normal(size=(32, 32)) + 0j)
     with pytest.warns(UserWarning, match="evanescent"):
         propagate(field, 1e-5, pad_factor=1)
+
+
+def centred_pad_reference(amps, grid, distance, pad):
+    """The textbook kernel: numpy fft2 of a centred zero-pad, then crop."""
+    nx, ny = grid.nx, grid.ny
+    px, py = nx * pad, ny * pad
+    ox, oy = (px - nx) // 2, (py - ny) // 2
+    work = np.zeros(amps.shape[:-2] + (px, py), dtype=complex)
+    work[..., ox : ox + nx, oy : oy + ny] = amps
+    kx = 2 * np.pi * np.fft.fftfreq(px, grid.pitch)[:, None]
+    ky = 2 * np.pi * np.fft.fftfreq(py, grid.pitch)[None, :]
+    kz_sq = grid.wavenumber**2 - kx**2 - ky**2
+    h = np.where(kz_sq > 0, np.exp(1j * distance * np.sqrt(np.abs(kz_sq))), 0.0)
+    out = np.fft.ifft2(np.fft.fft2(work) * h)
+    return out[..., ox : ox + nx, oy : oy + ny]
+
+
+@pytest.mark.parametrize("pad", [1, 2, 3])
+def test_kernel_matches_centred_pad_reference(pad):
+    grid = GridSpec(36, 27, 10e-6, 810e-9)
+    rng = np.random.default_rng(pad)
+    amps = rng.normal(size=(3, 36, 27)) + 1j * rng.normal(size=(3, 36, 27))
+    out = optics._propagate_array(amps, grid, 1e-3, pad)
+    want = centred_pad_reference(amps, grid, 1e-3, pad)
+    assert out.shape == amps.shape
+    assert rel_error(out, want) <= 1e-12
+    # a contiguous crop that does not keep the padded buffer alive
+    assert out.flags.c_contiguous
+    assert out.base is None or out.base.size == out.size
+
+
+def test_evanescent_clipping_is_reported_for_padded_batches():
+    grid = GridSpec(32, 32, 3e-7, 810e-9)
+    rng = np.random.default_rng(0)
+    amps = rng.normal(size=(2, 32, 32)) + 0j
+    with pytest.warns(EvanescentClippingWarning):
+        optics._propagate_array(amps, grid, 1e-5, 2)
+
+
+def test_paper_grid_propagates_without_warnings():
+    grid = GridSpec(192, 192, 15e-6, 810e-9)
+    modes = make_aperture_modes(ApertureLayout(25, 1e-4, 3e-4, "grid"), grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pad in (1, 2):
+            out = propagate(modes[12], 43.5e-3, pad_factor=pad)
+            assert out.power <= 1.0 + 1e-9
 
 
 # --- masks ----------------------------------------------------------------------
@@ -268,6 +320,45 @@ def test_transfer_is_passive():
     for outputs in (targets, modes):
         t = transfer_matrix(stack, modes, outputs)
         assert np.linalg.svd(t, compute_uv=False).max() <= 1.0 + 1e-6
+
+
+def test_batched_scoring_matches_per_mode_passes():
+    modes, targets = swap_problem()
+    stack = wavefront_match(modes, targets, planes=3, plane_spacing=5e-3, iterations=4)
+    outs = [forward_pass(stack, m) for m in modes]
+    want_t = np.array([[inner(o, out) for out in outs] for o in targets])
+    want_objective = np.mean([abs(inner(t, out)) ** 2 for t, out in zip(targets, outs)])
+    for got, want in zip(forward_passes(stack, modes), outs):
+        assert rel_error(got.amplitude, want.amplitude) <= 1e-12
+    t = transfer_matrix(stack, modes, targets)
+    assert np.abs(t - want_t).max() <= 1e-12
+    assert abs(matching_objective(stack, modes, targets) - want_objective) <= 1e-12
+    shared_t, shared_objective = score_converter(stack, modes, targets, targets)
+    assert np.array_equal(shared_t, t)
+    assert shared_objective == matching_objective(stack, modes, targets)
+
+
+def test_design_command_propagation_count(tmp_path, monkeypatch):
+    # d=4 modes, P=3 planes, I=2 iterations: 2 hoisted target propagations,
+    # I*(2P-2) in the sweeps, and (P+1) each for the detection modes and
+    # the single shared scoring pass
+    calls = []
+    kernel = optics._propagate_array
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        return kernel(*args)
+
+    monkeypatch.setattr(optics, "_propagate_array", counting)
+    code = cli.main([
+        "optics", "design", "--d", "4", "--target", "row-dft", "--planes", "3",
+        "--plane-spacing", "5e-3", "--iterations", "2", "--nx", "32", "--ny", "32",
+        "--aperture-radius", "40e-6", "--aperture-spacing", "120e-6",
+        "--out", str(tmp_path), "--quiet",
+    ])
+    assert code == 0
+    assert len(calls) == 2 + 2 * (2 * 3 - 2) + 2 * (3 + 1) == 18
+    assert all(shape == (4, 32, 32) for shape in calls)
 
 
 # --- sorter metrics -----------------------------------------------------------------
