@@ -119,6 +119,17 @@ def _default_alignments(family: str, n_bases: int) -> list[str]:
     return ["row"] * n_bases
 
 
+def _parse_alignments(text: str, n_matched: int) -> list[str]:
+    """--alignments: 'row' or 'col' for each of the n_matched settings."""
+    values = str(text).split(",")
+    if len(values) < n_matched or not set(values) <= {"row", "col"}:
+        raise InvalidConfigError(
+            f"--alignments needs row or col for each of the {n_matched} matched "
+            f"settings, got '{text}'"
+        )
+    return values
+
+
 # ---------------------------------------------------------------------------
 # mub
 
@@ -282,15 +293,15 @@ def _noise_from_args(args) -> protocol.NoiseModel | None:
 
 
 def cmd_simulate(args) -> int:
-    out = _out_dir(args)
     bases = _build_bases(args.d, args.family)
     if len(bases) < 1:
         raise InvalidConfigError("simulation needs at least one basis")
     noise = _noise_from_args(args)
     alignments = (
-        args.alignments.split(",") if args.alignments
+        _parse_alignments(args.alignments, len(bases)) if args.alignments
         else _default_alignments(args.family, len(bases))
     )
+    out = _out_dir(args)
 
     table = protocol.ideal_prob_table(bases, [b.conjugate() for b in bases])
     if noise is not None and noise.total_error > 0.0:
@@ -330,7 +341,7 @@ def _errors_from_counts(args):
         stats = keyrate.subset_stats(table)
         return d, float(stats.E), 0.0
     alignments = (
-        args.alignments.split(",") if args.alignments
+        _parse_alignments(args.alignments, n_matched) if args.alignments
         else _default_alignments("sqrt-pair" if n_matched == 2 else "", n_matched)
     )
     parts = [

@@ -14,7 +14,6 @@ the per-sent-state conditionals divided by d.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -323,7 +322,7 @@ class SessionRecord:
     bob_basis: np.ndarray
     alice_symbol: np.ndarray
     bob_symbol: np.ndarray
-    seed: int
+    seed: int | None
     generator: str = GENERATOR_ID
 
     @property
@@ -347,41 +346,35 @@ class SessionRecord:
         return float((self.alice_symbol[mask] != self.bob_symbol[mask]).mean())
 
     def save_jsonl(self, path) -> None:
-        with open(path, "w") as fh:
-            sifted = self.sifted
-            for i in range(self.n_rounds):
-                fh.write(
-                    json.dumps(
-                        {
-                            "round": i + 1,
-                            "k": int(self.alice_basis[i]),
-                            "l": int(self.bob_basis[i]),
-                            "alice": int(self.alice_symbol[i]),
-                            "bob": int(self.bob_symbol[i]),
-                            "sifted": bool(sifted[i]),
-                        }
-                    )
-                    + "\n"
-                )
+        """One JSON object per round, in the layout README "File formats" gives."""
+        with open(path, "wb") as fh:
+            for start in range(0, self.n_rounds, _BLOCK_ROWS):
+                block = slice(start, start + _BLOCK_ROWS)
+                fh.write(_session_text(start + 1, self.alice_basis[block], self.bob_basis[block],
+                                       self.alice_symbol[block], self.bob_symbol[block]))
 
     @classmethod
-    def load_jsonl(cls, path, dim: int, seed: int = 0) -> "SessionRecord":
-        ks, ls, alices, bobs = [], [], [], []
-        with open(path) as fh:
-            for line in fh:
-                row = json.loads(line)
-                ks.append(row["k"])
-                ls.append(row["l"])
-                alices.append(row["alice"])
-                bobs.append(row["bob"])
-        return cls(
-            dim,
-            np.array(ks),
-            np.array(ls),
-            np.array(alices),
-            np.array(bobs),
-            seed,
-        )
+    def load_jsonl(cls, path, dim: int, seed: int | None = None) -> "SessionRecord":
+        """Read a file written by save_jsonl.  Any other bytes, or a basis
+        index below 1 or a symbol outside 1..dim, raise InvalidInputError
+        naming the first bad line.  seed=None records it as unknown."""
+        parts, rounds = [], 0
+        with open(path, "rb") as fh:
+            for line, rows, block in _line_blocks(fh, 1):
+                cols = _fields(_numbers(block, _DIGITS, np.int64), rows, 5)[:, 1:]
+                bad = _mismatch(block, _session_text(rounds + 1, *cols.T))
+                if bad is None:
+                    out_of_range = (cols < 1).any(axis=1) | (cols[:, 2:] > dim).any(axis=1)
+                    bad = int(out_of_range.argmax()) if out_of_range.any() else None
+                if bad is not None:
+                    raise InvalidInputError(
+                        f"{path} line {line + bad}: not round {rounds + bad + 1} of a "
+                        f"dim={dim} session in the save_jsonl layout: {_line_text(block, bad)}"
+                    )
+                parts.append(cols.T.copy())
+                rounds += rows
+        k, l, alice, bob = np.concatenate(parts, axis=1) if parts else np.empty((4, 0), np.int64)
+        return cls(dim, k, l, alice, bob, seed)
 
 
 def simulate_session(
@@ -421,60 +414,228 @@ def simulate_session(
     rng = _rng(seed)
     k_arr = rng.choice(n_bases, size=n_rounds, p=basis_probs)
     l_arr = rng.choice(n_bases, size=n_rounds, p=basis_probs)
-    alice = np.zeros(n_rounds, dtype=np.int64)
-    bob = np.zeros(n_rounds, dtype=np.int64)
-    # Draw outcomes setting by setting in fixed (k,l) order so the result
-    # is independent of how rounds happen to interleave.
-    for k in range(n_bases):
-        for l in range(n_bases):
-            idx = np.nonzero((k_arr == k) & (l_arr == l))[0]
-            if idx.size == 0:
-                continue
-            joint = table.probs[:, :, k, l].ravel()
-            joint = joint / joint.sum()
-            flat = rng.choice(d * d, size=idx.size, p=joint)
-            bob[idx] = flat // d + 1
-            alice[idx] = flat % d + 1
+    # Draw outcomes setting by setting in fixed (k,l) order, rounds in
+    # ascending order within a setting, so the result is independent of
+    # how rounds happen to interleave.  A stable sort groups the rounds;
+    # the narrowest integer type lets numpy use its radix sort.
+    setting = (k_arr * n_bases + l_arr).astype(np.min_scalar_type(n_bases * n_bases - 1))
+    order = np.argsort(setting, kind="stable")
+    flat = np.empty(n_rounds, dtype=np.int64)
+    start = 0
+    for s, size in enumerate(np.bincount(setting, minlength=n_bases * n_bases).tolist()):
+        if size == 0:
+            continue
+        joint = table.probs[:, :, s // n_bases, s % n_bases].ravel()
+        joint = joint / joint.sum()
+        flat[order[start:start + size]] = rng.choice(d * d, size=size, p=joint)
+        start += size
+    bob = flat // d + 1
+    alice = flat % d + 1
     return SessionRecord(d, k_arr + 1, l_arr + 1, alice, bob, seed)
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization: header a,b,k,l,value plus a JSON sidecar.
+# Text serialization.  The writers render blocks of rows with numpy; the
+# readers parse a block of whole lines, render the rows it should hold and
+# require the same bytes, so a file is read only in exactly the layout the
+# writers produce, and the first differing byte names the bad line.
+
+_BLOCK_ROWS = 1 << 16  # rows per rendered block
+_BLOCK_BYTES = 1 << 20  # bytes per read block, extended to a line end
+
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_FLAGS = np.array([b"false", b"true"]).view(np.uint8).reshape(2, -1)
+_CSV_HEADER = b"a,b,k,l,value\r\n"
+
+# Byte maps that blank everything between the numbers a reader parses.
+_DIGITS = bytes(c if 0x30 <= c <= 0x39 else 0x20 for c in range(256))
+_CSV_CELLS = bytes(0x20 if c in b",\r\n" else c for c in range(256))
 
 
-def _write_table_csv(path, array: np.ndarray, fmt) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["a", "b", "k", "l", "value"])
-        d1, d2, nk, nl = array.shape
-        for k in range(nk):
-            for l in range(nl):
-                for a in range(d1):
-                    for b in range(d2):
-                        writer.writerow([a + 1, b + 1, k + 1, l + 1, fmt(array[a, b, k, l])])
+def _digits(values) -> np.ndarray:
+    """Decimal digits of non-negative integers as an (n, width) uint8
+    array, right-aligned with NUL padding (see _join_cells)."""
+    v = np.asarray(values, dtype=np.int64)
+    if v.size and v.min() < 0:
+        raise InvalidInputError("cannot write negative integers")
+    width = len(str(int(v.max()))) if v.size else 1
+    out = np.empty((v.size, width), dtype=np.uint8)
+    q = v
+    for j in range(width - 1, -1, -1):
+        q, out[:, j] = np.divmod(q, 10)
+    out += ord("0")
+    out[:, :-1][v[:, None] < _POW10[width - 1:0:-1]] = 0  # leading zeros
+    return out
 
 
-def _read_table_csv(path, dtype) -> np.ndarray:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["a", "b", "k", "l", "value"]:
-            raise InvalidInputError(f"unexpected counts header {header}")
-        for a, b, k, l, value in reader:
-            rows.append((int(a), int(b), int(k), int(l), dtype(value)))
-    d = max(r[0] for r in rows)
-    nk = max(r[2] for r in rows)
-    nl = max(r[3] for r in rows)
-    array = np.zeros((d, d, nk, nl), dtype=dtype)
-    for a, b, k, l, value in rows:
-        array[a - 1, b - 1, k - 1, l - 1] = value
-    return array
+def _float_cells(values) -> np.ndarray:
+    """repr() of each float, as an (n, width) uint8 array with NUL padding."""
+    text = np.array([repr(v) for v in np.asarray(values, dtype=float).tolist()], dtype="S")
+    return text.view(np.uint8).reshape(text.size, text.itemsize)
+
+
+def _join_cells(cells) -> bytes:
+    """Concatenate, row by row, cells that are bytes constants or (n, width)
+    uint8 arrays padded with NULs, and return all rows as one bytes object."""
+    n = next(len(c) for c in cells if isinstance(c, np.ndarray))
+    cells = [np.frombuffer(c, np.uint8) if isinstance(c, bytes) else c for c in cells]
+    chars = np.empty((n, sum(c.shape[-1] for c in cells)), dtype=np.uint8)
+    at = 0
+    for c in cells:
+        chars[:, at:at + c.shape[-1]] = c
+        at += c.shape[-1]
+    return chars[chars != 0].tobytes()
+
+
+def _session_text(first_round: int, k, l, alice, bob) -> bytes:
+    """save_jsonl's lines for consecutive rounds from first_round."""
+    k, l = np.asarray(k), np.asarray(l)
+    return _join_cells([
+        b'{"round": ', _digits(np.arange(first_round, first_round + len(k))),
+        b', "k": ', _digits(k), b', "l": ', _digits(l),
+        b', "alice": ', _digits(alice), b', "bob": ', _digits(bob),
+        b', "sifted": ', _FLAGS[(k == l).astype(np.intp)], b"}\n",
+    ])
+
+
+def _table_text(shape, first_row: int, values: np.ndarray) -> bytes:
+    """CSV rows from first_row on of a (d, d, K, L) table, in file order
+    (k, l outer; a, b inner), with the given value cells."""
+    d1, d2, nk, nl = shape
+    rows = np.arange(first_row, first_row + len(values))
+    k, l, a, b = np.unravel_index(rows, (nk, nl, d1, d2))
+    return _join_cells([_digits(a + 1), b",", _digits(b + 1), b",", _digits(k + 1), b",",
+                        _digits(l + 1), b",", values, b"\r\n"])
+
+
+def _line_blocks(fh, first_line: int):
+    """(number of its first line, number of line ends, block) for blocks
+    of whole lines read from fh."""
+    while block := fh.read(_BLOCK_BYTES):
+        block += fh.readline()
+        ends = block.count(b"\n")
+        yield first_line, ends, block
+        first_line += ends
+
+
+def _numbers(block: bytes, keep: bytes, dtype) -> np.ndarray:
+    """The numbers in block once `keep` has blanked the bytes between them.
+    A line holding something else gives none, so that the byte comparison
+    which follows names it."""
+    try:
+        return np.fromstring(block.translate(keep), dtype=dtype, sep=" ")
+    except ValueError:
+        if block.count(b"\n") <= 1:
+            return np.empty(0, dtype=dtype)
+        return np.concatenate([_numbers(line, keep, dtype) for line in block.split(b"\n")])
+
+
+def _fields(numbers: np.ndarray, rows: int, width: int) -> np.ndarray:
+    """numbers as a (rows, width) array, cut or zero-filled to size, so a
+    malformed block still renders and its comparison names the bad line."""
+    if numbers.size == rows * width:
+        return numbers.reshape(rows, width)
+    out = np.zeros(rows * width, dtype=numbers.dtype)
+    n = min(out.size, numbers.size)
+    out[:n] = numbers[:n]
+    return out.reshape(rows, width)
+
+
+def _mismatch(got: bytes, want: bytes) -> int | None:
+    """Index of the first line of got that differs from want, or None."""
+    if got == want:
+        return None
+    n = min(len(got), len(want))
+    diff = np.flatnonzero(np.frombuffer(got, np.uint8, n) != np.frombuffer(want, np.uint8, n))
+    return got.count(b"\n", 0, int(diff[0]) if diff.size else n)
+
+
+def _line_text(block: bytes, index: int) -> str:
+    return repr(block.split(b"\n", index + 1)[index][:120])
+
+
+# The value cells of each table kind: the byte map and dtype its reader
+# parses them with, their writer, and the largest valid value.
+_TABLE_VALUES = {
+    "count": (_DIGITS, np.int64, _digits, np.iinfo(np.int64).max),
+    "probability": (_CSV_CELLS, float, _float_cells, 1.0),
+}
+
+
+def _write_table_csv(path, array: np.ndarray, kind: str) -> None:
+    cells = _TABLE_VALUES[kind][2]
+    values = array.transpose(2, 3, 0, 1).ravel()
+    with open(path, "wb") as fh:
+        fh.write(_CSV_HEADER)
+        for start in range(0, values.size, _BLOCK_ROWS):
+            fh.write(_table_text(array.shape, start, cells(values[start:start + _BLOCK_ROWS])))
+
+
+def _read_sidecar(path, *keys: str) -> tuple[dict, tuple]:
+    """The sidecar of a table CSV, which must hold `keys`, and the
+    (d, d, K, L) shape it declares."""
+    try:
+        with open(path + ".meta.json") as fh:
+            meta = json.load(fh)
+        shape = tuple(meta[key] for key in ("dim", "dim", "bases_alice", "bases_bob"))
+        missing = [key for key in keys if key not in meta]
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise InvalidInputError(f"cannot read the sidecar of {path}: {exc!r}") from None
+    if missing:
+        raise InvalidInputError(f"{path}.meta.json lacks {', '.join(missing)}")
+    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in shape):
+        raise InvalidInputError(
+            f"{path}.meta.json: dim, bases_alice and bases_bob must be integers >= 1"
+        )
+    return meta, shape
+
+
+def _read_table_csv(path, shape, kind: str) -> np.ndarray:
+    """The (d, d, K, L) array a _write_table_csv file of that shape holds.
+    Anything but exactly those rows in that layout raises
+    InvalidInputError naming the first bad line."""
+    keep, dtype, cells, top = _TABLE_VALUES[kind]
+    n = math.prod(shape)
+    values = np.empty(n, dtype=dtype)
+    done = 0
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        if header != _CSV_HEADER:
+            raise InvalidInputError(f"{path} line 1: expected the header a,b,k,l,value, "
+                                    f"got {header[:120]!r}")
+        for line, ends, block in _line_blocks(fh, 2):
+            rows = min(ends, n - done)
+            cut = _fields(_numbers(block, keep, dtype), rows, 5)[:, 4]
+            bad = _mismatch(block, _table_text(shape, done, cells(cut)))
+            if bad is None:
+                out_of_range = ~((cut >= 0) & (cut <= top))  # NaN too
+                bad = int(out_of_range.argmax()) if out_of_range.any() else None
+            if bad is not None:
+                raise InvalidInputError(
+                    f"{path} line {line + bad}: {_expected_row(shape, done + bad, kind)}, "
+                    f"got {_line_text(block, bad)}"
+                )
+            values[done:done + rows] = cut
+            done += rows
+    if done < n:
+        raise InvalidInputError(f"{path} line {done + 2}: {_expected_row(shape, done, kind)}, "
+                                f"got the end of the file")
+    d1, d2, nk, nl = shape
+    return np.ascontiguousarray(values.reshape(nk, nl, d1, d2).transpose(2, 3, 0, 1))
+
+
+def _expected_row(shape, row: int, kind: str) -> str:
+    d1, d2, nk, nl = shape
+    table = f"the dim={d1}, {nk}x{nl}-setting table of the sidecar"
+    if row >= math.prod(shape):
+        return f"expected the end of {table}"
+    k, l, a, b = np.unravel_index(row, (nk, nl, d1, d2))
+    return f"expected row {a + 1},{b + 1},{k + 1},{l + 1},<{kind}> of {table}"
 
 
 def save_counts_csv(counts: CountTable, path) -> None:
     path = str(path)
-    _write_table_csv(path, counts.counts, int)
+    _write_table_csv(path, counts.counts, "count")
     sidecar = {
         "dim": counts.dim,
         "bases_alice": counts.counts.shape[2],
@@ -490,9 +651,8 @@ def save_counts_csv(counts: CountTable, path) -> None:
 
 def load_counts_csv(path) -> CountTable:
     path = str(path)
-    array = _read_table_csv(path, int)
-    with open(path + ".meta.json") as fh:
-        meta = json.load(fh)
+    meta, shape = _read_sidecar(path, "integration_time", "coincidence_window", "seed")
+    array = _read_table_csv(path, shape, "count")
     return CountTable(
         meta["dim"],
         array,
@@ -505,7 +665,7 @@ def load_counts_csv(path) -> CountTable:
 
 def save_probs_csv(table: ProbabilityTable, path, extra_meta: dict | None = None) -> None:
     path = str(path)
-    _write_table_csv(path, table.probs, lambda v: repr(float(v)))
+    _write_table_csv(path, table.probs, "probability")
     sidecar = {
         "dim": table.dim,
         "bases_alice": table.bases_alice,
@@ -518,7 +678,5 @@ def save_probs_csv(table: ProbabilityTable, path, extra_meta: dict | None = None
 
 def load_probs_csv(path) -> ProbabilityTable:
     path = str(path)
-    array = _read_table_csv(path, float)
-    with open(path + ".meta.json") as fh:
-        meta = json.load(fh)
-    return ProbabilityTable(meta["dim"], array)
+    meta, shape = _read_sidecar(path)
+    return ProbabilityTable(meta["dim"], _read_table_csv(path, shape, "probability"))

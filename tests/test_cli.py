@@ -155,6 +155,25 @@ def test_simulate_zero_rates_warns(tmp_path, capsys):
     assert "zero" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("alignments", ["diag,diag", "row", "row,col,"])
+def test_simulate_rejects_bad_alignments_before_writing(tmp_path, capsys, alignments):
+    out = tmp_path / "sim"
+    code = run("simulate", "--d", 25, "--family", "sqrt-pair", "--Et", 0.1,
+               "--alignments", alignments, "--rounds", 10, "--out", out)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: --alignments")
+    assert not out.exists()
+
+
+def test_keyrate_counts_rejects_bad_alignments(tmp_path, capsys):
+    run("simulate", "--d", 4, "--family", "sqrt-pair", "--rounds", 10, "--out", tmp_path,
+        "--quiet")
+    code = run("keyrate", "--counts", tmp_path / "counts.csv", "--alignments", "row,diag",
+               "--out", tmp_path / "r", "--quiet")
+    assert code == 2
+    assert "--alignments" in capsys.readouterr().err
+
+
 # --- keyrate ---------------------------------------------------------------------
 
 

@@ -1,7 +1,17 @@
+import contextlib
+import csv
+import hashlib
+import io
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hdqkd import protocol
+from hdqkd.cli import main
 
 from hdqkd.errors import (
     InsufficientDataError,
@@ -328,3 +338,277 @@ def test_session_jsonl_round_trip(tmp_path):
     assert np.array_equal(again.alice_symbol, record.alice_symbol)
     assert np.array_equal(again.bob_symbol, record.bob_symbol)
     assert again.qber == record.qber
+
+
+def test_session_jsonl_defaults_to_unknown_seed(tmp_path):
+    record = simulate_session(list(sqrt_mub_pair(4)), 20, seed=4)
+    record.save_jsonl(tmp_path / "session.jsonl")
+    assert SessionRecord.load_jsonl(tmp_path / "session.jsonl", dim=4).seed is None
+
+
+def reference_session(bases, n_rounds, noise, seed, alignments):
+    """simulate_session's outcome draws with one full-array scan per setting."""
+    table = entangled_table(bases)
+    if noise is not None:
+        table = apply_noise(table, noise, alignments)
+    d, n_bases = table.dim, len(bases)
+    rng = np.random.Generator(np.random.Philox(seed))
+    uniform = np.full(n_bases, 1.0 / n_bases)
+    k_arr = rng.choice(n_bases, size=n_rounds, p=uniform)
+    l_arr = rng.choice(n_bases, size=n_rounds, p=uniform)
+    alice = np.zeros(n_rounds, dtype=np.int64)
+    bob = np.zeros(n_rounds, dtype=np.int64)
+    for k in range(n_bases):
+        for l in range(n_bases):
+            idx = np.nonzero((k_arr == k) & (l_arr == l))[0]
+            if idx.size == 0:
+                continue
+            joint = table.probs[:, :, k, l].ravel()
+            flat = rng.choice(d * d, size=idx.size, p=joint / joint.sum())
+            bob[idx] = flat // d + 1
+            alice[idx] = flat % d + 1
+    return k_arr + 1, l_arr + 1, alice, bob
+
+
+@pytest.mark.parametrize("d, family", [(4, "pair"), (5, "all"), (9, "pair")])
+def test_session_grouping_matches_per_setting_scans(d, family):
+    bases = list(sqrt_mub_pair(d)) if family == "pair" else list(full_mub_set(d))
+    noise = NoiseModel("uniform", 0.2)
+    alignments = ["row"] * len(bases)
+    record = simulate_session(bases, 3000, noise, seed=21, alignments=alignments)
+    want = reference_session(bases, 3000, noise, 21, alignments)
+    got = (record.alice_basis, record.bob_basis, record.alice_symbol, record.bob_symbol)
+    for column, expected in zip(got, want):
+        assert np.array_equal(column, expected)
+
+
+# --- byte format ----------------------------------------------------------------
+
+# sha256 of the files golden_files() writes, recorded with the per-row
+# json.dumps / csv.writer serializers under numpy 2.4 (the session and the
+# counts also pin numpy's Philox choice and poisson streams).
+GOLDEN = {
+    "session.jsonl": "6a897196a4723384770739c0d38fb95495d83cb6f3201df072d1da64807de2a6",
+    "counts.csv": "3ad8a07547afaef20711c4588894657f2f46a23b87ea16c26545510de952ec61",
+    "probs.csv": "1185e89e4f74fccb83b1f31569d60e1384405c477c433b97736c29d66e443a8c",
+}
+
+
+def golden_files(out):
+    bases = list(sqrt_mub_pair(4))
+    noise = NoiseModel.from_components(0.1, 0.05)
+    simulate_session(bases, 300, noise, seed=7, alignments=["row", "col"]).save_jsonl(
+        out / "session.jsonl"
+    )
+    table = apply_noise(entangled_table(bases), noise, ["row", "col"])
+    counts = sample_counts(table, 2000.0, 1.0, 50.0, seed=7)
+    save_counts_csv(counts, out / "counts.csv")
+    save_probs_csv(normalize_counts(counts), out / "probs.csv")
+
+
+def test_written_bytes_match_golden_digests(tmp_path):
+    golden_files(tmp_path)
+    for name, digest in GOLDEN.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def reference_jsonl(k, l, alice, bob) -> bytes:
+    lines = [
+        json.dumps({"round": i + 1, "k": int(k[i]), "l": int(l[i]), "alice": int(alice[i]),
+                    "bob": int(bob[i]), "sifted": bool(k[i] == l[i])}) + "\n"
+        for i in range(len(k))
+    ]
+    return "".join(lines).encode()
+
+
+def reference_csv(array, fmt) -> bytes:
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(["a", "b", "k", "l", "value"])
+    d1, d2, nk, nl = array.shape
+    for k in range(nk):
+        for l in range(nl):
+            for a in range(d1):
+                for b in range(d2):
+                    writer.writerow([a + 1, b + 1, k + 1, l + 1, fmt(array[a, b, k, l])])
+    return fh.getvalue().encode()
+
+
+@contextlib.contextmanager
+def small_blocks():
+    """Blocks of a few rows, so that small files cross block boundaries."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "_BLOCK_ROWS", 3)
+        mp.setattr(protocol, "_BLOCK_BYTES", 50)
+        yield
+
+
+@st.composite
+def sessions(draw):
+    dim = draw(st.integers(1, 40))
+    n_bases = draw(st.integers(1, 12))
+    n = draw(st.integers(0, 40))
+    basis = st.lists(st.integers(1, n_bases), min_size=n, max_size=n)
+    symbol = st.lists(st.integers(1, dim), min_size=n, max_size=n)
+    columns = [np.array(draw(s), dtype=np.int64) for s in (basis, basis, symbol, symbol)]
+    return SessionRecord(dim, *columns, seed=None)
+
+
+@st.composite
+def shapes(draw):
+    return draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(record=sessions())
+def test_session_jsonl_round_trip_property(tmp_path_factory, record):
+    path = tmp_path_factory.mktemp("jsonl") / "session.jsonl"
+    with small_blocks():
+        record.save_jsonl(path)
+        again = SessionRecord.load_jsonl(path, record.dim)
+    columns = (record.alice_basis, record.bob_basis, record.alice_symbol, record.bob_symbol)
+    assert path.read_bytes() == reference_jsonl(*columns)
+    for got, want in zip((again.alice_basis, again.bob_basis, again.alice_symbol,
+                          again.bob_symbol), columns):
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=shapes(), data=st.data())
+def test_counts_csv_round_trip_property(tmp_path_factory, shape, data):
+    d, nk, nl = shape
+    values = data.draw(st.lists(st.integers(0, 2**63 - 1) | st.integers(0, 2**31 + 9),
+                                min_size=d * d * nk * nl, max_size=d * d * nk * nl))
+    counts = CountTable(d, np.array(values, dtype=np.int64).reshape(d, d, nk, nl), 1.5)
+    path = tmp_path_factory.mktemp("counts") / "counts.csv"
+    with small_blocks():
+        save_counts_csv(counts, path)
+        again = load_counts_csv(path)
+    assert path.read_bytes() == reference_csv(counts.counts, int)
+    assert np.array_equal(again.counts, counts.counts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=shapes(), data=st.data())
+def test_probs_csv_round_trip_property(tmp_path_factory, shape, data):
+    d, nk, nl = shape
+    weights = st.floats(0.0, 1.0) | st.sampled_from([5e-324, 1e-300, 1e-5, 0.1, 1.0])
+    raw = np.array(data.draw(st.lists(weights, min_size=d * d * nk * nl,
+                                      max_size=d * d * nk * nl))).reshape(d, d, nk, nl)
+    raw[0, 0] += 1.0  # every block has weight
+    table = ProbabilityTable(d, raw / raw.sum(axis=(0, 1)))
+    path = tmp_path_factory.mktemp("probs") / "probs.csv"
+    with small_blocks():
+        save_probs_csv(table, path)
+        again = load_probs_csv(path)
+    assert path.read_bytes() == reference_csv(table.probs, lambda v: repr(float(v)))
+    assert np.array_equal(again.probs, table.probs)
+
+
+# --- malformed files --------------------------------------------------------------
+
+
+def _edit_lines(path, edit):
+    lines = path.read_bytes().split(b"\r\n")[:-1]
+    edit(lines)
+    path.write_bytes(b"".join(line + b"\r\n" for line in lines))
+
+
+def _edit_sidecar(path, **changes):
+    meta_path = path.with_name(path.name + ".meta.json")
+    meta = json.loads(meta_path.read_text())
+    for key, value in changes.items():
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+    meta_path.write_text(json.dumps(meta))
+
+
+def _swap(lines, i, j):
+    lines[i], lines[j] = lines[j], lines[i]
+
+
+def _set_value(lines, i, value):
+    lines[i] = lines[i].rsplit(b",", 1)[0] + b"," + value
+
+
+MALFORMED_COUNTS = {
+    "header": (lambda p: _edit_lines(p, lambda ls: ls.__setitem__(0, b"a,b,k,l,count")),
+               "line 1"),
+    "missing row": (lambda p: _edit_lines(p, lambda ls: ls.pop(7)), "line 8"),
+    "missing last row": (lambda p: _edit_lines(p, lambda ls: ls.pop()), "line 65"),
+    "extra row": (lambda p: _edit_lines(p, lambda ls: ls.append(ls[-1])), "line 66"),
+    "duplicate row": (lambda p: _edit_lines(p, lambda ls: ls.__setitem__(9, ls[8])), "line 10"),
+    "out of order": (lambda p: _edit_lines(p, lambda ls: _swap(ls, 20, 21)), "line 21"),
+    "non-numeric": (lambda p: _edit_lines(p, lambda ls: _set_value(ls, 30, b"abc")), "line 31"),
+    "non-integer": (lambda p: _edit_lines(p, lambda ls: _set_value(ls, 30, b"1.5")), "line 31"),
+    "negative": (lambda p: _edit_lines(p, lambda ls: _set_value(ls, 12, b"-3")), "line 13"),
+    "empty value": (lambda p: _edit_lines(p, lambda ls: _set_value(ls, 12, b"")), "line 13"),
+    "no final line end": (lambda p: p.write_bytes(p.read_bytes()[:-2]), "line 65"),
+    "dim": (lambda p: _edit_sidecar(p, dim=9), "line 6"),
+    "bases_alice": (lambda p: _edit_sidecar(p, bases_alice=3), "line 66"),
+    "bases_bob": (lambda p: _edit_sidecar(p, bases_bob=1), "line 18"),
+    "sidecar key": (lambda p: _edit_sidecar(p, bases_bob=None), "bases_bob"),
+    "sidecar time": (lambda p: _edit_sidecar(p, integration_time=None), "integration_time"),
+    "sidecar type": (lambda p: _edit_sidecar(p, dim="4"), "integers"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_COUNTS))
+def test_keyrate_rejects_malformed_counts(tmp_path, capsys, case):
+    corrupt, where = MALFORMED_COUNTS[case]
+    counts = sample_counts(entangled_table(list(sqrt_mub_pair(4))), 500.0, 10.0, 5.0, seed=3)
+    path = tmp_path / "counts.csv"
+    save_counts_csv(counts, path)
+    corrupt(path)
+    code = main(["keyrate", "--counts", str(path), "--out", str(tmp_path / "r"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert where in err
+    assert not (tmp_path / "r" / "report.json").exists()
+
+
+@pytest.mark.parametrize("edit, line", [
+    pytest.param(lambda ls: _set_value(ls, 2, b"nan"), 3, id="nan"),
+    pytest.param(lambda ls: _set_value(ls, 1, b"1.5"), 2, id="above 1"),
+    pytest.param(lambda ls: _set_value(ls, 1, b"-0.5"), 2, id="negative"),
+    pytest.param(lambda ls: _set_value(ls, 3, b"0.1x"), 4, id="non-numeric"),
+    pytest.param(lambda ls: _set_value(ls, 1, b"1.00"), 2, id="not repr"),
+    pytest.param(lambda ls: ls.append(ls[-1]), 6, id="extra row"),
+])
+def test_probs_csv_rejects_bad_rows(tmp_path, edit, line):
+    path = tmp_path / "probs.csv"
+    save_probs_csv(entangled_table([computational_basis(2)]), path)
+    _edit_lines(path, edit)
+    with pytest.raises(InvalidInputError, match=f"line {line}:"):
+        load_probs_csv(path)
+
+
+@pytest.mark.parametrize("edit, line", [
+    pytest.param(lambda t: t.replace(b'"alice": 3', b'"alice":3', 1), None, id="separator"),
+    pytest.param(lambda t: t.replace(b'"sifted": true', b'"sifted": false', 1), None,
+                 id="sifted flag"),
+    pytest.param(lambda t: t.replace(b'"round": 5,', b'"round": 6,', 1), 5, id="round"),
+    pytest.param(lambda t: t.replace(b'"round": 5,', b'"round": 05,', 1), 5, id="leading zero"),
+    pytest.param(lambda t: t.replace(b'"k": 1', b'"k": 0', 1), None, id="basis 0"),
+    pytest.param(lambda t: t.replace(b'"bob": 2', b'"bob": 5', 1), None, id="symbol above dim"),
+    pytest.param(lambda t: t.replace(b"}\n", b"}\r\n", 1), 1, id="line end"),
+    pytest.param(lambda t: t[:-1], 40, id="no final line end"),
+    pytest.param(lambda t: t + b"\n", 41, id="blank line"),
+    pytest.param(lambda t: t.replace(b'"bob"', b'"Bob"', 1), None, id="key"),
+])
+def test_load_jsonl_rejects_other_layouts(tmp_path, edit, line):
+    record = simulate_session(list(sqrt_mub_pair(4)), 40, seed=2)
+    path = tmp_path / "session.jsonl"
+    record.save_jsonl(path)
+    text = path.read_bytes()
+    changed = edit(text)
+    assert changed != text
+    if line is None:  # the first line the edit touched
+        line = next(i for i, (a, b) in enumerate(zip(text.split(b"\n"), changed.split(b"\n")))
+                    if a != b) + 1
+    path.write_bytes(changed)
+    with pytest.raises(InvalidInputError, match=f"line {line}:"):
+        SessionRecord.load_jsonl(path, dim=4)
