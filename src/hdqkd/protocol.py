@@ -596,8 +596,7 @@ def _read_table_csv(path, shape, kind: str) -> np.ndarray:
     InvalidInputError naming the first bad line."""
     keep, dtype, cells, top = _TABLE_VALUES[kind]
     n = math.prod(shape)
-    values = np.empty(n, dtype=dtype)
-    done = 0
+    parts, done = [], 0  # nothing sized from the sidecar before the rows bear it out
     with open(path, "rb") as fh:
         header = fh.readline()
         if header != _CSV_HEADER:
@@ -615,13 +614,14 @@ def _read_table_csv(path, shape, kind: str) -> np.ndarray:
                     f"{path} line {line + bad}: {_expected_row(shape, done + bad, kind)}, "
                     f"got {_line_text(block, bad)}"
                 )
-            values[done:done + rows] = cut
+            parts.append(cut.copy())
             done += rows
     if done < n:
         raise InvalidInputError(f"{path} line {done + 2}: {_expected_row(shape, done, kind)}, "
                                 f"got the end of the file")
     d1, d2, nk, nl = shape
-    return np.ascontiguousarray(values.reshape(nk, nl, d1, d2).transpose(2, 3, 0, 1))
+    values = np.concatenate(parts).reshape(nk, nl, d1, d2)
+    return np.ascontiguousarray(values.transpose(2, 3, 0, 1))
 
 
 def _expected_row(shape, row: int, kind: str) -> str:

@@ -547,6 +547,7 @@ MALFORMED_COUNTS = {
     "empty value": (lambda p: _edit_lines(p, lambda ls: _set_value(ls, 12, b"")), "line 13"),
     "no final line end": (lambda p: p.write_bytes(p.read_bytes()[:-2]), "line 65"),
     "dim": (lambda p: _edit_sidecar(p, dim=9), "line 6"),
+    "huge dim": (lambda p: _edit_sidecar(p, dim=10**9), "line 6"),
     "bases_alice": (lambda p: _edit_sidecar(p, bases_alice=3), "line 66"),
     "bases_bob": (lambda p: _edit_sidecar(p, bases_bob=1), "line 18"),
     "sidecar key": (lambda p: _edit_sidecar(p, bases_bob=None), "bases_bob"),
