@@ -25,7 +25,6 @@ from .keyrate import (  # noqa: F401
 )
 from .mub import (  # noqa: F401
     Basis,
-    GridIndex,
     MubSet,
     check_mub_pair,
     computational_basis,
@@ -52,7 +51,6 @@ from .optics import (  # noqa: F401
 from .protocol import (  # noqa: F401
     CountTable,
     NoiseDecomposition,
-    NoiseModel,
     ProbabilityTable,
     SessionRecord,
     apply_noise,

@@ -158,9 +158,14 @@ def cmd_mub(args) -> int:
             with open(path) as fh:
                 doc = json.load(fh)
             amps = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
-            loaded.append((path, int(doc["dim"]), str(doc.get("label", "")), amps))
+            d = int(doc["dim"])
+            loaded.append((path, d, str(doc.get("label", "")), amps))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise InvalidConfigError(f"cannot parse basis file {path}: {exc}")
+        if amps.shape != (d, d):
+            raise InvalidConfigError(
+                f"basis file {path}: amplitudes have shape {amps.shape}, not {d}x{d}"
+            )
     failed = False
     for path, d, label, amps in loaded:
         dev = mub.unitarity_deviation(amps)
@@ -168,15 +173,12 @@ def cmd_mub(args) -> int:
         failed |= not ok
         _echo(args, f"{path} [{label}]: unitarity deviation {dev:.3e} "
               f"({'ok' if ok else 'FAIL'})")
-    for i in range(len(loaded)):
-        for j in range(i + 1, len(loaded)):
-            pi, di, li, ai = loaded[i]
-            pj, dj, lj, aj = loaded[j]
+    for i, (pi, di, li, ai) in enumerate(loaded):
+        for pj, dj, lj, aj in loaded[i + 1:]:
             if di != dj:
                 _echo(args, f"{li} vs {lj}: dimension mismatch, skipped")
                 continue
-            table = np.abs(ai.conj().T @ aj) ** 2
-            dev = float(np.abs(table - 1.0 / di).max())
+            dev = mub.unbiasedness_deviation(ai, aj)
             ok = dev <= args.unbiased_tol
             failed |= not ok
             _echo(args, f"{li or pi} vs {lj or pj}: unbiasedness deviation "
@@ -282,30 +284,35 @@ def cmd_optics(args) -> int:
 # simulate
 
 
-def _noise_from_args(args) -> protocol.NoiseModel | None:
+def _noise_from_args(args) -> tuple[float, float]:
+    """(E_u, E_b) from --Eu/--Eb, or from --Et split with --block-fraction
+    f (default 0) as (Et*(1-f), Et*f).  Mixing the two forms, or a
+    fraction without --Et, is a usage error; no flag means no noise."""
     if args.Eu is not None or args.Eb is not None:
-        return protocol.NoiseModel.from_components(args.Eu or 0.0, args.Eb or 0.0)
-    if args.Et:
-        if args.block_fraction:
-            return protocol.NoiseModel("block_biased", args.Et, args.block_fraction)
-        return protocol.NoiseModel("uniform", args.Et)
-    return None
+        if args.Et is not None or args.block_fraction is not None:
+            raise InvalidConfigError(
+                "--Eu/--Eb cannot be combined with --Et or --block-fraction"
+            )
+        return args.Eu or 0.0, args.Eb or 0.0
+    if args.Et is None:
+        if args.block_fraction is not None:
+            raise InvalidConfigError("--block-fraction needs --Et")
+        return 0.0, 0.0
+    fraction = args.block_fraction or 0.0
+    return args.Et * (1.0 - fraction), args.Et * fraction
 
 
 def cmd_simulate(args) -> int:
     bases = _build_bases(args.d, args.family)
-    if len(bases) < 1:
-        raise InvalidConfigError("simulation needs at least one basis")
-    noise = _noise_from_args(args)
+    e_u, e_b = _noise_from_args(args)
     alignments = (
         _parse_alignments(args.alignments, len(bases)) if args.alignments
         else _default_alignments(args.family, len(bases))
     )
+    table = protocol.apply_noise(
+        protocol.ideal_prob_table(bases, [b.conjugate() for b in bases]), e_u, e_b, alignments
+    )
     out = _out_dir(args)
-
-    table = protocol.ideal_prob_table(bases, [b.conjugate() for b in bases])
-    if noise is not None and noise.total_error > 0.0:
-        table = protocol.apply_noise(table, noise, alignments)
 
     if args.pair_rate == 0.0 and args.accidental_rate == 0.0:
         _echo(args, "warning: zero pair and accidental rates, counts will be all zero")
@@ -316,9 +323,7 @@ def cmd_simulate(args) -> int:
     _echo(args, f"wrote {out / 'counts.csv'} "
           f"({int(counts.counts.sum())} coincidences)")
 
-    session = protocol.simulate_session(
-        bases, args.rounds, noise=noise, seed=args.seed, alignments=alignments
-    )
+    session = protocol.simulate_session(table, args.rounds, seed=args.seed)
     session.save_jsonl(out / "session.jsonl")
     _echo(args, f"wrote {out / 'session.jsonl'} "
           f"(sifted {session.sifted_fraction:.3f}, QBER {session.qber:.4f})")
@@ -373,6 +378,8 @@ def cmd_keyrate(args) -> int:
 
     errors = _parse_range(args.errors, "--errors") if args.curve == "rate" else None
     if args.counts:
+        if any(flag is not None for flag in (args.E, args.Eu, args.Eb)):
+            raise InvalidConfigError("--counts supplies the errors; drop --E, --Eu and --Eb")
         d, e_u, e_b = _errors_from_counts(args)
         bound = args.bound or ("two-mub-block" if e_b > 0 else "two-mub-uniform")
     else:
@@ -380,9 +387,9 @@ def cmd_keyrate(args) -> int:
         if d is None:
             raise InvalidConfigError("need --d unless reading --counts")
         bound = args.bound or "two-mub-uniform"
-        e_u, e_b = args.Eu or 0.0, args.Eb or 0.0
-        if args.E is not None:
-            e_u, e_b = args.E, 0.0
+        if args.E is not None and (args.Eu is not None or args.Eb is not None):
+            raise InvalidConfigError("--E cannot be combined with --Eu/--Eb")
+        e_u, e_b = (args.E, 0.0) if args.E is not None else (args.Eu or 0.0, args.Eb or 0.0)
 
     bound_key = bound.replace("-", "_")
     if bound_key == "depolarizing":
@@ -477,8 +484,9 @@ def _build_parser_with_map():
     p_sim.add_argument("--d", type=int, default=25)
     p_sim.add_argument("--family", default="sqrt-pair",
                        choices=["wh-all", "sqrt-pair", "comp-dft"])
-    p_sim.add_argument("--Et", type=float, default=0.0, help="total matched-basis error")
-    p_sim.add_argument("--block-fraction", type=float, default=0.0)
+    p_sim.add_argument("--Et", type=float, default=None, help="total matched-basis error")
+    p_sim.add_argument("--block-fraction", type=float, default=None,
+                       help="share of --Et inside a block (default 0)")
     p_sim.add_argument("--Eu", type=float, default=None, help="uniform error component")
     p_sim.add_argument("--Eb", type=float, default=None, help="block error component")
     p_sim.add_argument("--alignments", help="comma list of row/col per basis")

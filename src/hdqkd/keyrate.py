@@ -30,11 +30,6 @@ from .mub import grid_side
 
 BOUNDS = ("depolarizing_all_mubs", "two_mub_uniform", "two_mub_block")
 
-# Error-split profiles for threshold sweeps: fraction of the total error
-# that sits inside a sqrt(d)-mode block.  0.77 is a representative
-# block-heavy split for 25-dimensional row/col-DFT sorters.
-PROFILES = {"uniform": 0.0, "block_heavy": 0.77, "all_block": 1.0}
-
 ROOT_TOL = 1e-9
 _BISECT_LO = 1e-12
 _BISECT_HI = 1.0 - 1e-6
@@ -339,8 +334,12 @@ def rate_curve(
 def threshold_curve(dims, block_fractions=(0.0, 0.77, 1.0)) -> list[dict]:
     """Zero-rate threshold of the two-basis bound versus dimension.
 
-    Uniform errors (fraction 0) are evaluated for every d; block-biased
-    profiles only exist on perfect squares and other d are skipped.
+    block_fractions are the error-split profiles: the fraction of the
+    total error that sits inside a sqrt(d)-mode block.  The default 0.77
+    is a representative block-heavy split for 25-dimensional row/col-DFT
+    sorters.  Uniform errors (fraction 0) are evaluated for every d;
+    block-biased profiles only exist on perfect squares and other d are
+    skipped.
     """
     rows = []
     for d in dims:

@@ -214,34 +214,6 @@ def full_mub_set(d: int) -> MubSet:
     return MubSet(d, tuple(bases))
 
 
-@dataclass(frozen=True)
-class GridIndex:
-    """1-based (row, col) coordinates on the sqrt(d)-by-sqrt(d) mode grid.
-
-    flat = (row - 1) * side + col, flat in 1..side**2.
-    """
-
-    row: int
-    col: int
-    side: int
-
-    def __post_init__(self):
-        if not (1 <= self.row <= self.side and 1 <= self.col <= self.side):
-            raise InvalidInputError(
-                f"grid position ({self.row},{self.col}) outside 1..{self.side}"
-            )
-
-    @property
-    def flat(self) -> int:
-        return (self.row - 1) * self.side + self.col
-
-    @classmethod
-    def from_flat(cls, flat: int, side: int) -> "GridIndex":
-        if not 1 <= flat <= side * side:
-            raise InvalidInputError(f"flat index {flat} outside 1..{side * side}")
-        return cls((flat - 1) // side + 1, (flat - 1) % side + 1, side)
-
-
 def grid_side(d: int) -> int:
     """sqrt(d) for perfect-square d; raises otherwise."""
     side = math.isqrt(d)
@@ -299,8 +271,14 @@ def overlap_table(b1: Basis, b2: Basis) -> np.ndarray:
     return np.abs(b1.amplitudes.conj().T @ b2.amplitudes) ** 2
 
 
+def unbiasedness_deviation(a1: np.ndarray, a2: np.ndarray) -> float:
+    """Max entry-wise deviation of the squared overlaps |A1†A2|^2 from 1/d."""
+    return float(np.abs(np.abs(a1.conj().T @ a2) ** 2 - 1.0 / a1.shape[0]).max())
+
+
 def check_mub_pair(b1: Basis, b2: Basis, tol: float = UNBIASED_TOL) -> tuple[bool, float]:
     """Whether every squared overlap equals 1/d within tol; also the max deviation."""
-    table = overlap_table(b1, b2)
-    dev = float(np.abs(table - 1.0 / b1.dim).max())
+    if b1.dim != b2.dim:
+        raise InvalidInputError(f"dimension mismatch: {b1.dim} vs {b2.dim}")
+    dev = unbiasedness_deviation(b1.amplitudes, b2.amplitudes)
     return dev <= tol, dev

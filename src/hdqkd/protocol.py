@@ -16,18 +16,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     InsufficientDataError,
     InvalidConfigError,
-    InvalidDimensionError,
     InvalidInputError,
     InvalidNoiseError,
 )
-from .mub import Basis, grid_side
+from .mub import grid_side
 
 # Counter-based generator used for every stochastic operation, recorded in
 # outputs so any run can be replayed from its seed.
@@ -57,8 +56,8 @@ class ProbabilityTable:
             raise InvalidInputError(
                 f"probs must be (d, d, K, L) with d={self.dim}, got {probs.shape}"
             )
-        if probs.min() < 0.0:
-            raise InvalidInputError("probabilities must be >= 0")
+        if not (np.isfinite(probs).all() and probs.min() >= 0.0):
+            raise InvalidInputError("probabilities must be finite and >= 0")
         sums = probs.sum(axis=(0, 1))
         if np.abs(sums - 1.0).max() > NORMALIZATION_TOL:
             raise InvalidInputError(
@@ -74,10 +73,6 @@ class ProbabilityTable:
     @property
     def bases_bob(self) -> int:
         return self.probs.shape[3]
-
-    def setting(self, k: int, l: int) -> np.ndarray:
-        """Joint d x d table for Alice basis k, Bob basis l (1-based)."""
-        return self.probs[:, :, k - 1, l - 1].copy()
 
 
 @dataclass(frozen=True)
@@ -100,47 +95,6 @@ class CountTable:
         if counts.min() < 0:
             raise InvalidInputError("counts must be >= 0")
         object.__setattr__(self, "counts", counts.astype(np.int64))
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Matched-basis error model: uniform floor plus optional block bias.
-
-    total_error is split into a uniform part spread over all d-1 wrong
-    outcomes and, for kind="block_biased", a part spread over the
-    sqrt(d)-1 wrong outcomes sharing the sent state's grid row or column.
-    """
-
-    kind: str
-    total_error: float
-    block_fraction: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("uniform", "block_biased"):
-            raise InvalidNoiseError(f"unknown noise kind '{self.kind}'")
-        if not 0.0 <= self.total_error < 1.0:
-            raise InvalidNoiseError(f"total error {self.total_error} outside [0, 1)")
-        if not 0.0 <= self.block_fraction <= 1.0:
-            raise InvalidNoiseError(
-                f"block fraction {self.block_fraction} outside [0, 1]"
-            )
-        if self.kind == "uniform" and self.block_fraction != 0.0:
-            raise InvalidNoiseError("uniform noise cannot carry a block fraction")
-
-    @property
-    def uniform_error(self) -> float:
-        return self.total_error * (1.0 - self.block_fraction)
-
-    @property
-    def block_error(self) -> float:
-        return self.total_error * self.block_fraction
-
-    @classmethod
-    def from_components(cls, uniform_error: float, block_error: float) -> "NoiseModel":
-        total = uniform_error + block_error
-        if block_error == 0.0:
-            return cls("uniform", total)
-        return cls("block_biased", total, block_error / total)
 
 
 @dataclass(frozen=True)
@@ -207,23 +161,32 @@ def ideal_prob_table(alice_bases, bob_bases) -> ProbabilityTable:
 
 def apply_noise(
     table: ProbabilityTable,
-    model: NoiseModel,
+    uniform_error: float,
+    block_error: float = 0.0,
     alignments=None,
 ) -> ProbabilityTable:
     """Overwrite matched-basis settings with the noisy correlation model.
 
-    Given sent state b the outcome conditional becomes: 1 - E_t on b,
-    E_u/(d-1) on every wrong outcome, plus E_b/(sqrt(d)-1) extra on the
-    sqrt(d)-1 wrong outcomes inside b's block.  Mismatched settings are
-    left untouched.  alignments gives the block orientation ("row" or
+    Given sent state b the outcome conditional becomes: 1 - E_u - E_b on
+    b, E_u/(d-1) on every wrong outcome, plus E_b/(sqrt(d)-1) extra on
+    the sqrt(d)-1 wrong outcomes inside b's block.  Mismatched settings
+    are left untouched.  alignments gives the block orientation ("row" or
     "col") per matched basis index; it defaults to "row" everywhere.
     """
+    for name, value in (("uniform", uniform_error), ("block", block_error)):
+        if not value >= 0.0:  # NaN too
+            raise InvalidNoiseError(f"{name} error {value} must be >= 0")
+    total = uniform_error + block_error
+    if not total < 1.0:
+        raise InvalidNoiseError(f"total error {total} outside [0, 1)")
     d = table.dim
     n_matched = min(table.bases_alice, table.bases_bob)
-    if model.kind == "block_biased":
+    if block_error > 0.0:
         side = grid_side(d)  # raises InvalidDimensionError for non-square d
-    if model.total_error == 0.0:
+    if total == 0.0:
         return table
+    if d < 2:
+        raise InvalidNoiseError(f"d={d} has no wrong outcome to carry an error")
     if alignments is None:
         alignments = ["row"] * n_matched
     if len(alignments) < n_matched:
@@ -233,11 +196,11 @@ def apply_noise(
     probs = table.probs.copy()
     eye = np.eye(d, dtype=bool)
     for k in range(n_matched):
-        cond = np.full((d, d), model.uniform_error / (d - 1))
-        np.fill_diagonal(cond, 1.0 - model.total_error)
-        if model.kind == "block_biased" and model.block_error > 0.0:
+        cond = np.full((d, d), uniform_error / (d - 1))
+        np.fill_diagonal(cond, 1.0 - total)
+        if block_error > 0.0:
             in_block = _block_mask(d, alignments[k]) & ~eye
-            cond[in_block] += model.block_error / (side - 1)
+            cond[in_block] += block_error / (side - 1)
         probs[:, :, k, k] = cond / d
     return ProbabilityTable(d, probs)
 
@@ -378,37 +341,32 @@ class SessionRecord:
 
 
 def simulate_session(
-    bases,
+    table: ProbabilityTable,
     n_rounds: int,
-    noise: NoiseModel | None = None,
     seed: int = 0,
     basis_probs=None,
-    alignments=None,
 ) -> SessionRecord:
     """Simulate n_rounds of entanglement-based QKD with independent
     basis choices.
 
-    `bases` are Alice's measurement bases; Bob measures in their
-    entry-wise conjugates, so matched settings are perfectly correlated
-    before noise.  Basis choices follow basis_probs (uniform by default);
-    the outcome pair of each round is drawn from the (noisy) joint table
-    of its setting.  Deterministic for a fixed seed.
+    Alice and Bob each pick one of the table's K bases per round, following
+    basis_probs (uniform by default); the outcome pair of each round is
+    drawn from the table's joint distribution for that setting.
+    Deterministic for a fixed seed.
     """
-    bases = list(bases)
-    if not bases:
-        raise InvalidConfigError("empty basis set")
+    n_bases = table.bases_alice
+    if table.bases_bob != n_bases:
+        raise InvalidConfigError(
+            f"a session needs as many bases for Bob as for Alice, "
+            f"got {table.bases_bob} and {n_bases}"
+        )
     if n_rounds < 1:
         raise InvalidConfigError(f"n_rounds must be >= 1, got {n_rounds}")
-    n_bases = len(bases)
     if basis_probs is None:
         basis_probs = np.full(n_bases, 1.0 / n_bases)
     basis_probs = np.asarray(basis_probs, dtype=float)
     if basis_probs.shape != (n_bases,) or abs(basis_probs.sum() - 1.0) > 1e-9:
         raise InvalidConfigError("basis probabilities must sum to 1")
-
-    table = ideal_prob_table(bases, [b.conjugate() for b in bases])
-    if noise is not None and noise.total_error > 0.0:
-        table = apply_noise(table, noise, alignments)
     d = table.dim
 
     rng = _rng(seed)

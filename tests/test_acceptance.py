@@ -36,7 +36,6 @@ from hdqkd.optics import (
 )
 from hdqkd.mub import dft_basis
 from hdqkd.protocol import (
-    NoiseModel,
     ProbabilityTable,
     apply_noise,
     decompose_errors,
@@ -156,9 +155,7 @@ def test_criterion_6_statistics_round_trip():
         for e_u, e_b in ((0.05, 0.1), (0.073, 0.248), (0.2, 0.0), (0.0, 0.3)):
             if e_u + e_b == 0.0:
                 continue
-            noisy = apply_noise(
-                table, NoiseModel.from_components(e_u, e_b), alignments=["row", "col"]
-            )
+            noisy = apply_noise(table, e_u, e_b, alignments=["row", "col"])
             dec = decompose_errors(noisy, 1, "row")
             exact_ok &= abs(dec.total_error - (e_u + e_b)) < 1e-9
             exact_ok &= abs(dec.uniform_error - e_u) < 1e-9
@@ -170,7 +167,8 @@ def test_criterion_6_statistics_round_trip():
     bases = list(sqrt_mub_pair(d))
     table = apply_noise(
         ideal_prob_table(bases, [b.conjugate() for b in bases]),
-        NoiseModel.from_components(e_u, e_b),
+        e_u,
+        e_b,
         alignments=["row", "col"],
     )
     counts = sample_counts(table, n, 1.0, seed=2026)

@@ -1,7 +1,10 @@
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hdqkd.cli import main
 from hdqkd.optics import load_stack
@@ -47,6 +50,16 @@ def test_mub_check_rejects_unparseable_file(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{not json")
     assert run("mub", "check", path) == 2
+
+
+@pytest.mark.parametrize("dim, shape", [(5, (4, 4)), (3, (3, 5)), (5, (5,))])
+def test_mub_check_rejects_amplitudes_of_the_wrong_shape(tmp_path, capsys, dim, shape):
+    run("mub", "gen", "--d", 5, "--family", "dft", "--out", tmp_path, "--quiet")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dim": dim, "label": "bad", "re": np.ones(shape).tolist(),
+                               "im": np.zeros(shape).tolist()}))
+    assert run("mub", "check", tmp_path / "basis_dft.json", bad, "--quiet") == 2
+    assert "bad.json" in capsys.readouterr().err
 
 
 def test_mub_gen_invalid_dimension_exits_2(tmp_path):
@@ -304,3 +317,103 @@ def test_out_dir_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("HDQKD_OUT", str(tmp_path / "envout"))
     assert run("keyrate", "--d", 2, "--E", 0.05, "--quiet") == 0
     assert (tmp_path / "envout" / "report.json").exists()
+
+
+# --- noise flags -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--d", 4, "--rounds", 10, "--Et", 0.3, "--Eu", 0.02],
+    ["simulate", "--d", 4, "--rounds", 10, "--Eb", 0.1, "--block-fraction", 0.5],
+    ["simulate", "--d", 4, "--rounds", 10, "--block-fraction", 0.5],
+    ["keyrate", "--d", 25, "--bound", "two-mub-block", "--E", 0.1, "--Eu", 0.2, "--Eb", 0.05],
+    ["keyrate", "--d", 25, "--E", 0.1, "--Eb", 0.05],
+])
+def test_conflicting_or_ignored_noise_flags_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run(*argv, "--out", out, "--quiet") == 2
+    assert capsys.readouterr().err.startswith("error: --")
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_keyrate_counts_rejects_noise_flags(tmp_path, capsys):
+    run("simulate", "--d", 4, "--family", "sqrt-pair", "--rounds", 10, "--out", tmp_path,
+        "--quiet")
+    code = run("keyrate", "--counts", tmp_path / "counts.csv", "--Eu", 0.1,
+               "--out", tmp_path / "r", "--quiet")
+    assert code == 2
+    assert "--counts" in capsys.readouterr().err
+    assert not (tmp_path / "r" / "report.json").exists()
+
+
+def test_simulate_names_the_negative_component(tmp_path, capsys):
+    code = run("simulate", "--d", 4, "--rounds", 10, "--Eu", -0.1, "--Eb", 0.2,
+               "--out", tmp_path / "out", "--quiet")
+    assert code == 2
+    assert "uniform error -0.1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_total_and_component_forms_write_identical_files(tmp_path):
+    common = ("simulate", "--d", 9, "--family", "sqrt-pair", "--pair-rate", "1e3",
+              "--time", 10, "--rounds", 2000, "--seed", 11, "--quiet")
+    assert run(*common, "--Et", 0.3, "--block-fraction", 0.5, "--out", tmp_path / "t") == 0
+    assert run(*common, "--Eu", 0.15, "--Eb", 0.15, "--out", tmp_path / "c") == 0
+    for name in ("session.jsonl", "counts.csv"):
+        assert (tmp_path / "t" / name).read_bytes() == (tmp_path / "c" / name).read_bytes()
+
+
+def test_simulate_builds_its_table_once(tmp_path, monkeypatch):
+    from hdqkd import protocol
+
+    calls = {"ideal_prob_table": 0, "apply_noise": 0}
+    for name in calls:
+        original = getattr(protocol, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(protocol, name, counted)
+    assert run("simulate", "--d", 9, "--family", "sqrt-pair", "--Eu", 0.05, "--Eb", 0.1,
+               "--rounds", 100, "--out", tmp_path, "--quiet") == 0
+    assert calls == {"ideal_prob_table": 1, "apply_noise": 1}
+
+
+# --- any argv ----------------------------------------------------------------------
+
+_noise_values = st.sampled_from(["0", "0.05", "0.3", "0.999", "1", "1.5", "-0.1", "-0.0",
+                                 "nan", "inf", "1e-300"])
+_noise_flags = st.dictionaries(
+    st.sampled_from(["--Et", "--block-fraction", "--E", "--Eu", "--Eb"]), _noise_values,
+    max_size=3,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@example(command="simulate", d=1, rounds=1, family="comp-dft", bound=None,
+         noise={"--Et": "0.05"}, alignments=None)  # no wrong outcome at d=1
+@given(
+    command=st.sampled_from(["simulate", "keyrate"]),
+    d=st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 9]),
+    rounds=st.sampled_from([-1, 0, 1, 7]),
+    family=st.sampled_from(["wh-all", "sqrt-pair", "comp-dft"]),
+    bound=st.sampled_from([None, "depolarizing", "two-mub-uniform", "two-mub-block"]),
+    noise=_noise_flags,
+    alignments=st.one_of(st.none(), st.sampled_from(["row", "col", "row,col", "col,row,row",
+                                                     "diag", "row,", ",", ""])),
+)
+def test_any_noise_argv_exits_0_1_or_2(command, d, rounds, family, bound, noise, alignments):
+    argv = [command, "--d", str(d), "--quiet"]
+    if command == "simulate":
+        noise.pop("--E", None)
+        argv += ["--family", family, "--rounds", str(rounds), "--pair-rate", "100",
+                 "--time", "1"]
+    else:
+        noise.pop("--Et", None)
+        noise.pop("--block-fraction", None)
+        argv += [] if bound is None else ["--bound", bound]
+    argv += [f"{flag}={value}" for flag, value in noise.items()]
+    if alignments is not None:
+        argv.append(f"--alignments={alignments}")
+    with tempfile.TemporaryDirectory() as out:
+        assert main(argv + ["--out", out]) in (0, 1, 2)

@@ -19,7 +19,7 @@ from hdqkd.keyrate import (
     threshold_curve,
 )
 from hdqkd.mub import full_mub_set
-from hdqkd.protocol import ProbabilityTable, apply_noise, ideal_prob_table, NoiseModel
+from hdqkd.protocol import ProbabilityTable, apply_noise, ideal_prob_table
 
 
 def entropy_of(dist) -> float:
@@ -273,7 +273,7 @@ def test_subset_stats_depolarizing():
 def test_subset_stats_mean_identity():
     bases = list(full_mub_set(5))
     table = ideal_prob_table(bases, [b.conjugate() for b in bases])
-    noisy = apply_noise(table, NoiseModel("uniform", 0.2))
+    noisy = apply_noise(table, 0.2)
     stats = subset_stats(noisy)
     assert abs(stats.E - np.mean(np.diag(stats.E_kl))) < 1e-12
 

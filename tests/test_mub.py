@@ -11,7 +11,6 @@ from hdqkd.errors import (
 )
 from hdqkd.mub import (
     Basis,
-    GridIndex,
     MubSet,
     check_mub_pair,
     computational_basis,
@@ -19,6 +18,7 @@ from hdqkd.mub import (
     full_mub_set,
     overlap_table,
     sqrt_mub_pair,
+    unbiasedness_deviation,
     unitarity_deviation,
     wh_basis,
 )
@@ -160,6 +160,19 @@ def test_sqrt_pair_rejects_bad_dimension():
             sqrt_mub_pair(d)
 
 
+def test_unbiasedness_deviation_on_arrays():
+    b1, b2 = sqrt_mub_pair(9)
+    assert unbiasedness_deviation(b1.amplitudes, b2.amplitudes) == check_mub_pair(b1, b2)[1]
+    assert unbiasedness_deviation(b1.amplitudes, b2.amplitudes) < 1e-12
+    eye = computational_basis(9).amplitudes
+    assert abs(unbiasedness_deviation(eye, eye) - (1 - 1 / 9)) < 1e-15
+
+
+def test_check_mub_pair_rejects_dimension_mismatch():
+    with pytest.raises(InvalidInputError):
+        check_mub_pair(dft_basis(4), dft_basis(5))
+
+
 def test_overlap_table_identity_and_flat():
     b = dft_basis(5)
     assert np.abs(overlap_table(b, b) - np.eye(5)).max() < 1e-12
@@ -197,18 +210,6 @@ def test_basis_constructor_rejects_nonunitary():
     bad[0, 0] = 0.9
     with pytest.raises(InvalidInputError):
         Basis(3, bad, "broken")
-
-
-def test_grid_index_bijection():
-    for side in (2, 3, 5):
-        seen = set()
-        for row in range(1, side + 1):
-            for col in range(1, side + 1):
-                g = GridIndex(row, col, side)
-                back = GridIndex.from_flat(g.flat, side)
-                assert (back.row, back.col) == (row, col)
-                seen.add(g.flat)
-        assert seen == set(range(1, side * side + 1))
 
 
 def test_json_round_trip_is_exact(tmp_path):

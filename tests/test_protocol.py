@@ -23,7 +23,6 @@ from hdqkd.errors import (
 from hdqkd.mub import computational_basis, dft_basis, full_mub_set, sqrt_mub_pair
 from hdqkd.protocol import (
     CountTable,
-    NoiseModel,
     ProbabilityTable,
     SessionRecord,
     apply_noise,
@@ -49,7 +48,7 @@ def entangled_table(bases):
 def test_matched_settings_perfectly_correlated():
     table = entangled_table(list(full_mub_set(5)))
     for k in range(1, 7):
-        assert np.abs(table.setting(k, k) - np.eye(5) / 5).max() < 1e-12
+        assert np.abs(table.probs[:, :, k - 1, k - 1] - np.eye(5) / 5).max() < 1e-12
 
 
 def test_mismatched_mub_settings_are_flat():
@@ -57,13 +56,23 @@ def test_mismatched_mub_settings_are_flat():
     for k in range(1, 7):
         for l in range(1, 7):
             if k != l:
-                assert np.abs(table.setting(k, l) - 1 / 25).max() < 1e-10
+                assert np.abs(table.probs[:, :, k - 1, l - 1] - 1 / 25).max() < 1e-10
 
 
 def test_dimension_one_table():
     table = entangled_table([computational_basis(1)])
     assert table.probs.shape == (1, 1, 1, 1)
     assert abs(table.probs[0, 0, 0, 0] - 1.0) < 1e-15
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_probability_table_rejects_non_finite(bad):
+    probs = np.full((2, 2, 1, 1), 0.25)
+    with pytest.raises(InvalidInputError):
+        ProbabilityTable(2, np.full((2, 2, 1, 1), bad))
+    probs[0, 1, 0, 0] = bad
+    with pytest.raises(InvalidInputError):
+        ProbabilityTable(2, probs)
 
 
 def test_ideal_table_rejects_mixed_dims():
@@ -76,14 +85,14 @@ def test_ideal_table_rejects_mixed_dims():
 
 def test_zero_noise_leaves_ideal_table_unchanged():
     table = entangled_table(list(sqrt_mub_pair(25)))
-    noisy = apply_noise(table, NoiseModel("uniform", 0.0))
+    noisy = apply_noise(table, 0.0)
     assert np.array_equal(noisy.probs, table.probs)
 
 
 def test_uniform_noise_spreads_evenly():
     table = entangled_table(list(full_mub_set(5)))
-    noisy = apply_noise(table, NoiseModel("uniform", 0.2))
-    cond = noisy.setting(1, 1) * 5
+    noisy = apply_noise(table, 0.2)
+    cond = noisy.probs[:, :, 0, 0] * 5
     assert abs(cond[0, 0] - 0.8) < 1e-12
     off = cond[~np.eye(5, dtype=bool)]
     assert np.abs(off - 0.2 / 4).max() < 1e-12
@@ -91,37 +100,52 @@ def test_uniform_noise_spreads_evenly():
 
 def test_block_noise_three_term_structure():
     table = entangled_table(list(sqrt_mub_pair(25)))
-    model = NoiseModel.from_components(0.073, 0.248)
-    noisy = apply_noise(table, model, alignments=["row", "col"])
-    cond = noisy.setting(1, 1) * 25
+    noisy = apply_noise(table, 0.073, 0.248, alignments=["row", "col"])
+    cond = noisy.probs[:, :, 0, 0] * 25
     # sent state 1 sits in grid row 1 = flat states 1..5
     assert abs(cond[0, 0] - (1 - 0.321)) < 1e-12
     assert abs(cond[1, 0] - (0.248 / 4 + 0.073 / 24)) < 1e-12
     assert abs(cond[5, 0] - 0.073 / 24) < 1e-12
     # mismatched settings untouched
-    assert np.abs(noisy.setting(1, 2) - table.setting(1, 2)).max() == 0.0
+    assert np.abs(noisy.probs[:, :, 0, 1] - table.probs[:, :, 0, 1]).max() == 0.0
 
 
 def test_apply_noise_preserves_normalization():
     table = entangled_table(list(sqrt_mub_pair(9)))
-    noisy = apply_noise(table, NoiseModel("block_biased", 0.4, 0.6))
+    noisy = apply_noise(table, 0.4 * (1 - 0.6), 0.4 * 0.6)
     sums = noisy.probs.sum(axis=(0, 1))
     assert np.abs(sums - 1.0).max() < 1e-12
 
 
 def test_noise_model_validation():
+    table = entangled_table(list(sqrt_mub_pair(9)))
     with pytest.raises(InvalidNoiseError):
-        NoiseModel("uniform", 1.0)
+        apply_noise(table, 1.0)
     with pytest.raises(InvalidNoiseError):
-        NoiseModel("block_biased", 0.3, 1.5)
+        apply_noise(table, 0.3 * (1 - 1.5), 0.3 * 1.5)
+
+
+@pytest.mark.parametrize("e_u, e_b, name", [
+    (-0.1, 0.2, "uniform"), (0.2, -0.1, "block"), (np.nan, 0.1, "uniform"),
+    (0.1, np.nan, "block"), (0.6, 0.4, "total"), (np.inf, 0.0, "total"),
+])
+def test_apply_noise_names_the_bad_component(e_u, e_b, name):
+    table = entangled_table(list(sqrt_mub_pair(9)))
+    with pytest.raises(InvalidNoiseError, match=name):
+        apply_noise(table, e_u, e_b)
+
+
+def test_apply_noise_needs_a_wrong_outcome():
+    table = entangled_table([computational_basis(1)])
+    assert apply_noise(table, 0.0) is table
     with pytest.raises(InvalidNoiseError):
-        NoiseModel("weird", 0.1)
+        apply_noise(table, 0.1)
 
 
 def test_block_noise_needs_square_dimension():
     table = entangled_table(list(full_mub_set(5)))
     with pytest.raises(InvalidDimensionError):
-        apply_noise(table, NoiseModel("block_biased", 0.3, 0.5))
+        apply_noise(table, 0.3 * (1 - 0.5), 0.3 * 0.5)
 
 
 # --- decomposition ------------------------------------------------------------
@@ -129,7 +153,7 @@ def test_block_noise_needs_square_dimension():
 
 def test_uniform_noise_decomposes_to_zero_block():
     table = entangled_table(list(sqrt_mub_pair(25)))
-    noisy = apply_noise(table, NoiseModel("uniform", 0.25), alignments=["row", "col"])
+    noisy = apply_noise(table, 0.25, alignments=["row", "col"])
     dec = decompose_errors(noisy, 1, "row")
     assert abs(dec.total_error - 0.25) < 1e-12
     assert abs(dec.block_error) < 1e-9
@@ -143,9 +167,8 @@ def test_decompose_inverts_apply_noise(d):
         for e_b in (0.0, 0.1, 0.3):
             if e_u + e_b == 0.0:
                 continue
-            model = NoiseModel.from_components(e_u, e_b)
             for setting, alignment in ((1, "row"), (2, "col")):
-                noisy = apply_noise(table, model, alignments=["row", "col"])
+                noisy = apply_noise(table, e_u, e_b, alignments=["row", "col"])
                 dec = decompose_errors(noisy, setting, alignment)
                 assert abs(dec.total_error - (e_u + e_b)) < 1e-9
                 assert abs(dec.uniform_error - e_u) < 1e-9
@@ -171,7 +194,7 @@ def test_decompose_flags_inconsistent_tables():
 
 def test_decompose_alignment_matters():
     table = entangled_table(list(sqrt_mub_pair(9)))
-    noisy = apply_noise(table, NoiseModel.from_components(0.0, 0.3))
+    noisy = apply_noise(table, 0.0, 0.3)
     wrong = decompose_errors(noisy, 1, "col")  # noise was row-aligned
     assert abs(wrong.block_error - 0.3) > 0.01
 
@@ -199,7 +222,8 @@ def test_sampled_frequencies_match_table():
     # against its normal approximation at the 0.1% level
     table = apply_noise(
         entangled_table(list(sqrt_mub_pair(25))),
-        NoiseModel.from_components(0.073, 0.248),
+        0.073,
+        0.248,
         alignments=["row", "col"],
     )
     n_expected = 1e6
@@ -237,7 +261,7 @@ def test_normalize_single_count_identity():
     for a in range(d):
         counts[a, a, 0, 0] = 1
     table = normalize_counts(CountTable(d, counts, integration_time=1.0))
-    assert np.abs(table.setting(1, 1) - np.eye(d) / d).max() < 1e-15
+    assert np.abs(table.probs[:, :, 0, 0] - np.eye(d) / d).max() < 1e-15
 
 
 def test_normalize_names_missing_sent_state():
@@ -249,7 +273,7 @@ def test_normalize_names_missing_sent_state():
 
 def test_sample_then_normalize_round_trip():
     table = apply_noise(
-        entangled_table(list(sqrt_mub_pair(9))), NoiseModel.from_components(0.05, 0.15)
+        entangled_table(list(sqrt_mub_pair(9))), 0.05, 0.15
     )
     counts = sample_counts(table, 5e5, 1.0, seed=31)
     recovered = normalize_counts(counts)
@@ -264,7 +288,7 @@ def test_sample_then_normalize_round_trip():
 
 def test_noiseless_session_statistics():
     bases = [computational_basis(2), dft_basis(2)]
-    record = simulate_session(bases, 40000, noise=None, seed=3)
+    record = simulate_session(entangled_table(bases), 40000, seed=3)
     sift = record.sifted_fraction
     sigma = math.sqrt(0.25 / 40000)
     assert abs(sift - 0.5) < 3 * sigma
@@ -272,25 +296,23 @@ def test_noiseless_session_statistics():
 
 
 def test_single_round_session():
-    record = simulate_session([computational_basis(3)], 1, seed=0)
+    record = simulate_session(entangled_table([computational_basis(3)]), 1, seed=0)
     assert record.n_rounds == 1
     assert record.sifted_fraction == 1.0
 
 
 def test_session_reproducible():
     bases = list(sqrt_mub_pair(9))
-    a = simulate_session(bases, 500, NoiseModel.from_components(0.1, 0.1), seed=8)
-    b = simulate_session(bases, 500, NoiseModel.from_components(0.1, 0.1), seed=8)
+    a = simulate_session(apply_noise(entangled_table(bases), 0.1, 0.1), 500, seed=8)
+    b = simulate_session(apply_noise(entangled_table(bases), 0.1, 0.1), 500, seed=8)
     assert np.array_equal(a.bob_symbol, b.bob_symbol)
     assert np.array_equal(a.alice_basis, b.alice_basis)
 
 
 def test_session_qber_tracks_noise():
     bases = list(sqrt_mub_pair(25))
-    model = NoiseModel.from_components(0.073, 0.248)
-    record = simulate_session(
-        bases, 200000, model, seed=12, alignments=["row", "col"]
-    )
+    table = apply_noise(entangled_table(bases), 0.073, 0.248, alignments=["row", "col"])
+    record = simulate_session(table, 200000, seed=12)
     n_sifted = int(record.sifted.sum())
     sigma = math.sqrt(0.321 * 0.679 / n_sifted)
     assert abs(record.qber - 0.321) < 3 * sigma
@@ -298,9 +320,9 @@ def test_session_qber_tracks_noise():
 
 def test_session_rejects_empty_and_bad_rounds():
     with pytest.raises(InvalidConfigError):
-        simulate_session([], 10)
+        simulate_session(ProbabilityTable(2, np.full((2, 2, 1, 2), 0.25)), 10)
     with pytest.raises(InvalidConfigError):
-        simulate_session([computational_basis(2)], 0)
+        simulate_session(entangled_table([computational_basis(2)]), 0)
 
 
 # --- serialization ------------------------------------------------------------
@@ -320,7 +342,7 @@ def test_counts_csv_round_trip(tmp_path):
 
 def test_probs_csv_round_trip(tmp_path):
     table = apply_noise(
-        entangled_table(list(sqrt_mub_pair(9))), NoiseModel.from_components(0.07, 0.2)
+        entangled_table(list(sqrt_mub_pair(9))), 0.07, 0.2
     )
     path = tmp_path / "probs.csv"
     save_probs_csv(table, path)
@@ -329,7 +351,7 @@ def test_probs_csv_round_trip(tmp_path):
 
 
 def test_session_jsonl_round_trip(tmp_path):
-    record = simulate_session(list(sqrt_mub_pair(4)), 200, seed=4)
+    record = simulate_session(entangled_table(list(sqrt_mub_pair(4))), 200, seed=4)
     path = tmp_path / "session.jsonl"
     record.save_jsonl(path)
     again = SessionRecord.load_jsonl(path, dim=4, seed=4)
@@ -341,17 +363,14 @@ def test_session_jsonl_round_trip(tmp_path):
 
 
 def test_session_jsonl_defaults_to_unknown_seed(tmp_path):
-    record = simulate_session(list(sqrt_mub_pair(4)), 20, seed=4)
+    record = simulate_session(entangled_table(list(sqrt_mub_pair(4))), 20, seed=4)
     record.save_jsonl(tmp_path / "session.jsonl")
     assert SessionRecord.load_jsonl(tmp_path / "session.jsonl", dim=4).seed is None
 
 
-def reference_session(bases, n_rounds, noise, seed, alignments):
+def reference_session(table, n_rounds, seed):
     """simulate_session's outcome draws with one full-array scan per setting."""
-    table = entangled_table(bases)
-    if noise is not None:
-        table = apply_noise(table, noise, alignments)
-    d, n_bases = table.dim, len(bases)
+    d, n_bases = table.dim, table.bases_alice
     rng = np.random.Generator(np.random.Philox(seed))
     uniform = np.full(n_bases, 1.0 / n_bases)
     k_arr = rng.choice(n_bases, size=n_rounds, p=uniform)
@@ -373,10 +392,9 @@ def reference_session(bases, n_rounds, noise, seed, alignments):
 @pytest.mark.parametrize("d, family", [(4, "pair"), (5, "all"), (9, "pair")])
 def test_session_grouping_matches_per_setting_scans(d, family):
     bases = list(sqrt_mub_pair(d)) if family == "pair" else list(full_mub_set(d))
-    noise = NoiseModel("uniform", 0.2)
-    alignments = ["row"] * len(bases)
-    record = simulate_session(bases, 3000, noise, seed=21, alignments=alignments)
-    want = reference_session(bases, 3000, noise, 21, alignments)
+    table = apply_noise(entangled_table(bases), 0.2, alignments=["row"] * len(bases))
+    record = simulate_session(table, 3000, seed=21)
+    want = reference_session(table, 3000, 21)
     got = (record.alice_basis, record.bob_basis, record.alice_symbol, record.bob_symbol)
     for column, expected in zip(got, want):
         assert np.array_equal(column, expected)
@@ -396,11 +414,8 @@ GOLDEN = {
 
 def golden_files(out):
     bases = list(sqrt_mub_pair(4))
-    noise = NoiseModel.from_components(0.1, 0.05)
-    simulate_session(bases, 300, noise, seed=7, alignments=["row", "col"]).save_jsonl(
-        out / "session.jsonl"
-    )
-    table = apply_noise(entangled_table(bases), noise, ["row", "col"])
+    table = apply_noise(entangled_table(bases), 0.1, 0.05, ["row", "col"])
+    simulate_session(table, 300, seed=7).save_jsonl(out / "session.jsonl")
     counts = sample_counts(table, 2000.0, 1.0, 50.0, seed=7)
     save_counts_csv(counts, out / "counts.csv")
     save_probs_csv(normalize_counts(counts), out / "probs.csv")
@@ -601,7 +616,7 @@ def test_probs_csv_rejects_bad_rows(tmp_path, edit, line):
     pytest.param(lambda t: t.replace(b'"bob"', b'"Bob"', 1), None, id="key"),
 ])
 def test_load_jsonl_rejects_other_layouts(tmp_path, edit, line):
-    record = simulate_session(list(sqrt_mub_pair(4)), 40, seed=2)
+    record = simulate_session(entangled_table(list(sqrt_mub_pair(4))), 40, seed=2)
     path = tmp_path / "session.jsonl"
     record.save_jsonl(path)
     text = path.read_bytes()
