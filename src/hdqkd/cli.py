@@ -73,17 +73,45 @@ def _load_config_section(path: str, command: str) -> dict:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InvalidConfigError(f"cannot read config {path}: {exc}")
+    if not isinstance(doc, dict):
+        raise InvalidConfigError(f"config {path} must hold a JSON object")
     section = doc.get(command, {})
     if not isinstance(section, dict):
         raise InvalidConfigError(f"config section '{command}' must be an object")
     return section
 
 
+def _config_defaults(parser: argparse.ArgumentParser, command: str, section: dict) -> dict:
+    """A config section as parser defaults.  Keys are the command's long
+    options; each value must be what its flag accepts on the command line:
+    true or false for a switch, otherwise a number or string that passes
+    the flag's type conversion and choices."""
+    options = {a.dest: a for a in parser._actions if a.option_strings and a.dest != "help"}
+    defaults = {}
+    for key, value in section.items():
+        action = options.get(key.replace("-", "_"))
+        if action is None:
+            raise InvalidConfigError(f"unknown config key for {command}: '{key}'")
+        try:
+            if action.nargs == 0:  # a switch
+                ok, converted = isinstance(value, bool), value
+            else:
+                converted = (action.type or str)(str(value))
+                ok = type(value) in (str, int, float)
+                ok = ok and converted in (action.choices or [converted])
+        except ValueError:
+            ok = False
+        if not ok:
+            raise InvalidConfigError(f"config {command}: {key} cannot be {value!r}")
+        defaults[action.dest] = converted
+    return defaults
+
+
 def _parse_range(text: str, flag: str, integer: bool = False):
     """Values of a range flag: 'lo:hi' as the integers lo..hi, or for a
     float grid 'lo:hi' or 'lo:hi:n' as n points (default 100) from lo to
     hi.  Anything else raises InvalidConfigError."""
-    parts = str(text).split(":")  # a config file may give a number
+    parts = text.split(":")
     form = "lo:hi" if integer else "lo:hi or lo:hi:n"
     if len(parts) != 2 and (integer or len(parts) != 3):
         raise InvalidConfigError(f"{flag} must be {form}, got '{text}'")
@@ -113,15 +141,13 @@ def _build_bases(d: int, family: str) -> list[mub.Basis]:
     raise InvalidConfigError(f"unknown basis family '{family}'")
 
 
-def _default_alignments(family: str, n_bases: int) -> list[str]:
-    if family == "sqrt-pair":
-        return ["row", "col"]
-    return ["row"] * n_bases
-
-
-def _parse_alignments(text: str, n_matched: int) -> list[str]:
-    """--alignments: 'row' or 'col' for each of the n_matched settings."""
-    values = str(text).split(",")
+def _alignments(text: str | None, n_matched: int) -> list[str]:
+    """--alignments: 'row' or 'col' for each of the n_matched settings.
+    Without the flag, row,col for two matched settings (the row/col-DFT
+    pair) and row for each setting otherwise."""
+    if text is None:
+        return ["row", "col"] if n_matched == 2 else ["row"] * n_matched
+    values = text.split(",")
     if len(values) < n_matched or not set(values) <= {"row", "col"}:
         raise InvalidConfigError(
             f"--alignments needs row or col for each of the {n_matched} matched "
@@ -305,20 +331,16 @@ def _noise_from_args(args) -> tuple[float, float]:
 def cmd_simulate(args) -> int:
     bases = _build_bases(args.d, args.family)
     e_u, e_b = _noise_from_args(args)
-    alignments = (
-        _parse_alignments(args.alignments, len(bases)) if args.alignments
-        else _default_alignments(args.family, len(bases))
-    )
     table = protocol.apply_noise(
-        protocol.ideal_prob_table(bases, [b.conjugate() for b in bases]), e_u, e_b, alignments
+        protocol.ideal_prob_table(bases, [b.conjugate() for b in bases]), e_u, e_b,
+        _alignments(args.alignments, len(bases)),
     )
-    out = _out_dir(args)
-
     if args.pair_rate == 0.0 and args.accidental_rate == 0.0:
         _echo(args, "warning: zero pair and accidental rates, counts will be all zero")
     counts = protocol.sample_counts(
         table, args.pair_rate, args.time, args.accidental_rate, seed=args.seed
     )
+    out = _out_dir(args)
     protocol.save_counts_csv(counts, out / "counts.csv")
     _echo(args, f"wrote {out / 'counts.csv'} "
           f"({int(counts.counts.sum())} coincidences)")
@@ -340,15 +362,11 @@ def _errors_from_counts(args):
     table = protocol.normalize_counts(counts)
     d = table.dim
     n_matched = min(table.bases_alice, table.bases_bob)
-    square = math.isqrt(d) ** 2 == d and d >= 4
-    if not square:
+    alignments = _alignments(args.alignments, n_matched)
+    if not (math.isqrt(d) ** 2 == d and d >= 4):
         # No block structure to separate; report the total error as uniform.
         stats = keyrate.subset_stats(table)
         return d, float(stats.E), 0.0
-    alignments = (
-        _parse_alignments(args.alignments, n_matched) if args.alignments
-        else _default_alignments("sqrt-pair" if n_matched == 2 else "", n_matched)
-    )
     parts = [
         protocol.decompose_errors(table, k + 1, alignments[k])
         for k in range(n_matched)
@@ -359,6 +377,8 @@ def _errors_from_counts(args):
 
 
 def cmd_keyrate(args) -> int:
+    if args.alignments is not None and not args.counts:
+        raise InvalidConfigError("--alignments applies only to --counts")
     out = _out_dir(args)
 
     if args.curve == "thresholds":
@@ -522,14 +542,7 @@ def main(argv=None) -> int:
             # re-parse, so precedence is built-in < config file < flags.
             section = _load_config_section(args.config, args.command)
             sub = submap[args.command]
-            valid = {a.dest for a in sub._actions}
-            renamed = {k.replace("-", "_"): v for k, v in section.items()}
-            unknown = set(renamed) - valid
-            if unknown:
-                raise InvalidConfigError(
-                    f"unknown config keys for {args.command}: {sorted(unknown)}"
-                )
-            sub.set_defaults(**renamed)
+            sub.set_defaults(**_config_defaults(sub, args.command, section))
             args = parser.parse_args(argv)
     except InvalidConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

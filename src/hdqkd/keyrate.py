@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,12 +198,15 @@ def _profile_domain_hi(bound: str, d: int) -> float:
 def threshold(bound: str, d: int, block_fraction: float | None = None) -> float:
     """Smallest total error at which the bound's rate reaches zero.
 
-    The rate is scanned along the profile first; a violation of monotone
-    decrease is reported as a warning (block-heavy profiles recover at
-    extreme error rates).  A sign change is refined by bisection to
-    |rate| < 1e-9; a tangent touch of zero (no sign change) is located by
-    refining the scan minimum.  Raises NoThresholdError if the rate never
-    reaches zero.
+    Every bound is log2(d) minus a concave entropy of an outcome
+    distribution that is affine in the total error (minus a linear term
+    for the depolarizing bound), so the rate is convex along the profile:
+    it falls to one minimum and rises after it.  A ternary search finds
+    that minimum.  If the rate there is within ROOT_TOL of zero the
+    profile touches zero tangentially and the minimum is the threshold
+    (the all-block profile does); if it is above, no threshold exists and
+    NoThresholdError is raised; otherwise the one root before the minimum
+    is refined by bisection to |rate| < ROOT_TOL.
     """
     if bound not in BOUNDS:
         raise InvalidInputError(f"unknown bound '{bound}'")
@@ -219,56 +221,41 @@ def threshold(bound: str, d: int, block_fraction: float | None = None) -> float:
     def rate(e: float) -> float:
         return rate_on_profile(bound, d, e, f)
 
-    lo, hi = _BISECT_LO, _profile_domain_hi(bound, d)
-    grid = np.linspace(lo, hi, 2001)
-    values = np.array([rate(e) for e in grid])
-    if values[0] <= 0.0:
-        raise NoThresholdError(f"{bound} rate is not positive at E={grid[0]:.3g}")
+    lo = _BISECT_LO
+    if rate(lo) <= 0.0:
+        raise NoThresholdError(f"{bound} rate is not positive at E={lo:.3g}")
 
-    nonpos = np.nonzero(values <= 0.0)[0]
-    # Monotone decrease is only meaningful up to the root we return; the
-    # two-basis rate always recovers at extreme error rates.
-    check_up_to = int(nonpos[0]) + 1 if nonpos.size else int(np.argmin(values)) + 1
-    if np.any(np.diff(values[:check_up_to]) > 1e-12):
-        warnings.warn(
-            f"rate along the {bound} profile (block fraction {f}) is not "
-            "monotone decreasing before its first root; returning the "
-            "smallest root",
-            stacklevel=2,
-        )
-    if nonpos.size:
-        i = int(nonpos[0])
-        a, b = float(grid[i - 1]), float(grid[i])
-        for _ in range(_MAX_ITER):
-            mid = 0.5 * (a + b)
-            v = rate(mid)
-            if abs(v) < ROOT_TOL:
-                return mid
-            if v > 0.0:
-                a = mid
-            else:
-                b = mid
-        return 0.5 * (a + b)
-
-    # No sign change: the rate may touch zero tangentially.  Refine the
-    # scan minimum by ternary search and accept it if it reaches zero.
-    i = int(np.argmin(values))
-    a = float(grid[max(i - 1, 0)])
-    b = float(grid[min(i + 1, len(grid) - 1)])
+    a, b = lo, _profile_domain_hi(bound, d)
     for _ in range(_MAX_ITER):
         m1 = a + (b - a) / 3.0
         m2 = b - (b - a) / 3.0
+        if not a < m1 < m2 < b:
+            break
         if rate(m1) < rate(m2):
             b = m2
         else:
             a = m1
     e_min = 0.5 * (a + b)
-    if abs(rate(e_min)) < ROOT_TOL:
+    r_min = rate(e_min)
+    if abs(r_min) < ROOT_TOL:
         return e_min
-    raise NoThresholdError(
-        f"{bound} rate stays positive along the profile "
-        f"(minimum {rate(e_min):.3e} at E={e_min:.4f})"
-    )
+    if r_min > 0.0:
+        raise NoThresholdError(
+            f"{bound} rate stays positive along the profile "
+            f"(minimum {r_min:.3e} at E={e_min:.4f})"
+        )
+
+    a, b = lo, e_min
+    for _ in range(_MAX_ITER):
+        mid = 0.5 * (a + b)
+        v = rate(mid)
+        if abs(v) < ROOT_TOL:
+            return mid
+        if v > 0.0:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
 
 
 @dataclass(frozen=True)
@@ -331,19 +318,22 @@ def rate_curve(
     return np.array(rows)
 
 
-def threshold_curve(dims, block_fractions=(0.0, 0.77, 1.0)) -> list[dict]:
-    """Zero-rate threshold of the two-basis bound versus dimension.
+# Error-split profiles of threshold_curve: the fraction of the total error
+# that sits inside a sqrt(d)-mode block.  0.77 is a representative
+# block-heavy split for 25-dimensional row/col-DFT sorters.
+CURVE_BLOCK_FRACTIONS = (0.0, 0.77, 1.0)
 
-    block_fractions are the error-split profiles: the fraction of the
-    total error that sits inside a sqrt(d)-mode block.  The default 0.77
-    is a representative block-heavy split for 25-dimensional row/col-DFT
-    sorters.  Uniform errors (fraction 0) are evaluated for every d;
-    block-biased profiles only exist on perfect squares and other d are
-    skipped.
+
+def threshold_curve(dims) -> list[dict]:
+    """Zero-rate threshold of the two-basis bound versus dimension, on
+    each profile of CURVE_BLOCK_FRACTIONS.
+
+    Uniform errors (fraction 0) are evaluated for every d; block-biased
+    profiles only exist on perfect squares and other d are skipped.
     """
     rows = []
     for d in dims:
-        for f in block_fractions:
+        for f in CURVE_BLOCK_FRACTIONS:
             bound = "two_mub_uniform" if f == 0.0 else "two_mub_block"
             if f > 0.0:
                 try:

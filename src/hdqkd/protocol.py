@@ -92,8 +92,8 @@ class CountTable:
             raise InvalidInputError(
                 f"counts must be (d, d, K, L) with d={self.dim}, got {counts.shape}"
             )
-        if counts.min() < 0:
-            raise InvalidInputError("counts must be >= 0")
+        if not (np.isfinite(counts).all() and counts.min() >= 0):
+            raise InvalidInputError("counts must be finite and >= 0")
         object.__setattr__(self, "counts", counts.astype(np.int64))
 
 
@@ -211,7 +211,6 @@ def sample_counts(
     time: float,
     accidental_rate: float = 0.0,
     seed: int = 0,
-    coincidence_window: float = 400e-12,
 ) -> CountTable:
     """Poisson coincidence counts for every setting measured for `time`.
 
@@ -219,20 +218,18 @@ def sample_counts(
     true pairs follow the table, accidentals add a flat floor.  Bit-exact
     reproducible from the seed.
     """
-    if pair_rate < 0.0 or accidental_rate < 0.0:
-        raise InvalidInputError("rates must be >= 0")
-    if time <= 0.0:
-        raise InvalidInputError("integration time must be > 0")
+    for name, rate in (("pair rate", pair_rate), ("accidental rate", accidental_rate)):
+        if not 0.0 <= rate < math.inf:  # NaN too
+            raise InvalidInputError(f"{name} {rate} must be finite and >= 0")
+    if not 0.0 < time < math.inf:
+        raise InvalidInputError(f"integration time {time} must be finite and > 0")
     d = table.dim
     mean = time * (pair_rate * table.probs + accidental_rate / d**2)
-    counts = _rng(seed).poisson(mean)
-    return CountTable(
-        d,
-        counts,
-        integration_time=time,
-        coincidence_window=coincidence_window,
-        seed=seed,
-    )
+    try:
+        counts = _rng(seed).poisson(mean)
+    except ValueError as exc:  # a mean beyond what numpy can sample
+        raise InvalidInputError(f"cannot sample Poisson counts: {exc}") from None
+    return CountTable(d, counts, integration_time=time, seed=seed)
 
 
 def normalize_counts(counts: CountTable) -> ProbabilityTable:
@@ -286,7 +283,6 @@ class SessionRecord:
     alice_symbol: np.ndarray
     bob_symbol: np.ndarray
     seed: int | None
-    generator: str = GENERATOR_ID
 
     @property
     def n_rounds(self) -> int:
@@ -344,14 +340,13 @@ def simulate_session(
     table: ProbabilityTable,
     n_rounds: int,
     seed: int = 0,
-    basis_probs=None,
 ) -> SessionRecord:
     """Simulate n_rounds of entanglement-based QKD with independent
     basis choices.
 
-    Alice and Bob each pick one of the table's K bases per round, following
-    basis_probs (uniform by default); the outcome pair of each round is
-    drawn from the table's joint distribution for that setting.
+    Alice and Bob each pick one of the table's K bases per round, all
+    equally likely; the outcome pair of each round is drawn from the
+    table's joint distribution for that setting.
     Deterministic for a fixed seed.
     """
     n_bases = table.bases_alice
@@ -362,14 +357,11 @@ def simulate_session(
         )
     if n_rounds < 1:
         raise InvalidConfigError(f"n_rounds must be >= 1, got {n_rounds}")
-    if basis_probs is None:
-        basis_probs = np.full(n_bases, 1.0 / n_bases)
-    basis_probs = np.asarray(basis_probs, dtype=float)
-    if basis_probs.shape != (n_bases,) or abs(basis_probs.sum() - 1.0) > 1e-9:
-        raise InvalidConfigError("basis probabilities must sum to 1")
     d = table.dim
 
     rng = _rng(seed)
+    # choice() draws another stream without p, so the uniform p is explicit.
+    basis_probs = np.full(n_bases, 1.0 / n_bases)
     k_arr = rng.choice(n_bases, size=n_rounds, p=basis_probs)
     l_arr = rng.choice(n_bases, size=n_rounds, p=basis_probs)
     # Draw outcomes setting by setting in fixed (k,l) order, rounds in
@@ -609,7 +601,8 @@ def save_counts_csv(counts: CountTable, path) -> None:
 
 def load_counts_csv(path) -> CountTable:
     path = str(path)
-    meta, shape = _read_sidecar(path, "integration_time", "coincidence_window", "seed")
+    meta, shape = _read_sidecar(path, "integration_time", "coincidence_window", "seed",
+                                "generator")
     array = _read_table_csv(path, shape, "count")
     return CountTable(
         meta["dim"],
@@ -617,11 +610,11 @@ def load_counts_csv(path) -> CountTable:
         integration_time=meta["integration_time"],
         coincidence_window=meta["coincidence_window"],
         seed=meta["seed"],
-        generator=meta.get("generator", GENERATOR_ID),
+        generator=meta["generator"],
     )
 
 
-def save_probs_csv(table: ProbabilityTable, path, extra_meta: dict | None = None) -> None:
+def save_probs_csv(table: ProbabilityTable, path) -> None:
     path = str(path)
     _write_table_csv(path, table.probs, "probability")
     sidecar = {
@@ -629,7 +622,6 @@ def save_probs_csv(table: ProbabilityTable, path, extra_meta: dict | None = None
         "bases_alice": table.bases_alice,
         "bases_bob": table.bases_bob,
     }
-    sidecar.update(extra_meta or {})
     with open(path + ".meta.json", "w") as fh:
         json.dump(sidecar, fh, indent=2)
 

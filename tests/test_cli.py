@@ -187,6 +187,35 @@ def test_keyrate_counts_rejects_bad_alignments(tmp_path, capsys):
     assert "--alignments" in capsys.readouterr().err
 
 
+def test_comp_dft_pipeline_recovers_the_block_split(tmp_path):
+    # simulate and keyrate --counts default to the same alignments (row,col
+    # for two matched settings), so the split the session was given comes back
+    assert run("simulate", "--d", 25, "--family", "comp-dft", "--Eu", 0.073, "--Eb", 0.248,
+               "--rounds", 10, "--out", tmp_path / "sim", "--quiet") == 0
+    assert run("keyrate", "--counts", tmp_path / "sim" / "counts.csv",
+               "--out", tmp_path / "rate", "--quiet") == 0
+    report = json.loads((tmp_path / "rate" / "report.json").read_text())
+    assert abs(report["rate"] - 0.8167) < 0.05
+
+
+def test_keyrate_alignments_need_counts(tmp_path, capsys):
+    out = tmp_path / "rate"
+    assert run("keyrate", "--d", 4, "--E", 0.1, "--alignments", "diag", "--out", out) == 2
+    assert capsys.readouterr().err.startswith("error: --alignments")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--time", "nan"), ("--time", "inf"),
+                                         ("--pair-rate", "inf"), ("--pair-rate", "1e300"),
+                                         ("--accidental-rate", "nan")])
+def test_simulate_rejects_unsampleable_rates_before_writing(tmp_path, capsys, flag, value):
+    out = tmp_path / "sim"
+    assert run("simulate", "--d", 4, "--rounds", 10, flag, value, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 # --- keyrate ---------------------------------------------------------------------
 
 
@@ -311,6 +340,36 @@ def test_config_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"keyrate": {"nonsense": 1}}))
     assert run("keyrate", "--config", cfg, "--out", tmp_path) == 2
+
+
+@pytest.mark.parametrize("doc", [
+    [1],
+    {"simulate": {"rounds": [1]}},
+    {"simulate": {"d": 4.5}},
+    {"simulate": {"d": True}},
+    {"simulate": {"rounds": None}},
+    {"simulate": {"Eu": {"value": 0.1}}},
+    {"simulate": {"family": "dft"}},
+    {"simulate": {"quiet": 1}},
+])
+def test_config_values_must_pass_their_flags(tmp_path, capsys, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "sim"
+    assert run("simulate", "--config", cfg, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_config_takes_numbers_and_strings_its_flags_convert(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"simulate": {"d": "9", "rounds": 10, "Eu": 0, "Eb": "0.1",
+                                            "pair-rate": 100, "quiet": True}}))
+    assert run("simulate", "--config", cfg, "--out", tmp_path) == 0
+    params = json.loads((tmp_path / "resolved_config.json").read_text())["params"]
+    assert (params["d"], params["rounds"], params["Eu"], params["Eb"]) == (9, 10, 0.0, 0.1)
+    assert params["quiet"] is True
 
 
 def test_out_dir_env_fallback(tmp_path, monkeypatch):

@@ -3,14 +3,24 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hdqkd.errors import DomainError, InvalidDimensionError, InvalidInputError
+from hdqkd.errors import (
+    DomainError,
+    InvalidDimensionError,
+    InvalidInputError,
+    NoThresholdError,
+)
 from hdqkd.keyrate import (
+    BOUNDS,
+    ROOT_TOL,
     KeyRateReport,
     entropy_block_biased,
     load_curve_csv,
     rate_curve,
     rate_depolarizing,
+    rate_on_profile,
     rate_two_mub,
     save_curve_csv,
     shannon_hd,
@@ -231,6 +241,77 @@ def test_all_block_profile_touches_zero_tangentially():
         side = math.isqrt(d)
         expected = (side - 1) / side
         assert abs(threshold("two_mub_block", d, block_fraction=1.0) - expected) < 1e-5
+
+
+def scan_threshold(bound, d, f=0.0):
+    """threshold() as it was before it used the rate's convexity: a
+    2001-point scan, bisection on the first sign change, and a ternary
+    search around the scan minimum when there is none."""
+    def rate(e):
+        return rate_on_profile(bound, d, e, f)
+
+    lo = 1e-12
+    hi = d / (d + 1) - 1e-9 if bound == "depolarizing_all_mubs" else 1.0 - 1e-6
+    grid = np.linspace(lo, hi, 2001)
+    values = np.array([rate(e) for e in grid])
+    if values[0] <= 0.0:
+        raise NoThresholdError("not positive at the start")
+    nonpos = np.nonzero(values <= 0.0)[0]
+    if nonpos.size:
+        i = int(nonpos[0])
+        a, b = float(grid[i - 1]), float(grid[i])
+        for _ in range(200):
+            mid = 0.5 * (a + b)
+            v = rate(mid)
+            if abs(v) < 1e-9:
+                return mid
+            if v > 0.0:
+                a = mid
+            else:
+                b = mid
+        return 0.5 * (a + b)
+    i = int(np.argmin(values))
+    a = float(grid[max(i - 1, 0)])
+    b = float(grid[min(i + 1, len(grid) - 1)])
+    for _ in range(200):
+        m1 = a + (b - a) / 3.0
+        m2 = b - (b - a) / 3.0
+        if rate(m1) < rate(m2):
+            b = m2
+        else:
+            a = m1
+    e_min = 0.5 * (a + b)
+    if abs(rate(e_min)) < 1e-9:
+        return e_min
+    raise NoThresholdError("stays positive")
+
+
+def test_threshold_matches_the_scan_reference():
+    cases = [("two_mub_uniform", d, 0.0) for d in range(2, 65)]
+    cases += [("two_mub_block", s * s, f) for s in range(2, 9) for f in (0.77, 1.0)]
+    cases += [("depolarizing_all_mubs", d, 0.0) for d in range(2, 33)]
+    for bound, d, f in cases:
+        got = threshold(bound, d, block_fraction=f if bound == "two_mub_block" else None)
+        assert abs(got - scan_threshold(bound, d, f)) < 1e-8, (bound, d, f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bound=st.sampled_from(BOUNDS), side=st.integers(2, 16), d=st.integers(2, 79),
+       f=st.floats(0.0, 1.0))
+def test_rate_is_convex_along_every_profile(bound, side, d, f):
+    # the premise threshold() rests on: one minimum, no second descent
+    if bound == "two_mub_block":
+        d = side * side
+    hi = d / (d + 1) - 1e-9 if bound == "depolarizing_all_mubs" else 1.0 - 1e-6
+    rates = np.array([rate_on_profile(bound, d, float(e), f)
+                      for e in np.linspace(1e-12, hi, 401)])
+    assert np.diff(rates, 2).min() >= -1e-12  # rounding only
+
+
+def test_near_tangent_profile_returns_a_root():
+    f = 1.0 - 1e-12
+    e = threshold("two_mub_block", 25, block_fraction=f)
+    assert abs(rate_on_profile("two_mub_block", 25, e, f)) < ROOT_TOL
 
 
 def test_threshold_curve_skips_nonsquare_blocks():

@@ -75,6 +75,12 @@ def test_probability_table_rejects_non_finite(bad):
         ProbabilityTable(2, probs)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_count_table_rejects_non_finite(bad):
+    with pytest.raises(InvalidInputError):
+        CountTable(2, np.full((2, 2, 1, 1), bad), 1.0)
+
+
 def test_ideal_table_rejects_mixed_dims():
     with pytest.raises(InvalidInputError):
         ideal_prob_table([dft_basis(3)], [dft_basis(4)])
@@ -241,6 +247,23 @@ def test_accidentals_fill_forbidden_outcomes():
     # matched-basis off-diagonal entries are impossible without accidentals
     off = counts.counts[:, :, 0, 0][~np.eye(4, dtype=bool)]
     assert off.sum() > 0
+
+
+@pytest.mark.parametrize("pair_rate, time, accidental_rate, message", [
+    (math.nan, 1.0, 0.0, "pair rate"),
+    (math.inf, 1.0, 0.0, "pair rate"),
+    (-1.0, 1.0, 0.0, "pair rate"),
+    (1.0, 1.0, math.nan, "accidental rate"),
+    (1.0, 1.0, math.inf, "accidental rate"),
+    (1.0, math.nan, 0.0, "integration time"),
+    (1.0, math.inf, 0.0, "integration time"),
+    (1.0, 0.0, 0.0, "integration time"),
+    (1e300, 1.0, 0.0, "Poisson"),  # a finite mean numpy cannot sample
+])
+def test_sample_counts_rejects_what_it_cannot_sample(pair_rate, time, accidental_rate, message):
+    table = entangled_table([computational_basis(2)])
+    with pytest.raises(InvalidInputError, match=message):
+        sample_counts(table, pair_rate, time, accidental_rate)
 
 
 # --- normalization ------------------------------------------------------------
@@ -567,6 +590,7 @@ MALFORMED_COUNTS = {
     "bases_bob": (lambda p: _edit_sidecar(p, bases_bob=1), "line 18"),
     "sidecar key": (lambda p: _edit_sidecar(p, bases_bob=None), "bases_bob"),
     "sidecar time": (lambda p: _edit_sidecar(p, integration_time=None), "integration_time"),
+    "sidecar generator": (lambda p: _edit_sidecar(p, generator=None), "generator"),
     "sidecar type": (lambda p: _edit_sidecar(p, dim="4"), "integers"),
 }
 
