@@ -264,10 +264,7 @@ def _detection_modes(args, grid, layout, modes, planes):
         return optics.make_aperture_modes(det_layout, grid)
     # Default: input modes carried to the detection plane with the exact
     # periodic transform (mask-free pass), which keeps them orthonormal.
-    zero = optics.PhaseMaskStack(
-        grid, np.zeros((planes, grid.nx, grid.ny)), args.plane_spacing
-    )
-    return optics.forward_passes(zero, modes, pad_factor=1)
+    return optics.mask_free_passes(modes, planes, args.plane_spacing)
 
 
 def cmd_optics(args) -> int:
@@ -276,8 +273,9 @@ def cmd_optics(args) -> int:
     targets, intended = _design_targets(args, modes)
 
     if args.action == "design":
-        stack = optics.wavefront_match(
-            modes, targets, args.planes, args.plane_spacing,
+        outputs = _detection_modes(args, grid, layout, modes, args.planes)
+        stack, transfer, objective = optics.design_converter(
+            modes, targets, outputs, args.planes, args.plane_spacing,
             iterations=args.iterations, pad_factor=args.pad_factor,
         )
         optics.save_stack(stack, out / "stack.mplc")
@@ -288,11 +286,10 @@ def cmd_optics(args) -> int:
             raise InvalidConfigError(
                 "stack grid does not match the configured geometry"
             )
-
-    outputs = _detection_modes(args, grid, layout, modes, stack.planes)
-    transfer, objective = optics.score_converter(
-        stack, modes, outputs, targets, pad_factor=args.pad_factor
-    )
+        outputs = _detection_modes(args, grid, layout, modes, stack.planes)
+        transfer, objective = optics.score_converter(
+            stack, modes, outputs, targets, pad_factor=args.pad_factor
+        )
     metrics = optics.sorter_metrics(transfer, intended=intended)
     metrics.save_json(out / "metrics.json")
     _echo(args, f"objective {objective:.4f}  fidelity {metrics.fidelity:.4f}  "

@@ -201,6 +201,15 @@ def make_aperture_modes(layout: ApertureLayout, grid: GridSpec) -> list[OpticalF
     return modes
 
 
+def _wrap_phase(phase: np.ndarray) -> np.ndarray:
+    """Phases modulo 2pi, in [0, 2pi).  np.mod alone rounds a phase just
+    below zero up to exactly 2pi; mapping that to 0 makes the wrap
+    idempotent, so a wrapped array is stored unchanged."""
+    wrapped = np.mod(phase, TWO_PI)
+    wrapped[wrapped == TWO_PI] = 0.0
+    return wrapped
+
+
 @dataclass(frozen=True)
 class PhaseMaskStack:
     """Ordered phase masks (radians, wrapped to [0, 2pi)) with uniform spacing."""
@@ -218,7 +227,9 @@ class PhaseMaskStack:
                 f"mask shape {masks.shape[1:]} does not match grid "
                 f"{(self.grid.nx, self.grid.ny)}"
             )
-        object.__setattr__(self, "masks", np.mod(masks, TWO_PI))
+        if not np.isfinite(masks).all():
+            raise InvalidInputError("masks contain non-finite phases")
+        object.__setattr__(self, "masks", _wrap_phase(masks))
 
     @property
     def planes(self) -> int:
@@ -287,7 +298,7 @@ def _check_sampling(grid: GridSpec, distance: float, pad_factor: int) -> None:
 
 
 def _propagate_array(
-    amps: np.ndarray, grid: GridSpec, distance: float, pad_factor: int
+    amps: np.ndarray, grid: GridSpec, distance: float, pad_factor: int, steps: int = 1
 ) -> np.ndarray:
     """Angular-spectrum propagation of (..., nx, ny) amplitudes.
 
@@ -297,12 +308,19 @@ def _propagate_array(
     nx nonzero rows only, and the padding rows are dropped before the
     inverse transform along y.  Returns a new C-contiguous array of the
     window's size, so the padded buffer is freed.
+
+    `steps` > 1 propagates `steps` times by `distance` in one transform,
+    multiplying the spectrum by the per-step transfer function once per
+    step.  Only the periodic transform (pad_factor 1) composes so: with
+    padding, every step crops to the window.
     """
     # Imported here so that `import hdqkd` does not pay for scipy.
     import scipy.fft
 
     if pad_factor < 1:
         raise InvalidConfigError(f"pad_factor must be >= 1, got {pad_factor}")
+    if steps < 1 or (steps > 1 and pad_factor != 1):
+        raise InvalidConfigError(f"cannot compose {steps} steps at pad factor {pad_factor}")
     _check_sampling(grid, distance, pad_factor)
     nx, ny = grid.nx, grid.ny
     px, py = nx * pad_factor, ny * pad_factor
@@ -326,7 +344,8 @@ def _propagate_array(
                 EvanescentClippingWarning,
                 stacklevel=3,
             )
-    work *= h
+    for _ in range(steps):
+        work *= h
     work = ifft(work, axis=-2)
     rows = ifft(work[..., :nx, :], axis=-1)
     return np.ascontiguousarray(rows[..., :ny])
@@ -399,6 +418,19 @@ def forward_passes(
     return [OpticalField(stack.grid, amp) for amp in outs]
 
 
+def mask_free_passes(fields, planes: int, plane_spacing: float) -> list[OpticalField]:
+    """The fields sent through a converter of `planes` all-zero masks with
+    the periodic transform: `forward_passes(zero_stack, fields,
+    pad_factor=1)` to rounding.  The periodic kernel composes, so the
+    planes + 1 spacings are one forward transform, the spectrum
+    multiplied once per spacing, and one inverse transform."""
+    fields = list(fields)
+    amps = _mode_matrix(fields)
+    grid = fields[0].grid
+    outs = _propagate_array(amps, grid, plane_spacing, 1, steps=planes + 1)
+    return [OpticalField(grid, amp) for amp in outs]
+
+
 def _mode_matrix(fields, grid: GridSpec | None = None) -> np.ndarray:
     """(count, nx, ny) amplitudes of fields that share one grid."""
     fields = list(fields)
@@ -443,6 +475,17 @@ def wavefront_match(
     pointwise.  The procedure is deterministic: identical inputs produce
     bit-identical stacks.
     """
+    stack, _ = _wavefront_sweeps(
+        inputs, targets, planes, plane_spacing, iterations, pad_factor
+    )
+    return stack
+
+
+def _wavefront_sweeps(inputs, targets, planes, plane_spacing, iterations, pad_factor):
+    """`wavefront_match`'s stack, and the (count, nx, ny) input fields of
+    its last forward sweep just before the last plane.  The stack holds
+    exactly the masks the sweep applied, so those fields are the
+    converter pass of the stack up to that plane."""
     inputs = list(inputs)
     targets = list(targets)
     if planes < 1 or iterations < 1:
@@ -477,15 +520,46 @@ def wavefront_match(
         for p in range(planes - 2, -1, -1):
             b = back(b * np.exp(-1j * masks[p + 1]))
             backward[p] = b
-        # Forward sweep, updating each plane before passing through it;
-        # nothing reads the fields after the last mask.
+        # Forward sweep, updating each plane before passing through it.
         f = fwd0
         for p in range(planes):
             overlap = (f * backward[p].conj()).sum(axis=0)
-            masks[p] = np.mod(-np.angle(overlap), TWO_PI)
+            masks[p] = _wrap_phase(-np.angle(overlap))
             if p < planes - 1:
                 f = fwd(f * np.exp(1j * masks[p]))
-    return PhaseMaskStack(grid, masks, plane_spacing)
+    return PhaseMaskStack(grid, masks, plane_spacing), f
+
+
+def design_converter(
+    inputs,
+    targets,
+    output_modes,
+    planes: int,
+    plane_spacing: float,
+    iterations: int = 30,
+    pad_factor: int = 2,
+) -> tuple[PhaseMaskStack, np.ndarray, float]:
+    """`wavefront_match(inputs, targets, ...)` and the designed stack's
+    `score_converter(stack, inputs, output_modes, targets)`, bit for bit.
+
+    The last forward sweep has already carried the inputs through masks
+    1..P-1, so the score finishes that pass: mask P and two spacings,
+    rather than a converter pass of its own.
+    """
+    output_modes = list(output_modes)
+    targets = list(targets)
+    _check_orthonormal(output_modes, "output modes")
+    stack, outs = _wavefront_sweeps(
+        inputs, targets, planes, plane_spacing, iterations, pad_factor
+    )
+    outs = outs * np.exp(1j * stack.masks[-1])
+    for _ in range(2):
+        outs = _propagate_array(outs, stack.grid, plane_spacing, pad_factor)
+    return (
+        stack,
+        _transfer_from_outputs(outs, output_modes, stack.grid),
+        _objective_from_outputs(outs, targets, stack.grid),
+    )
 
 
 def _transfer_from_outputs(outs: np.ndarray, output_modes, grid: GridSpec) -> np.ndarray:
@@ -577,8 +651,12 @@ class SorterMetrics:
     def save_json(self, path) -> None:
         import json
 
+        try:
+            text = json.dumps(self.to_dict(), indent=2, allow_nan=False)
+        except ValueError:
+            raise InvalidInputError("sorter metrics hold non-finite values") from None
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
+            fh.write(text)
 
 
 def sorter_metrics(transfer: np.ndarray, intended: np.ndarray | None = None) -> SorterMetrics:
@@ -647,14 +725,22 @@ def _read_header(fh, path):
     return version, nx, ny, planes, pitch, wavelength, spacing
 
 
+def _read_payload(fh, path, count: int) -> np.ndarray:
+    """Exactly `count` float64 values, the rest of the file."""
+    raw = fh.read()
+    if len(raw) != 8 * count:
+        raise InvalidInputError(
+            f"{path}: payload of {len(raw)} bytes, header implies {8 * count}"
+        )
+    return np.frombuffer(raw, dtype="<f8")
+
+
 def load_stack(path) -> PhaseMaskStack:
     with open(path, "rb") as fh:
         version, nx, ny, planes, pitch, wavelength, spacing = _read_header(fh, path)
         if version != FORMAT_STACK:
             raise InvalidInputError(f"{path}: not a phase-mask container")
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != planes * nx * ny:
-        raise InvalidInputError(f"{path}: payload size mismatch")
+        data = _read_payload(fh, path, planes * nx * ny)
     grid = GridSpec(nx, ny, pitch, wavelength)
     return PhaseMaskStack(grid, data.reshape(planes, nx, ny).copy(), spacing)
 
@@ -664,9 +750,7 @@ def load_field(path) -> OpticalField:
         version, nx, ny, _, pitch, wavelength, _ = _read_header(fh, path)
         if version != FORMAT_FIELD:
             raise InvalidInputError(f"{path}: not a field container")
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != 2 * nx * ny:
-        raise InvalidInputError(f"{path}: payload size mismatch")
+        data = _read_payload(fh, path, 2 * nx * ny)
     pairs = data.reshape(nx, ny, 2)
     grid = GridSpec(nx, ny, pitch, wavelength)
     return OpticalField(grid, pairs[..., 0] + 1j * pairs[..., 1])

@@ -92,8 +92,18 @@ class CountTable:
             raise InvalidInputError(
                 f"counts must be (d, d, K, L) with d={self.dim}, got {counts.shape}"
             )
+        if counts.dtype.kind not in "biuf":
+            raise InvalidInputError(f"counts must be real numbers, got {counts.dtype}")
         if not (np.isfinite(counts).all() and counts.min() >= 0):
             raise InvalidInputError("counts must be finite and >= 0")
+        # The int64 cast would truncate a fraction and wrap a count of
+        # 2^63 or more.
+        top = counts.max()
+        if counts.dtype.kind == "f":
+            if not (top < 2.0**63 and (counts == np.trunc(counts)).all()):
+                raise InvalidInputError("counts must be integers below 2^63")
+        elif top > np.iinfo(np.int64).max:
+            raise InvalidInputError("counts must be integers below 2^63")
         object.__setattr__(self, "counts", counts.astype(np.int64))
 
 

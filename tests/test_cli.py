@@ -99,6 +99,46 @@ def test_optics_eval_reuses_stack(tmp_path):
     assert (out2 / "metrics.json").exists()
 
 
+def eval_args(stack_path, out):
+    return (
+        "optics", "eval", "--stack", stack_path, "--d", 2, "--arrangement", "line",
+        "--target", "swap", "--planes", 2, "--plane-spacing", "5e-3", "--nx", 96,
+        "--ny", 64, "--out", out, "--quiet",
+    )
+
+
+def test_optics_eval_rejects_trailing_bytes(tmp_path, capsys):
+    run(*optics_args(tmp_path))
+    path = tmp_path / "stack.mplc"
+    path.write_bytes(path.read_bytes() + b"\0\0\0\0")
+    assert run(*eval_args(path, tmp_path / "eval")) == 2
+    assert "payload" in capsys.readouterr().err
+    assert not (tmp_path / "eval" / "metrics.json").exists()
+
+
+def test_optics_eval_rejects_a_nan_phase(tmp_path, capsys):
+    run(*optics_args(tmp_path))
+    path = tmp_path / "stack.mplc"
+    raw = bytearray(path.read_bytes())
+    raw[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+    path.write_bytes(bytes(raw))
+    assert run(*eval_args(path, tmp_path / "eval")) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "eval" / "metrics.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_optics_eval_writes_no_nan_metrics(tmp_path, capsys, monkeypatch):
+    from hdqkd import optics
+
+    run(*optics_args(tmp_path))
+    monkeypatch.setattr(optics, "score_converter",
+                        lambda *a, **k: (np.full((2, 2), np.nan + 0j), np.nan))
+    assert run(*eval_args(tmp_path / "stack.mplc", tmp_path / "eval")) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "eval" / "metrics.json").exists()
+
+
 def test_optics_overlapping_apertures_exit_2(tmp_path):
     code = run(
         "optics", "design", "--d", 2, "--arrangement", "line",

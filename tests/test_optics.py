@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -21,12 +22,14 @@ from hdqkd.optics import (
     OpticalField,
     PhaseMaskStack,
     apply_mask,
+    design_converter,
     forward_pass,
     forward_passes,
     inner,
     load_field,
     load_stack,
     make_aperture_modes,
+    mask_free_passes,
     matching_objective,
     max_propagation_distance,
     propagate,
@@ -338,27 +341,107 @@ def test_batched_scoring_matches_per_mode_passes():
     assert shared_objective == matching_objective(stack, modes, targets)
 
 
+TOY_DESIGN = [
+    "optics", "design", "--d", "4", "--target", "row-dft", "--planes", "3",
+    "--plane-spacing", "5e-3", "--iterations", "2", "--nx", "32", "--ny", "32",
+    "--aperture-radius", "40e-6", "--aperture-spacing", "120e-6", "--quiet",
+]
+
+
 def test_design_command_propagation_count(tmp_path, monkeypatch):
     # d=4 modes, P=3 planes, I=2 iterations: 2 hoisted target propagations,
-    # I*(2P-2) in the sweeps, and (P+1) each for the detection modes and
-    # the single shared scoring pass
+    # I*(2P-2) in the sweeps, 2 finishing the last sweep for the score,
+    # and one composed pass for the propagated detection modes
     calls = []
     kernel = optics._propagate_array
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args[0].shape)
-        return kernel(*args)
+        return kernel(*args, **kwargs)
 
     monkeypatch.setattr(optics, "_propagate_array", counting)
-    code = cli.main([
-        "optics", "design", "--d", "4", "--target", "row-dft", "--planes", "3",
-        "--plane-spacing", "5e-3", "--iterations", "2", "--nx", "32", "--ny", "32",
-        "--aperture-radius", "40e-6", "--aperture-spacing", "120e-6",
-        "--out", str(tmp_path), "--quiet",
-    ])
-    assert code == 0
-    assert len(calls) == 2 + 2 * (2 * 3 - 2) + 2 * (3 + 1) == 18
-    assert all(shape == (4, 32, 32) for shape in calls)
+    for detection, count in (("propagated", 13), ("disks", 12)):
+        calls.clear()
+        code = cli.main(TOY_DESIGN + ["--detection", detection, "--out", str(tmp_path)])
+        assert code == 0
+        assert len(calls) == 2 + 2 * (2 * 3 - 2) + 2 + (detection == "propagated") == count
+        assert all(shape == (4, 32, 32) for shape in calls)
+
+
+def rescore(out, detection):
+    """The design command's scoring redone from its saved stack with
+    `score_converter`, against stepwise detection modes; returns the
+    metrics.json text and the objective."""
+    args = cli.build_parser().parse_args(TOY_DESIGN + ["--detection", detection])
+    grid, layout, modes = cli._design_geometry(args)
+    targets, intended = cli._design_targets(args, modes)
+    stack = load_stack(out / "stack.mplc")
+    if detection == "disks":
+        outputs = cli._detection_modes(args, grid, layout, modes, stack.planes)
+    else:
+        zero = PhaseMaskStack(grid, np.zeros((stack.planes, 32, 32)), stack.plane_spacing)
+        outputs = forward_passes(zero, modes, pad_factor=1)
+    transfer, objective = score_converter(stack, modes, outputs, targets)
+    sorter_metrics(transfer, intended=intended).save_json(out / "rescored.json")
+    return (out / "rescored.json").read_text(), objective
+
+
+def test_design_scores_its_stack_as_score_converter_does(tmp_path):
+    assert cli.main(TOY_DESIGN + ["--detection", "disks", "--out", str(tmp_path)]) == 0
+    text, objective = rescore(tmp_path, "disks")
+    assert (tmp_path / "metrics.json").read_text() == text
+    config = json.loads((tmp_path / "resolved_config.json").read_text())
+    assert config["objective"] == objective
+
+
+def test_design_with_propagated_detection_matches_stepwise_scoring(tmp_path):
+    assert cli.main(TOY_DESIGN + ["--detection", "propagated", "--out", str(tmp_path)]) == 0
+    text, objective = rescore(tmp_path, "propagated")
+    got, want = json.loads((tmp_path / "metrics.json").read_text()), json.loads(text)
+    for key in want:
+        assert np.abs(np.array(got[key]) - np.array(want[key])).max() <= 1e-12
+    config = json.loads((tmp_path / "resolved_config.json").read_text())
+    assert abs(config["objective"] - objective) <= 1e-12
+
+
+def test_design_converter_matches_wavefront_match_then_score():
+    modes, targets = swap_problem()
+    stack, transfer, objective = design_converter(
+        modes, targets, modes, planes=3, plane_spacing=5e-3, iterations=4
+    )
+    want = wavefront_match(modes, targets, planes=3, plane_spacing=5e-3, iterations=4)
+    assert np.array_equal(stack.masks, want.masks)
+    want_transfer, want_objective = score_converter(want, modes, modes, targets)
+    assert np.array_equal(transfer, want_transfer)
+    assert objective == want_objective
+
+
+@pytest.mark.parametrize("planes", [2, 10])
+def test_mask_free_passes_match_stepwise_zero_stack(planes):
+    spacing = 5e-3
+    # every spacing is within the periodic grid's sampling bound; at 10
+    # planes the whole 55 mm pass is not
+    z_max = max_propagation_distance(DESK_GRID, 1)
+    assert spacing <= z_max and ((planes + 1) * spacing > z_max) == (planes == 10)
+    modes = make_aperture_modes(DESK_LAYOUT, DESK_GRID)
+    zero = PhaseMaskStack(DESK_GRID, np.zeros((planes, 96, 64)), spacing)
+    stepwise = forward_passes(zero, modes, pad_factor=1)
+    for got, want in zip(mask_free_passes(modes, planes, spacing), stepwise):
+        assert rel_error(got.amplitude, want.amplitude) <= 1e-12
+
+
+def test_mask_free_passes_check_the_per_spacing_sampling_bound(smooth_field):
+    z_max = max_propagation_distance(smooth_field.grid, 1)
+    with pytest.raises(SamplingError):
+        mask_free_passes([smooth_field], 2, 1.5 * z_max)
+
+
+def test_evanescent_clipping_is_reported_for_mask_free_passes():
+    grid = GridSpec(32, 32, 3e-7, 810e-9)
+    rng = np.random.default_rng(0)
+    field = OpticalField(grid, rng.normal(size=(32, 32)) + 0j)
+    with pytest.warns(EvanescentClippingWarning):
+        mask_free_passes([field], 3, 1e-5)
 
 
 # --- sorter metrics -----------------------------------------------------------------
@@ -418,6 +501,33 @@ def test_field_container_round_trip(tmp_path, smooth_field):
     again = load_field(path)
     assert again.grid == smooth_field.grid
     assert np.array_equal(again.amplitude, smooth_field.amplitude)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_stack_rejects_non_finite_phases(bad):
+    masks = np.zeros((1, 8, 8))
+    masks[0, 3, 4] = bad
+    with pytest.raises(InvalidInputError):
+        PhaseMaskStack(GridSpec(8, 8, 1e-5, 8e-7), masks, 1e-3)
+
+
+def test_stack_wrap_never_stores_two_pi():
+    # np.mod rounds a phase just below zero up to exactly 2pi
+    assert np.mod(-1e-17, 2 * np.pi) == 2 * np.pi
+    stack = PhaseMaskStack(GridSpec(8, 8, 1e-5, 8e-7), np.full((1, 8, 8), -1e-17), 1e-3)
+    assert (stack.masks == 0.0).all()
+
+
+@pytest.mark.parametrize("extra", [b"\0", b"\0" * 8, b"\0" * 12])
+def test_containers_reject_trailing_bytes(tmp_path, smooth_field, extra):
+    stack = PhaseMaskStack(DESK_GRID, np.ones((2, 96, 64)), 1e-3)
+    for save, load, obj in ((save_stack, load_stack, stack),
+                            (save_field, load_field, smooth_field)):
+        path = tmp_path / "container.mplc"
+        save(obj, path)
+        path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(InvalidInputError, match="payload"):
+            load(path)
 
 
 def test_container_kind_mismatch(tmp_path, smooth_field):

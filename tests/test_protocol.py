@@ -81,6 +81,18 @@ def test_count_table_rejects_non_finite(bad):
         CountTable(2, np.full((2, 2, 1, 1), bad), 1.0)
 
 
+@pytest.mark.parametrize("bad", [1.7, 1e30, 2.0**63, np.uint64(2**63), 2**70, 1 + 0j])
+def test_count_table_rejects_counts_int64_cannot_hold(bad):
+    with pytest.raises(InvalidInputError):
+        CountTable(2, np.full((2, 2, 1, 1), bad), 1.0)
+
+
+@pytest.mark.parametrize("good", [3.0, 2.0**62, np.int64(2**63 - 1), np.uint64(5)])
+def test_count_table_keeps_integral_counts_exactly(good):
+    counts = CountTable(2, np.full((2, 2, 1, 1), good), 1.0).counts
+    assert counts.dtype == np.int64 and (counts == int(good)).all()
+
+
 def test_ideal_table_rejects_mixed_dims():
     with pytest.raises(InvalidInputError):
         ideal_prob_table([dft_basis(3)], [dft_basis(4)])
