@@ -63,8 +63,13 @@ def _snapshot(args, out: Path, extra: dict | None = None) -> None:
         "params": params,
     }
     doc.update(extra or {})
-    with open(out / "resolved_config.json", "w") as fh:
-        json.dump(doc, fh, indent=2, default=str)
+    try:
+        text = json.dumps(doc, indent=2, default=str, allow_nan=False)
+    except ValueError:
+        bad = [k for k, v in params.items() if isinstance(v, float) and not math.isfinite(v)]
+        flags = ", ".join("--" + k.replace("_", "-") for k in bad)
+        raise InvalidConfigError(f"{flags} must be finite") from None
+    (out / "resolved_config.json").write_text(text)
 
 
 def _load_config_section(path: str, command: str) -> dict:
@@ -188,6 +193,8 @@ def cmd_mub(args) -> int:
             loaded.append((path, d, str(doc.get("label", "")), amps))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise InvalidConfigError(f"cannot parse basis file {path}: {exc}")
+        if not np.isfinite(amps).all():
+            raise InvalidConfigError(f"basis file {path}: amplitudes must be finite")
         if amps.shape != (d, d):
             raise InvalidConfigError(
                 f"basis file {path}: amplitudes have shape {amps.shape}, not {d}x{d}"
@@ -281,10 +288,17 @@ def cmd_optics(args) -> int:
         optics.save_stack(stack, out / "stack.mplc")
         _echo(args, f"wrote {out / 'stack.mplc'}")
     else:  # eval
+        if args.stack is None:
+            raise InvalidConfigError("optics eval needs --stack")
         stack = optics.load_stack(args.stack)
         if stack.grid != grid:
             raise InvalidConfigError(
                 "stack grid does not match the configured geometry"
+            )
+        if stack.plane_spacing != args.plane_spacing:
+            raise InvalidConfigError(
+                f"stack plane spacing {stack.plane_spacing!r} m does not match "
+                f"--plane-spacing {args.plane_spacing!r} m"
             )
         outputs = _detection_modes(args, grid, layout, modes, stack.planes)
         transfer, objective = optics.score_converter(
@@ -346,7 +360,8 @@ def cmd_simulate(args) -> int:
     session.save_jsonl(out / "session.jsonl")
     _echo(args, f"wrote {out / 'session.jsonl'} "
           f"(sifted {session.sifted_fraction:.3f}, QBER {session.qber:.4f})")
-    _snapshot(args, out, {"observed_qber": session.qber})
+    qber = session.qber
+    _snapshot(args, out, {"observed_qber": None if math.isnan(qber) else qber})
     return EXIT_OK
 
 
@@ -381,15 +396,12 @@ def cmd_keyrate(args) -> int:
     if args.curve == "thresholds":
         dims = _parse_range(args.d_range, "--d-range", integer=True)
         rows = keyrate.threshold_curve(dims)
-        path = out / "thresholds.csv"
-        with open(path, "w") as fh:
-            fh.write("d,block_fraction,threshold\n")
-            for row in rows:
-                fh.write(f"{row['d']},{row['block_fraction']!r},{row['threshold']!r}\n")
-        with open(str(path) + ".meta.json", "w") as fh:
-            json.dump({"bound": "two_mub", "d_range": args.d_range,
-                       "root_tol": keyrate.ROOT_TOL}, fh, indent=2)
-        _echo(args, f"wrote {path} ({len(rows)} rows)")
+        header = ["d", "block_fraction", "threshold"]
+        keyrate.save_curve_csv(
+            out / "thresholds.csv", header, [[row[key] for key in header] for row in rows],
+            {"bound": "two_mub", "d_range": args.d_range, "root_tol": keyrate.ROOT_TOL},
+        )
+        _echo(args, f"wrote {out / 'thresholds.csv'} ({len(rows)} rows)")
         _snapshot(args, out)
         return EXIT_OK
 
@@ -431,7 +443,7 @@ def cmd_keyrate(args) -> int:
         frac = e_b / total if total > 0 else 0.0
         rows = keyrate.rate_curve(report.bound, d, errors, block_fraction=frac)
         keyrate.save_curve_csv(
-            out / "curve.csv", rows,
+            out / "curve.csv", ["E", "rate"], rows.tolist(),
             {"bound": report.bound, "d": d, "block_fraction": frac,
              "root_tol": keyrate.ROOT_TOL},
         )

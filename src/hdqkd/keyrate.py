@@ -12,7 +12,6 @@ zero-error and all-block axes without NaNs.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -350,46 +349,24 @@ def threshold_curve(dims) -> list[dict]:
 
 def save_report_csv(report: KeyRateReport, path) -> None:
     """Single-row CSV (`E,rate` or `E_u,E_b,rate`) plus a JSON sidecar."""
-    path = str(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if "E_b" in report.inputs:
-            writer.writerow(["E_u", "E_b", "rate"])
-            writer.writerow(
-                [repr(report.inputs["E_u"]), repr(report.inputs["E_b"]), repr(report.rate)]
-            )
-        else:
-            writer.writerow(["E", "rate"])
-            writer.writerow([repr(report.inputs.get("E", 0.0)), repr(report.rate)])
-    with open(path + ".meta.json", "w") as fh:
-        json.dump(
-            {
-                "bound": report.bound,
-                "d": report.dim,
-                "threshold": report.threshold,
-                "root_tol": ROOT_TOL,
-            },
-            fh,
-            indent=2,
-        )
+    if "E_b" in report.inputs:
+        header, row = ["E_u", "E_b", "rate"], [report.inputs["E_u"], report.inputs["E_b"]]
+    else:
+        header, row = ["E", "rate"], [report.inputs.get("E", 0.0)]
+    save_curve_csv(path, header, [row + [report.rate]], {
+        "bound": report.bound,
+        "d": report.dim,
+        "threshold": report.threshold,
+        "root_tol": ROOT_TOL,
+    })
 
 
-def save_curve_csv(path, rows: np.ndarray, sidecar: dict) -> None:
-    """Write (E, rate) rows as CSV plus a JSON sidecar describing them."""
+def save_curve_csv(path, header, rows, sidecar: dict) -> None:
+    """Write rows under a header as CSV, each value as its repr() and every
+    line ended by \\r\\n, plus a JSON sidecar describing them."""
     path = str(path)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["E", "rate"])
-        for e, r in rows:
-            writer.writerow([repr(float(e)), repr(float(r))])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
     with open(path + ".meta.json", "w") as fh:
         json.dump(sidecar, fh, indent=2)
-
-
-def load_curve_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["E", "rate"]:
-            raise InvalidInputError(f"unexpected curve header {header}")
-        return np.array([[float(a), float(b)] for a, b in reader])

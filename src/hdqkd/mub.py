@@ -91,27 +91,11 @@ class Basis:
         """Entry-wise complex conjugate (the receiver-side 'transposed' basis)."""
         return Basis(self.dim, self.amplitudes.conj(), self.label + "*")
 
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "label": self.label,
-            "re": self.amplitudes.real.tolist(),
-            "im": self.amplitudes.imag.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Basis":
-        amps = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
-        return cls(int(doc["dim"]), amps, str(doc.get("label", "")))
-
     def save_json(self, path) -> None:
+        """The basis file `mub gen` writes and `mub check` reads."""
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
-
-    @classmethod
-    def load_json(cls, path) -> "Basis":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            json.dump({"dim": self.dim, "label": self.label, "re": self.amplitudes.real.tolist(),
+                       "im": self.amplitudes.imag.tolist()}, fh)
 
 
 def computational_basis(d: int) -> Basis:
@@ -188,22 +172,6 @@ class MubSet:
 
     def __iter__(self):
         return iter(self.bases)
-
-    def to_dict(self) -> dict:
-        return {"dim": self.dim, "bases": [b.to_dict() for b in self.bases]}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "MubSet":
-        return cls(int(doc["dim"]), tuple(Basis.from_dict(b) for b in doc["bases"]))
-
-    def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
-
-    @classmethod
-    def load_json(cls, path) -> "MubSet":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def full_mub_set(d: int) -> MubSet:

@@ -39,7 +39,6 @@ TWO_PI = 2.0 * np.pi
 
 MAGIC = b"MPLC"
 FORMAT_STACK = 1
-FORMAT_FIELD = 2
 _HEADER = struct.Struct("<4sIIIIddd")  # magic, version, nx, ny, P, pitch, wl, spacing
 
 ORTHOGONALITY_TOL = 1e-6
@@ -71,10 +70,6 @@ class GridSpec:
     @property
     def y(self) -> np.ndarray:
         return (np.arange(self.ny) - self.ny // 2) * self.pitch
-
-    @property
-    def wavenumber(self) -> float:
-        return TWO_PI / self.wavelength
 
 
 @dataclass(frozen=True)
@@ -688,9 +683,8 @@ def sorter_metrics(transfer: np.ndarray, intended: np.ndarray | None = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# Binary container (little-endian): header then float64 payload.
-#   stack: P planes of nx*ny phases, row-major
-#   field: nx*ny samples, re/im interleaved
+# Binary container (little-endian): header then float64 payload, the P
+# planes of nx*ny phases, row-major.
 
 
 def save_stack(stack: PhaseMaskStack, path) -> None:
@@ -704,56 +698,24 @@ def save_stack(stack: PhaseMaskStack, path) -> None:
         fh.write(np.ascontiguousarray(stack.masks, dtype="<f8").tobytes())
 
 
-def save_field(field: OpticalField, path) -> None:
-    g = field.grid
-    header = _HEADER.pack(MAGIC, FORMAT_FIELD, g.nx, g.ny, 1, g.pitch, g.wavelength, 0.0)
-    interleaved = np.empty((g.nx, g.ny, 2))
-    interleaved[..., 0] = field.amplitude.real
-    interleaved[..., 1] = field.amplitude.imag
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(interleaved, dtype="<f8").tobytes())
-
-
-def _read_header(fh, path):
-    raw = fh.read(_HEADER.size)
-    if len(raw) != _HEADER.size:
-        raise InvalidInputError(f"{path}: truncated header")
-    magic, version, nx, ny, planes, pitch, wavelength, spacing = _HEADER.unpack(raw)
-    if magic != MAGIC:
-        raise InvalidInputError(f"{path}: bad magic {magic!r}")
-    return version, nx, ny, planes, pitch, wavelength, spacing
-
-
-def _read_payload(fh, path, count: int) -> np.ndarray:
-    """Exactly `count` float64 values, the rest of the file."""
-    raw = fh.read()
-    if len(raw) != 8 * count:
-        raise InvalidInputError(
-            f"{path}: payload of {len(raw)} bytes, header implies {8 * count}"
-        )
-    return np.frombuffer(raw, dtype="<f8")
-
-
 def load_stack(path) -> PhaseMaskStack:
     with open(path, "rb") as fh:
-        version, nx, ny, planes, pitch, wavelength, spacing = _read_header(fh, path)
+        raw = fh.read(_HEADER.size)
+        if len(raw) != _HEADER.size:
+            raise InvalidInputError(f"{path}: truncated header")
+        magic, version, nx, ny, planes, pitch, wavelength, spacing = _HEADER.unpack(raw)
+        if magic != MAGIC:
+            raise InvalidInputError(f"{path}: bad magic {magic!r}")
         if version != FORMAT_STACK:
             raise InvalidInputError(f"{path}: not a phase-mask container")
-        data = _read_payload(fh, path, planes * nx * ny)
+        raw = fh.read()
+    if len(raw) != 8 * planes * nx * ny:
+        raise InvalidInputError(
+            f"{path}: payload of {len(raw)} bytes, header implies {8 * planes * nx * ny}"
+        )
     grid = GridSpec(nx, ny, pitch, wavelength)
-    return PhaseMaskStack(grid, data.reshape(planes, nx, ny).copy(), spacing)
-
-
-def load_field(path) -> OpticalField:
-    with open(path, "rb") as fh:
-        version, nx, ny, _, pitch, wavelength, _ = _read_header(fh, path)
-        if version != FORMAT_FIELD:
-            raise InvalidInputError(f"{path}: not a field container")
-        data = _read_payload(fh, path, 2 * nx * ny)
-    pairs = data.reshape(nx, ny, 2)
-    grid = GridSpec(nx, ny, pitch, wavelength)
-    return OpticalField(grid, pairs[..., 0] + 1j * pairs[..., 1])
+    masks = np.frombuffer(raw, dtype="<f8").reshape(planes, nx, ny).copy()
+    return PhaseMaskStack(grid, masks, spacing)
 
 
 def save_mask_pgm(stack: PhaseMaskStack, plane: int, path) -> None:

@@ -407,9 +407,8 @@ _POW10 = 10 ** np.arange(19, dtype=np.int64)
 _FLAGS = np.array([b"false", b"true"]).view(np.uint8).reshape(2, -1)
 _CSV_HEADER = b"a,b,k,l,value\r\n"
 
-# Byte maps that blank everything between the numbers a reader parses.
+# Byte map that blanks everything between the numbers a reader parses.
 _DIGITS = bytes(c if 0x30 <= c <= 0x39 else 0x20 for c in range(256))
-_CSV_CELLS = bytes(0x20 if c in b",\r\n" else c for c in range(256))
 
 
 def _digits(values) -> np.ndarray:
@@ -426,12 +425,6 @@ def _digits(values) -> np.ndarray:
     out += ord("0")
     out[:, :-1][v[:, None] < _POW10[width - 1:0:-1]] = 0  # leading zeros
     return out
-
-
-def _float_cells(values) -> np.ndarray:
-    """repr() of each float, as an (n, width) uint8 array with NUL padding."""
-    text = np.array([repr(v) for v in np.asarray(values, dtype=float).tolist()], dtype="S")
-    return text.view(np.uint8).reshape(text.size, text.itemsize)
 
 
 def _join_cells(cells) -> bytes:
@@ -459,13 +452,13 @@ def _session_text(first_round: int, k, l, alice, bob) -> bytes:
 
 
 def _table_text(shape, first_row: int, values: np.ndarray) -> bytes:
-    """CSV rows from first_row on of a (d, d, K, L) table, in file order
-    (k, l outer; a, b inner), with the given value cells."""
+    """CSV rows from first_row on of a (d, d, K, L) count table, in file
+    order (k, l outer; a, b inner)."""
     d1, d2, nk, nl = shape
     rows = np.arange(first_row, first_row + len(values))
     k, l, a, b = np.unravel_index(rows, (nk, nl, d1, d2))
     return _join_cells([_digits(a + 1), b",", _digits(b + 1), b",", _digits(k + 1), b",",
-                        _digits(l + 1), b",", values, b"\r\n"])
+                        _digits(l + 1), b",", _digits(values), b"\r\n"])
 
 
 def _line_blocks(fh, first_line: int):
@@ -514,21 +507,12 @@ def _line_text(block: bytes, index: int) -> str:
     return repr(block.split(b"\n", index + 1)[index][:120])
 
 
-# The value cells of each table kind: the byte map and dtype its reader
-# parses them with, their writer, and the largest valid value.
-_TABLE_VALUES = {
-    "count": (_DIGITS, np.int64, _digits, np.iinfo(np.int64).max),
-    "probability": (_CSV_CELLS, float, _float_cells, 1.0),
-}
-
-
-def _write_table_csv(path, array: np.ndarray, kind: str) -> None:
-    cells = _TABLE_VALUES[kind][2]
+def _write_table_csv(path, array: np.ndarray) -> None:
     values = array.transpose(2, 3, 0, 1).ravel()
     with open(path, "wb") as fh:
         fh.write(_CSV_HEADER)
         for start in range(0, values.size, _BLOCK_ROWS):
-            fh.write(_table_text(array.shape, start, cells(values[start:start + _BLOCK_ROWS])))
+            fh.write(_table_text(array.shape, start, values[start:start + _BLOCK_ROWS]))
 
 
 def _read_sidecar(path, *keys: str) -> tuple[dict, tuple]:
@@ -550,11 +534,10 @@ def _read_sidecar(path, *keys: str) -> tuple[dict, tuple]:
     return meta, shape
 
 
-def _read_table_csv(path, shape, kind: str) -> np.ndarray:
-    """The (d, d, K, L) array a _write_table_csv file of that shape holds.
+def _read_table_csv(path, shape) -> np.ndarray:
+    """The (d, d, K, L) counts a _write_table_csv file of that shape holds.
     Anything but exactly those rows in that layout raises
     InvalidInputError naming the first bad line."""
-    keep, dtype, cells, top = _TABLE_VALUES[kind]
     n = math.prod(shape)
     parts, done = [], 0  # nothing sized from the sidecar before the rows bear it out
     with open(path, "rb") as fh:
@@ -564,38 +547,35 @@ def _read_table_csv(path, shape, kind: str) -> np.ndarray:
                                     f"got {header[:120]!r}")
         for line, ends, block in _line_blocks(fh, 2):
             rows = min(ends, n - done)
-            cut = _fields(_numbers(block, keep, dtype), rows, 5)[:, 4]
-            bad = _mismatch(block, _table_text(shape, done, cells(cut)))
-            if bad is None:
-                out_of_range = ~((cut >= 0) & (cut <= top))  # NaN too
-                bad = int(out_of_range.argmax()) if out_of_range.any() else None
+            cut = _fields(_numbers(block, _DIGITS, np.int64), rows, 5)[:, 4]
+            bad = _mismatch(block, _table_text(shape, done, cut))
             if bad is not None:
                 raise InvalidInputError(
-                    f"{path} line {line + bad}: {_expected_row(shape, done + bad, kind)}, "
+                    f"{path} line {line + bad}: {_expected_row(shape, done + bad)}, "
                     f"got {_line_text(block, bad)}"
                 )
             parts.append(cut.copy())
             done += rows
     if done < n:
-        raise InvalidInputError(f"{path} line {done + 2}: {_expected_row(shape, done, kind)}, "
+        raise InvalidInputError(f"{path} line {done + 2}: {_expected_row(shape, done)}, "
                                 f"got the end of the file")
     d1, d2, nk, nl = shape
     values = np.concatenate(parts).reshape(nk, nl, d1, d2)
     return np.ascontiguousarray(values.transpose(2, 3, 0, 1))
 
 
-def _expected_row(shape, row: int, kind: str) -> str:
+def _expected_row(shape, row: int) -> str:
     d1, d2, nk, nl = shape
     table = f"the dim={d1}, {nk}x{nl}-setting table of the sidecar"
     if row >= math.prod(shape):
         return f"expected the end of {table}"
     k, l, a, b = np.unravel_index(row, (nk, nl, d1, d2))
-    return f"expected row {a + 1},{b + 1},{k + 1},{l + 1},<{kind}> of {table}"
+    return f"expected row {a + 1},{b + 1},{k + 1},{l + 1},<count> of {table}"
 
 
 def save_counts_csv(counts: CountTable, path) -> None:
     path = str(path)
-    _write_table_csv(path, counts.counts, "count")
+    _write_table_csv(path, counts.counts)
     sidecar = {
         "dim": counts.dim,
         "bases_alice": counts.counts.shape[2],
@@ -613,7 +593,7 @@ def load_counts_csv(path) -> CountTable:
     path = str(path)
     meta, shape = _read_sidecar(path, "integration_time", "coincidence_window", "seed",
                                 "generator")
-    array = _read_table_csv(path, shape, "count")
+    array = _read_table_csv(path, shape)
     return CountTable(
         meta["dim"],
         array,
@@ -622,21 +602,3 @@ def load_counts_csv(path) -> CountTable:
         seed=meta["seed"],
         generator=meta["generator"],
     )
-
-
-def save_probs_csv(table: ProbabilityTable, path) -> None:
-    path = str(path)
-    _write_table_csv(path, table.probs, "probability")
-    sidecar = {
-        "dim": table.dim,
-        "bases_alice": table.bases_alice,
-        "bases_bob": table.bases_bob,
-    }
-    with open(path + ".meta.json", "w") as fh:
-        json.dump(sidecar, fh, indent=2)
-
-
-def load_probs_csv(path) -> ProbabilityTable:
-    path = str(path)
-    meta, shape = _read_sidecar(path)
-    return ProbabilityTable(meta["dim"], _read_table_csv(path, shape, "probability"))

@@ -62,6 +62,25 @@ def test_mub_check_rejects_amplitudes_of_the_wrong_shape(tmp_path, capsys, dim, 
     assert "bad.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_mub_check_rejects_non_finite_amplitudes(tmp_path, capsys, part):
+    run("mub", "gen", "--d", 5, "--family", "dft", "--out", tmp_path, "--quiet")
+    path = tmp_path / "basis_dft.json"
+    doc = json.loads(path.read_text())
+    doc[part][1][2] = float("nan")
+    path.write_text(json.dumps(doc))
+    assert run("mub", "check", path, "--quiet") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+
+
+def test_non_finite_flag_is_not_recorded(tmp_path, capsys):
+    assert run("mub", "gen", "--d", 2, "--family", "dft", "--unitarity-tol", "nan",
+               "--out", tmp_path, "--quiet") == 2
+    assert capsys.readouterr().err == "error: --unitarity-tol must be finite\n"
+    assert not (tmp_path / "resolved_config.json").exists()
+
+
 def test_mub_gen_invalid_dimension_exits_2(tmp_path):
     assert run("mub", "gen", "--d", 6, "--family", "wh-all", "--out", tmp_path) == 2
 
@@ -105,6 +124,24 @@ def eval_args(stack_path, out):
         "--target", "swap", "--planes", 2, "--plane-spacing", "5e-3", "--nx", 96,
         "--ny", 64, "--out", out, "--quiet",
     )
+
+
+def test_optics_eval_needs_a_stack(tmp_path, capsys):
+    code = run("optics", "eval", "--d", 2, "--arrangement", "line", "--nx", 96, "--ny", 64,
+               "--plane-spacing", "5e-3", "--out", tmp_path, "--quiet")
+    assert code == 2
+    assert capsys.readouterr().err == "error: optics eval needs --stack\n"
+    assert not (tmp_path / "metrics.json").exists()
+
+
+def test_optics_eval_rejects_another_plane_spacing(tmp_path, capsys):
+    run(*optics_args(tmp_path))
+    argv = list(eval_args(tmp_path / "stack.mplc", tmp_path / "eval"))
+    argv[argv.index("--plane-spacing") + 1] = "7e-3"
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "0.005" in err and "0.007" in err
+    assert not (tmp_path / "eval" / "metrics.json").exists()
 
 
 def test_optics_eval_rejects_trailing_bytes(tmp_path, capsys):
@@ -174,6 +211,18 @@ def test_simulate_writes_counts_session_and_config(tmp_path):
     snapshot = json.loads((tmp_path / "resolved_config.json").read_text())
     assert snapshot["params"]["seed"] == 7
     assert snapshot["generator"] == "numpy-philox4x64"
+
+
+def test_resolved_config_is_strict_json_when_nothing_is_sifted(tmp_path):
+    # one round in a two-basis family is sifted only half the time; seed 4 is not
+    assert run("simulate", "--d", 4, "--family", "sqrt-pair", "--rounds", 1, "--seed", 4,
+               "--out", tmp_path, "--quiet") == 0
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    text = (tmp_path / "resolved_config.json").read_text()
+    assert json.loads(text, parse_constant=reject)["observed_qber"] is None
 
 
 def test_simulate_is_reproducible(tmp_path):
@@ -314,10 +363,15 @@ def test_keyrate_rate_curve(tmp_path):
 def test_keyrate_threshold_curve(tmp_path):
     assert run("keyrate", "--curve", "thresholds", "--d-range", "2:9",
                "--out", tmp_path, "--quiet") == 0
-    rows = (tmp_path / "thresholds.csv").read_text().strip().splitlines()
+    raw = (tmp_path / "thresholds.csv").read_bytes()
+    assert raw.endswith(b"\r\n") and raw.count(b"\r\n") == raw.count(b"\n")
+    rows = raw.decode().splitlines()
     assert rows[0] == "d,block_fraction,threshold"
     dims = {int(r.split(",")[0]) for r in rows[1:]}
     assert dims == set(range(2, 10))
+    for row in rows[1:]:
+        d, fraction, threshold = row.split(",")
+        assert fraction == repr(float(fraction)) and threshold == repr(float(threshold))
 
 
 @pytest.mark.parametrize("d_range", ["abc", "2", "2:x", "2:9:3", "9:2"])

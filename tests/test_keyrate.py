@@ -17,7 +17,6 @@ from hdqkd.keyrate import (
     ROOT_TOL,
     KeyRateReport,
     entropy_block_biased,
-    load_curve_csv,
     rate_curve,
     rate_depolarizing,
     rate_on_profile,
@@ -389,8 +388,9 @@ def test_rate_curve_passes_through_reference_point():
 def test_curve_csv_round_trip(tmp_path):
     rows = rate_curve("two_mub_uniform", 5, np.linspace(0.0, 0.2, 9))
     path = tmp_path / "curve.csv"
-    save_curve_csv(path, rows, {"bound": "two_mub_uniform", "d": 5})
-    again = load_curve_csv(path)
+    save_curve_csv(path, ["E", "rate"], rows.tolist(), {"bound": "two_mub_uniform", "d": 5})
+    assert path.read_bytes().startswith(b"E,rate\r\n")
+    again = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(rows, again)
 
 

@@ -29,11 +29,9 @@ from hdqkd.protocol import (
     decompose_errors,
     ideal_prob_table,
     load_counts_csv,
-    load_probs_csv,
     normalize_counts,
     sample_counts,
     save_counts_csv,
-    save_probs_csv,
     simulate_session,
 )
 
@@ -375,16 +373,6 @@ def test_counts_csv_round_trip(tmp_path):
     assert again.seed == 77
 
 
-def test_probs_csv_round_trip(tmp_path):
-    table = apply_noise(
-        entangled_table(list(sqrt_mub_pair(9))), 0.07, 0.2
-    )
-    path = tmp_path / "probs.csv"
-    save_probs_csv(table, path)
-    again = load_probs_csv(path)
-    assert np.array_equal(again.probs, table.probs)
-
-
 def test_session_jsonl_round_trip(tmp_path):
     record = simulate_session(entangled_table(list(sqrt_mub_pair(4))), 200, seed=4)
     path = tmp_path / "session.jsonl"
@@ -443,7 +431,6 @@ def test_session_grouping_matches_per_setting_scans(d, family):
 GOLDEN = {
     "session.jsonl": "6a897196a4723384770739c0d38fb95495d83cb6f3201df072d1da64807de2a6",
     "counts.csv": "3ad8a07547afaef20711c4588894657f2f46a23b87ea16c26545510de952ec61",
-    "probs.csv": "1185e89e4f74fccb83b1f31569d60e1384405c477c433b97736c29d66e443a8c",
 }
 
 
@@ -453,7 +440,6 @@ def golden_files(out):
     simulate_session(table, 300, seed=7).save_jsonl(out / "session.jsonl")
     counts = sample_counts(table, 2000.0, 1.0, 50.0, seed=7)
     save_counts_csv(counts, out / "counts.csv")
-    save_probs_csv(normalize_counts(counts), out / "probs.csv")
 
 
 def test_written_bytes_match_golden_digests(tmp_path):
@@ -471,7 +457,7 @@ def reference_jsonl(k, l, alice, bob) -> bytes:
     return "".join(lines).encode()
 
 
-def reference_csv(array, fmt) -> bytes:
+def reference_csv(array) -> bytes:
     fh = io.StringIO(newline="")
     writer = csv.writer(fh)
     writer.writerow(["a", "b", "k", "l", "value"])
@@ -480,7 +466,7 @@ def reference_csv(array, fmt) -> bytes:
         for l in range(nl):
             for a in range(d1):
                 for b in range(d2):
-                    writer.writerow([a + 1, b + 1, k + 1, l + 1, fmt(array[a, b, k, l])])
+                    writer.writerow([a + 1, b + 1, k + 1, l + 1, int(array[a, b, k, l])])
     return fh.getvalue().encode()
 
 
@@ -534,25 +520,8 @@ def test_counts_csv_round_trip_property(tmp_path_factory, shape, data):
     with small_blocks():
         save_counts_csv(counts, path)
         again = load_counts_csv(path)
-    assert path.read_bytes() == reference_csv(counts.counts, int)
+    assert path.read_bytes() == reference_csv(counts.counts)
     assert np.array_equal(again.counts, counts.counts)
-
-
-@settings(max_examples=60, deadline=None)
-@given(shape=shapes(), data=st.data())
-def test_probs_csv_round_trip_property(tmp_path_factory, shape, data):
-    d, nk, nl = shape
-    weights = st.floats(0.0, 1.0) | st.sampled_from([5e-324, 1e-300, 1e-5, 0.1, 1.0])
-    raw = np.array(data.draw(st.lists(weights, min_size=d * d * nk * nl,
-                                      max_size=d * d * nk * nl))).reshape(d, d, nk, nl)
-    raw[0, 0] += 1.0  # every block has weight
-    table = ProbabilityTable(d, raw / raw.sum(axis=(0, 1)))
-    path = tmp_path_factory.mktemp("probs") / "probs.csv"
-    with small_blocks():
-        save_probs_csv(table, path)
-        again = load_probs_csv(path)
-    assert path.read_bytes() == reference_csv(table.probs, lambda v: repr(float(v)))
-    assert np.array_equal(again.probs, table.probs)
 
 
 # --- malformed files --------------------------------------------------------------
@@ -620,22 +589,6 @@ def test_keyrate_rejects_malformed_counts(tmp_path, capsys, case):
     assert err.startswith("error: ") and "Traceback" not in err
     assert where in err
     assert not (tmp_path / "r" / "report.json").exists()
-
-
-@pytest.mark.parametrize("edit, line", [
-    pytest.param(lambda ls: _set_value(ls, 2, b"nan"), 3, id="nan"),
-    pytest.param(lambda ls: _set_value(ls, 1, b"1.5"), 2, id="above 1"),
-    pytest.param(lambda ls: _set_value(ls, 1, b"-0.5"), 2, id="negative"),
-    pytest.param(lambda ls: _set_value(ls, 3, b"0.1x"), 4, id="non-numeric"),
-    pytest.param(lambda ls: _set_value(ls, 1, b"1.00"), 2, id="not repr"),
-    pytest.param(lambda ls: ls.append(ls[-1]), 6, id="extra row"),
-])
-def test_probs_csv_rejects_bad_rows(tmp_path, edit, line):
-    path = tmp_path / "probs.csv"
-    save_probs_csv(entangled_table([computational_basis(2)]), path)
-    _edit_lines(path, edit)
-    with pytest.raises(InvalidInputError, match=f"line {line}:"):
-        load_probs_csv(path)
 
 
 @pytest.mark.parametrize("edit, line", [
