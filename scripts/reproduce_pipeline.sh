@@ -11,7 +11,7 @@ hdqkd mub check "$OUT"/mubs5/basis_*.json
 hdqkd mub gen --d 25 --family sqrt-pair --out "$OUT/mubs25"
 hdqkd mub check "$OUT"/mubs25/basis_*.json
 
-# 2. Desk-scale 10-plane DFT sorter design (about ten seconds on two cores).
+# 2. Desk-scale 10-plane DFT sorter design (12-15 s on two cores).
 hdqkd optics design --d 5 --arrangement line --target dft \
     --planes 10 --plane-spacing 43.5e-3 --iterations 30 \
     --nx 192 --ny 192 --pitch 15e-6 --wavelength 810e-9 \

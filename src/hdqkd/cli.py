@@ -25,6 +25,7 @@ from .errors import (
     HdqkdError,
     InsufficientDataError,
     InvalidConfigError,
+    InvalidInputError,
     NoThresholdError,
     SamplingError,
 )
@@ -66,9 +67,7 @@ def _snapshot(args, out: Path, extra: dict | None = None) -> None:
     try:
         text = json.dumps(doc, indent=2, default=str, allow_nan=False)
     except ValueError:
-        bad = [k for k, v in params.items() if isinstance(v, float) and not math.isfinite(v)]
-        flags = ", ".join("--" + k.replace("_", "-") for k in bad)
-        raise InvalidConfigError(f"{flags} must be finite") from None
+        raise InvalidInputError("the resolved config holds non-finite values") from None
     (out / "resolved_config.json").write_text(text)
 
 
@@ -110,6 +109,15 @@ def _config_defaults(parser: argparse.ArgumentParser, command: str, section: dic
             raise InvalidConfigError(f"config {command}: {key} cannot be {value!r}")
         defaults[action.dest] = converted
     return defaults
+
+
+def _check_finite(parser: argparse.ArgumentParser, args) -> None:
+    """Reject NaN or an infinity in any float flag, given on the command
+    line or by a config file, before the command writes anything."""
+    for action in parser._actions:
+        value = getattr(args, action.dest, None)
+        if action.type is float and value is not None and not math.isfinite(value):
+            raise InvalidConfigError(f"{action.option_strings[0]} must be finite")
 
 
 def _parse_range(text: str, flag: str, integer: bool = False):
@@ -553,6 +561,7 @@ def main(argv=None) -> int:
             sub = submap[args.command]
             sub.set_defaults(**_config_defaults(sub, args.command, section))
             args = parser.parse_args(argv)
+        _check_finite(submap[args.command], args)
     except InvalidConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

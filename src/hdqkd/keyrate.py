@@ -115,8 +115,12 @@ class KeyRateReport:
         }
 
     def save_json(self, path) -> None:
+        try:
+            text = json.dumps(self.to_dict(), indent=2, allow_nan=False)
+        except ValueError:
+            raise InvalidInputError("key-rate report holds non-finite values") from None
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
+            fh.write(text)
 
 
 def _rate_depolarizing_value(d: int, e: float) -> float:
@@ -365,8 +369,12 @@ def save_curve_csv(path, header, rows, sidecar: dict) -> None:
     """Write rows under a header as CSV, each value as its repr() and every
     line ended by \\r\\n, plus a JSON sidecar describing them."""
     path = str(path)
+    try:
+        meta = json.dumps(sidecar, indent=2, allow_nan=False)
+    except ValueError:
+        raise InvalidInputError("key-rate CSV sidecar holds non-finite values") from None
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
     with open(path + ".meta.json", "w") as fh:
-        json.dump(sidecar, fh, indent=2)
+        fh.write(meta)

@@ -93,9 +93,14 @@ class Basis:
 
     def save_json(self, path) -> None:
         """The basis file `mub gen` writes and `mub check` reads."""
+        doc = {"dim": self.dim, "label": self.label, "re": self.amplitudes.real.tolist(),
+               "im": self.amplitudes.imag.tolist()}
+        try:
+            text = json.dumps(doc, allow_nan=False)
+        except ValueError:
+            raise InvalidInputError(f"basis {self.label} holds non-finite amplitudes") from None
         with open(path, "w") as fh:
-            json.dump({"dim": self.dim, "label": self.label, "re": self.amplitudes.real.tolist(),
-                       "im": self.amplitudes.imag.tolist()}, fh)
+            fh.write(text)
 
 
 def computational_basis(d: int) -> Basis:

@@ -575,7 +575,6 @@ def _expected_row(shape, row: int) -> str:
 
 def save_counts_csv(counts: CountTable, path) -> None:
     path = str(path)
-    _write_table_csv(path, counts.counts)
     sidecar = {
         "dim": counts.dim,
         "bases_alice": counts.counts.shape[2],
@@ -585,8 +584,13 @@ def save_counts_csv(counts: CountTable, path) -> None:
         "seed": counts.seed,
         "generator": counts.generator,
     }
+    try:
+        meta = json.dumps(sidecar, indent=2, allow_nan=False)
+    except ValueError:
+        raise InvalidInputError("counts sidecar holds non-finite values") from None
+    _write_table_csv(path, counts.counts)
     with open(path + ".meta.json", "w") as fh:
-        json.dump(sidecar, fh, indent=2)
+        fh.write(meta)
 
 
 def load_counts_csv(path) -> CountTable:

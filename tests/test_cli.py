@@ -81,6 +81,36 @@ def test_non_finite_flag_is_not_recorded(tmp_path, capsys):
     assert not (tmp_path / "resolved_config.json").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_mub_gen_rejects_a_non_finite_tolerance_before_writing(tmp_path, capsys, value):
+    out = tmp_path / "out"
+    assert run("mub", "gen", "--d", 2, "--family", "dft", f"--unitarity-tol={value}",
+               "--out", out, "--quiet") == 2
+    assert "--unitarity-tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_mub_check_rejects_a_non_finite_tolerance(tmp_path, capsys, value):
+    run("mub", "gen", "--d", 2, "--family", "dft", "--out", tmp_path, "--quiet")
+    out = tmp_path / "out"
+    assert run("mub", "check", tmp_path / "basis_dft.json", f"--unitarity-tol={value}",
+               "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "--unitarity-tol" in captured.err
+    assert "FAIL" not in captured.out
+    assert not out.exists()
+
+
+def test_mub_gen_rejects_a_non_finite_tolerance_from_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"mub": {"unbiased-tol": NaN}}')
+    out = tmp_path / "out"
+    assert run("mub", "gen", "--d", 2, "--family", "dft", "--config", cfg, "--out", out) == 2
+    assert "--unbiased-tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mub_gen_invalid_dimension_exits_2(tmp_path):
     assert run("mub", "gen", "--d", 6, "--family", "wh-all", "--out", tmp_path) == 2
 
@@ -103,6 +133,16 @@ def test_optics_design_writes_stack_and_metrics(tmp_path):
     metrics = json.loads((tmp_path / "metrics.json").read_text())
     assert 0.0 <= metrics["fidelity"] <= 1.0
     assert len(list(tmp_path.glob("mask_*.pgm"))) == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--detection-radius", "--plane-spacing", "--wavelength"])
+def test_optics_design_rejects_a_non_finite_flag_before_writing(tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    assert run(*optics_args(out, f"{flag}={value}")) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {flag} must be finite\n"
+    assert not out.exists()
 
 
 def test_optics_eval_reuses_stack(tmp_path):

@@ -394,6 +394,15 @@ def test_curve_csv_round_trip(tmp_path):
     assert np.array_equal(rows, again)
 
 
+def test_key_rate_writers_reject_non_finite_values(tmp_path):
+    report = KeyRateReport("two_mub_uniform", 5, {"E": math.inf}, 1.0, 0.2)
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        report.save_json(tmp_path / "report.json")
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        save_curve_csv(tmp_path / "curve.csv", ["E", "rate"], [[0.0, 1.0]], {"d": math.nan})
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_rates_never_nan_on_domain():
     for d in (4, 25):
         for e_u in np.linspace(0.0, 0.49, 12):

@@ -229,3 +229,11 @@ def test_json_schema_fields(tmp_path):
     assert set(doc) == {"dim", "label", "re", "im"}
     assert doc["dim"] == 2
     assert len(doc["re"]) == 2 and len(doc["re"][0]) == 2
+
+
+def test_json_writer_rejects_non_finite_amplitudes(tmp_path):
+    # NaN slips through the construction checks, whose comparisons it fails
+    basis = Basis(2, np.full((2, 2), np.nan), "nan")
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        basis.save_json(tmp_path / "b.json")
+    assert not (tmp_path / "b.json").exists()

@@ -1,6 +1,12 @@
+import functools
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,6 +191,94 @@ def test_evanescent_clipping_is_reported_for_padded_batches():
         optics._propagate_array(amps, grid, 1e-5, 2)
 
 
+def batch_reference(amps, grid, distance, pad_factor, steps=1):
+    """The batch-wide kernel the mode-parallel one replaced: every field
+    padded into one (..., px, py) buffer and transformed as one batch."""
+    import scipy.fft
+
+    nx, ny = grid.nx, grid.ny
+    px, py = nx * pad_factor, ny * pad_factor
+    h, _ = optics._transfer_function(px, py, grid.pitch, grid.wavelength, distance)
+    workers = optics._fft_workers()
+    fft = functools.partial(scipy.fft.fft, overwrite_x=True, workers=workers)
+    ifft = functools.partial(scipy.fft.ifft, overwrite_x=True, workers=workers)
+    work = np.zeros(amps.shape[:-2] + (px, py), dtype=np.complex128)
+    work[..., :nx, :ny] = amps
+    rows = fft(work[..., :nx, :], axis=-1)
+    if not np.may_share_memory(rows, work):
+        work[..., :nx, :] = rows
+    work = fft(work, axis=-2)
+    for _ in range(steps):
+        work *= h
+    work = ifft(work, axis=-2)
+    rows = ifft(work[..., :nx, :], axis=-1)
+    return np.ascontiguousarray(rows[..., :ny])
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("pad, steps", [(2, 1), (3, 1), (1, 1), (1, 3)])
+def test_mode_parallel_kernel_is_bit_identical_to_the_batch_kernel(
+    monkeypatch, workers, pad, steps
+):
+    monkeypatch.setattr(optics, "_fft_workers", lambda: workers)
+    grid = GridSpec(24, 20, 10e-6, 810e-9)
+    rng = np.random.default_rng(pad * steps)
+    phase = np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=(24, 20)))
+    for batch in [(), (1,), (3,), (5,), (2, 3)]:
+        shape = batch + (24, 20)
+        amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        out = optics._propagate_array(amps, grid, 1e-3, pad, steps)
+        assert np.array_equal(out, batch_reference(amps, grid, 1e-3, pad, steps))
+        assert out.shape == shape and out.dtype == np.complex128
+        assert out.flags.c_contiguous and not np.shares_memory(out, amps)
+        masked = optics._propagate_array(amps, grid, 1e-3, pad, steps, phase=phase)
+        assert np.array_equal(
+            masked, optics._propagate_array(amps * phase, grid, 1e-3, pad, steps)
+        )
+
+
+def test_mode_parallel_kernel_reraises_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(optics, "_fft_workers", lambda: 2)
+    grid = GridSpec(24, 20, 10e-6, 810e-9)
+    with pytest.raises(ValueError):
+        optics._propagate_array(np.ones((3, 24, 20)), grid, 1e-3, 2, phase=np.ones((3, 3)))
+
+
+def test_kernel_rejects_fields_of_another_shape():
+    # reshaping alone would read a (20, 24) field as (24, 20)
+    grid = GridSpec(24, 20, 10e-6, 810e-9)
+    with pytest.raises(GeometryError):
+        optics._propagate_array(np.ones((2, 20, 24)), grid, 1e-3, 2)
+
+
+def test_import_loads_neither_scipy_nor_the_executor():
+    # the kernel imports both on first use, so `import hdqkd` stays cheap
+    code = (
+        "import sys, hdqkd; "
+        "print([m for m in ('scipy', 'concurrent.futures') if m in sys.modules])"
+    )
+    src = str(Path(optics.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_evanescent_warning_points_at_the_caller(monkeypatch, count):
+    monkeypatch.setattr(optics, "_fft_workers", lambda: 2)
+    grid = GridSpec(32, 32, 3e-7, 810e-9)
+    rng = np.random.default_rng(0)
+    # only the last chunk carries evanescent power
+    dark = [OpticalField(grid, np.zeros((32, 32)))] * (count - 1)
+    fields = dark + [OpticalField(grid, rng.normal(size=(32, 32)) + 0j)]
+    with pytest.warns(EvanescentClippingWarning) as record:
+        mask_free_passes(fields, 3, 1e-5)
+    assert [w.filename for w in record] == [__file__]
+
+
 def test_paper_grid_propagates_without_warnings():
     grid = GridSpec(192, 192, 15e-6, 810e-9)
     modes = make_aperture_modes(ApertureLayout(25, 1e-4, 3e-4, "grid"), grid)
@@ -364,6 +458,18 @@ def test_design_command_propagation_count(tmp_path, monkeypatch):
         assert code == 0
         assert len(calls) == 2 + 2 * (2 * 3 - 2) + 2 + (detection == "propagated") == count
         assert all(shape == (4, 32, 32) for shape in calls)
+
+
+# sha256 of the toy design's stack.mplc, recorded with the batch-wide
+# kernel under numpy 2.4 and scipy 1.17 (pocketfft); the masks do not
+# depend on --detection.
+TOY_STACK_SHA256 = "4c4210200a9ba8c7c6a360707f92f31cec7be971f2c31bbcd997ebdddc7a8cfc"
+
+
+def test_toy_design_stack_is_golden(tmp_path):
+    assert cli.main(TOY_DESIGN + ["--detection", "disks", "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "stack.mplc").read_bytes()).hexdigest()
+    assert digest == TOY_STACK_SHA256
 
 
 def rescore(out, detection):

@@ -373,6 +373,13 @@ def test_counts_csv_round_trip(tmp_path):
     assert again.seed == 77
 
 
+def test_counts_csv_rejects_a_non_finite_sidecar(tmp_path):
+    counts = CountTable(2, np.zeros((2, 2, 1, 1), dtype=np.int64), math.inf)
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        save_counts_csv(counts, tmp_path / "counts.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_session_jsonl_round_trip(tmp_path):
     record = simulate_session(entangled_table(list(sqrt_mub_pair(4))), 200, seed=4)
     path = tmp_path / "session.jsonl"
