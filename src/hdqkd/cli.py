@@ -25,9 +25,9 @@ from .errors import (
     HdqkdError,
     InsufficientDataError,
     InvalidConfigError,
+    InvalidDimensionError,
     InvalidInputError,
     NoThresholdError,
-    SamplingError,
 )
 
 CONFIG_VERSION = 1
@@ -149,9 +149,7 @@ def _build_bases(d: int, family: str) -> list[mub.Basis]:
         return [mub.computational_basis(d), mub.dft_basis(d)]
     if family == "dft":
         return [mub.dft_basis(d)]
-    if family == "computational":
-        return [mub.computational_basis(d)]
-    raise InvalidConfigError(f"unknown basis family '{family}'")
+    return [mub.computational_basis(d)]  # argparse choices leave only "computational"
 
 
 def _alignments(text: str | None, n_matched: int) -> list[str]:
@@ -161,7 +159,7 @@ def _alignments(text: str | None, n_matched: int) -> list[str]:
     if text is None:
         return ["row", "col"] if n_matched == 2 else ["row"] * n_matched
     values = text.split(",")
-    if len(values) < n_matched or not set(values) <= {"row", "col"}:
+    if len(values) != n_matched or not set(values) <= {"row", "col"}:
         raise InvalidConfigError(
             f"--alignments needs row or col for each of the {n_matched} matched "
             f"settings, got '{text}'"
@@ -196,17 +194,13 @@ def cmd_mub(args) -> int:
         try:
             with open(path) as fh:
                 doc = json.load(fh)
-            amps = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
             d = int(doc["dim"])
+            amps = mub.amplitude_matrix(
+                d, np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
+            )
             loaded.append((path, d, str(doc.get("label", "")), amps))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise InvalidConfigError(f"cannot parse basis file {path}: {exc}")
-        if not np.isfinite(amps).all():
-            raise InvalidConfigError(f"basis file {path}: amplitudes must be finite")
-        if amps.shape != (d, d):
-            raise InvalidConfigError(
-                f"basis file {path}: amplitudes have shape {amps.shape}, not {d}x{d}"
-            )
+            raise InvalidConfigError(f"cannot read basis file {path}: {exc}")
     failed = False
     for path, d, label, amps in loaded:
         dev = mub.unitarity_deviation(amps)
@@ -235,19 +229,10 @@ def _design_geometry(args):
     grid = optics.GridSpec(args.nx, args.ny, args.pitch, args.wavelength)
     arrangement = args.arrangement
     if arrangement == "auto":
-        arrangement = "grid" if math.isqrt(args.d) ** 2 == args.d and args.d > 1 else "line"
+        arrangement = "grid" if _has_blocks(args.d) else "line"
     layout = optics.ApertureLayout(args.d, args.aperture_radius, args.aperture_spacing,
                                    arrangement)
     modes = optics.make_aperture_modes(layout, grid)
-    # Fail now, with the remedy, rather than mid-optimization.  The
-    # propagated detection pass runs unpadded, so check that bound too.
-    pads = [args.pad_factor] + ([1] if args.detection == "propagated" else [])
-    z_max = min(optics.max_propagation_distance(grid, p) for p in pads)
-    if args.plane_spacing > z_max:
-        raise SamplingError(
-            f"plane spacing {args.plane_spacing} m exceeds the grid's "
-            f"anti-aliasing bound {z_max:.4g} m; enlarge nx/ny or the pitch"
-        )
     return grid, layout, modes
 
 
@@ -259,11 +244,9 @@ def _design_targets(args, modes):
         coeff = np.eye(d, dtype=complex)[::-1]
     elif args.target == "dft":
         coeff = mub.dft_basis(d).amplitudes
-    elif args.target in ("row-dft", "col-dft"):
+    else:  # row-dft or col-dft, the remaining argparse choices
         pair = mub.sqrt_mub_pair(d)
         coeff = pair[0 if args.target == "row-dft" else 1].amplitudes
-    else:
-        raise InvalidConfigError(f"unknown target transformation '{args.target}'")
     # Sorter convention: incoming basis state m ends up in port m, so
     # input mode n maps to sum_m conj(coeff[n, m]) * port_m.
     targets = [optics.superpose(modes, coeff[n, :].conj()) for n in range(d)]
@@ -377,13 +360,21 @@ def cmd_simulate(args) -> int:
 # keyrate
 
 
+def _has_blocks(d: int) -> bool:
+    """Whether d is a perfect square >= 4, whose modes form sqrt(d)-mode blocks."""
+    try:
+        return mub.grid_side(d) > 1
+    except InvalidDimensionError:
+        return False
+
+
 def _errors_from_counts(args):
     counts = protocol.load_counts_csv(args.counts)
     table = protocol.normalize_counts(counts)
     d = table.dim
     n_matched = min(table.bases_alice, table.bases_bob)
     alignments = _alignments(args.alignments, n_matched)
-    if not (math.isqrt(d) ** 2 == d and d >= 4):
+    if not _has_blocks(d):
         # No block structure to separate; report the total error as uniform.
         stats = keyrate.subset_stats(table)
         return d, float(stats.E), 0.0
@@ -428,17 +419,12 @@ def cmd_keyrate(args) -> int:
             raise InvalidConfigError("--E cannot be combined with --Eu/--Eb")
         e_u, e_b = (args.E, 0.0) if args.E is not None else (args.Eu or 0.0, args.Eb or 0.0)
 
-    bound_key = bound.replace("-", "_")
-    if bound_key == "depolarizing":
-        bound_key = "depolarizing_all_mubs"
-    if bound_key == "depolarizing_all_mubs":
+    if bound == "depolarizing":
         report = keyrate.rate_depolarizing(d, e_u + e_b)
-    elif bound_key in ("two_mub_uniform", "two_mub_block"):
-        if bound_key == "two_mub_uniform" and e_b > 0:
+    else:
+        if bound == "two-mub-uniform" and e_b > 0:
             e_u, e_b = e_u + e_b, 0.0
         report = keyrate.rate_two_mub(d, e_u, e_b)
-    else:
-        raise InvalidConfigError(f"unknown bound '{bound}'")
 
     _echo(args, f"bound {report.bound}  d={report.dim}  "
           f"rate {report.rate:.4f} bits/sifted photon  "

@@ -33,16 +33,16 @@ class InvalidConfigError(HdqkdError):
     """Run configuration is inconsistent or incomplete."""
 
 
-class InvalidNoiseError(HdqkdError):
-    """Noise parameters outside their physical range."""
-
-
 class InsufficientDataError(HdqkdError):
     """A sent state has no recorded counts, so it cannot be normalized."""
 
 
 class DomainError(HdqkdError):
     """Argument outside the mathematical domain of the function."""
+
+
+class InvalidNoiseError(DomainError):
+    """Noise parameters outside their physical range."""
 
 
 class NoThresholdError(HdqkdError):

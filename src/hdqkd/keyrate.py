@@ -25,6 +25,7 @@ from .errors import (
     NoThresholdError,
 )
 from .mub import grid_side
+from .protocol import total_error
 
 BOUNDS = ("depolarizing_all_mubs", "two_mub_uniform", "two_mub_block")
 
@@ -71,13 +72,7 @@ def entropy_block_biased(d: int, uniform_error: float, block_error: float) -> fl
     E_b = 0 reduces exactly to shannon_hd(E_u, d).
     """
     side = grid_side(d)
-    if d < 4:
-        raise InvalidDimensionError(f"block-biased entropy needs d >= 4, got {d}")
-    if uniform_error < 0.0 or block_error < 0.0:
-        raise DomainError("error components must be >= 0")
-    total = uniform_error + block_error
-    if total >= 1.0:
-        raise DomainError(f"total error {total} outside [0, 1)")
+    total = total_error(uniform_error, block_error)
     p_out = uniform_error / (d - 1)
     p_in = block_error / (side - 1) + p_out
     return (
@@ -134,8 +129,6 @@ def _rate_depolarizing_value(d: int, e: float) -> float:
 
 def _rate_two_mub_value(d: int, uniform_error: float, block_error: float) -> float:
     if block_error == 0.0:
-        if not 0.0 <= uniform_error < 1.0:
-            raise DomainError(f"error rate {uniform_error} outside [0, 1)")
         h = shannon_hd(uniform_error, d)
     else:
         h = entropy_block_biased(d, uniform_error, block_error)
@@ -150,8 +143,6 @@ def rate_depolarizing(d: int, e: float) -> KeyRateReport:
     """
     if d < 2:
         raise InvalidDimensionError(f"rate bound needs d >= 2, got {d}")
-    if e < 0.0:
-        raise DomainError(f"error rate {e} must be >= 0")
     rate = _rate_depolarizing_value(d, e)
     thr = threshold("depolarizing_all_mubs", d)
     return KeyRateReport("depolarizing_all_mubs", d, {"E": e}, rate, thr)
@@ -161,11 +152,9 @@ def rate_two_mub(d: int, uniform_error: float, block_error: float = 0.0) -> KeyR
     """Two-basis rate bound R = log2(d) - 2*h, h the (block-biased) entropy.
 
     block_error=0 uses the uniform entropy and is valid for any d >= 2;
-    block_error>0 requires a perfect-square d.  The report's threshold is
+    block_error>0 requires a perfect-square d >= 4.  The report's threshold is
     computed along the profile with the same block fraction as the inputs.
     """
-    if d < 2:
-        raise InvalidDimensionError(f"rate bound needs d >= 2, got {d}")
     total = uniform_error + block_error
     rate = _rate_two_mub_value(d, uniform_error, block_error)
     if block_error == 0.0:
@@ -211,15 +200,13 @@ def threshold(bound: str, d: int, block_fraction: float | None = None) -> float:
     NoThresholdError is raised; otherwise the one root before the minimum
     is refined by bisection to |rate| < ROOT_TOL.
     """
-    if bound not in BOUNDS:
-        raise InvalidInputError(f"unknown bound '{bound}'")
     if bound == "two_mub_block" and block_fraction is None:
         raise InvalidInputError("two_mub_block threshold needs a block_fraction")
     f = 0.0 if block_fraction is None else float(block_fraction)
     if not 0.0 <= f <= 1.0:
         raise InvalidInputError(f"block_fraction {f} outside [0, 1]")
     if bound == "two_mub_block" and f > 0.0:
-        grid_side(d)  # raises for non-square d
+        grid_side(d)  # raises unless d is a perfect square >= 4
 
     def rate(e: float) -> float:
         return rate_on_profile(bound, d, e, f)

@@ -48,6 +48,11 @@ class EvanescentClippingWarning(UserWarning):
     """Emitted when suppressed evanescent components carried real power."""
 
 
+def _check_positive(what: str, *values: float) -> None:
+    if not all(0.0 < v < math.inf for v in values):  # NaN too
+        raise InvalidInputError(f"{what} must be finite and > 0")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Sampling grid: pixel counts, pixel pitch and wavelength in meters."""
@@ -58,10 +63,11 @@ class GridSpec:
     wavelength: float
 
     def __post_init__(self):
-        if self.nx < 8 or self.ny < 8:
-            raise InvalidInputError(f"grid must be at least 8x8, got {self.nx}x{self.ny}")
-        if self.pitch <= 0.0 or self.wavelength <= 0.0:
-            raise InvalidInputError("pitch and wavelength must be > 0")
+        if not all(isinstance(n, (int, np.integer)) and n >= 8 for n in (self.nx, self.ny)):
+            raise InvalidInputError(
+                f"grid must be at least 8x8 whole pixels, got {self.nx}x{self.ny}"
+            )
+        _check_positive("pitch and wavelength", self.pitch, self.wavelength)
 
     @property
     def x(self) -> np.ndarray:
@@ -140,8 +146,7 @@ class ApertureLayout:
     def __post_init__(self):
         if self.count < 1:
             raise InvalidInputError(f"need at least one aperture, got {self.count}")
-        if self.radius <= 0.0 or self.spacing <= 0.0:
-            raise InvalidInputError("radius and spacing must be > 0")
+        _check_positive("radius and spacing", self.radius, self.spacing)
         if self.spacing < 2.0 * self.radius:
             raise GeometryError(
                 f"apertures overlap: spacing {self.spacing} < 2*radius {2 * self.radius}"
@@ -224,6 +229,7 @@ class PhaseMaskStack:
             )
         if not np.isfinite(masks).all():
             raise InvalidInputError("masks contain non-finite phases")
+        _check_positive("plane spacing", self.plane_spacing)
         object.__setattr__(self, "masks", _wrap_phase(masks))
 
     @property
@@ -281,9 +287,8 @@ def max_propagation_distance(grid: GridSpec, pad_factor: int = 2) -> float:
 def _check_sampling(grid: GridSpec, distance: float, pad_factor: int) -> None:
     z_max = max_propagation_distance(grid, pad_factor)
     if abs(distance) > z_max:
-        s = 1.0 - (grid.wavelength / (2.0 * grid.pitch)) ** 2
-        n_req = abs(distance) * grid.wavelength / (grid.pitch**2 * math.sqrt(s))
-        n_min = math.ceil(n_req / pad_factor)
+        # the bound grows linearly with the grid size
+        n_min = math.ceil(abs(distance) / z_max * min(grid.nx, grid.ny))
         raise SamplingError(
             f"distance {distance:.4g} m exceeds the anti-aliasing bound "
             f"{z_max:.4g} m of this grid; increase the grid to at least "
@@ -449,22 +454,14 @@ def forward_pass(
     stack therefore reduces to free propagation over
     (planes + 1) * plane_spacing.
     """
-    (out,) = forward_passes(stack, [field], pad_factor)
-    return out
-
-
-def forward_passes(
-    stack: PhaseMaskStack, fields, pad_factor: int = 2
-) -> list[OpticalField]:
-    """`forward_pass` of every field, as one batched pass."""
-    outs = _converter_pass(stack, fields, pad_factor)
-    return [OpticalField(stack.grid, amp) for amp in outs]
+    (out,) = _converter_pass(stack, [field], pad_factor)
+    return OpticalField(stack.grid, out)
 
 
 def mask_free_passes(fields, planes: int, plane_spacing: float) -> list[OpticalField]:
     """The fields sent through a converter of `planes` all-zero masks with
-    the periodic transform: `forward_passes(zero_stack, fields,
-    pad_factor=1)` to rounding.  The periodic kernel composes, so the
+    the periodic transform: `forward_pass(zero_stack, field, pad_factor=1)`
+    of each field to rounding.  The periodic kernel composes, so the
     planes + 1 spacings are one forward transform, the spectrum
     multiplied once per spacing, and one inverse transform."""
     fields = list(fields)
@@ -490,11 +487,9 @@ def _check_orthonormal(fields, what: str) -> None:
     pitch2 = fields[0].grid.pitch ** 2
     flat = mat.reshape(len(fields), -1)
     gram = flat.conj() @ flat.T * pitch2
-    if np.abs(gram - np.eye(len(fields))).max() > ORTHOGONALITY_TOL:
-        raise InvalidModeSetError(
-            f"{what} are not orthonormal "
-            f"(max Gram deviation {np.abs(gram - np.eye(len(fields))).max():.3e})"
-        )
+    dev = np.abs(gram - np.eye(len(fields))).max()
+    if dev > ORTHOGONALITY_TOL:
+        raise InvalidModeSetError(f"{what} are not orthonormal (max Gram deviation {dev:.3e})")
 
 
 def wavefront_match(
@@ -533,6 +528,7 @@ def _wavefront_sweeps(inputs, targets, planes, plane_spacing, iterations, pad_fa
     targets = list(targets)
     if planes < 1 or iterations < 1:
         raise InvalidConfigError("planes and iterations must both be >= 1")
+    _check_positive("plane spacing", plane_spacing)
     if len(inputs) != len(targets) or not inputs:
         raise InvalidConfigError(
             f"need equally many inputs and targets, got {len(inputs)} and {len(targets)}"

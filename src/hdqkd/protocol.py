@@ -169,6 +169,18 @@ def ideal_prob_table(alice_bases, bob_bases) -> ProbabilityTable:
     return ProbabilityTable(d, probs)
 
 
+def total_error(uniform_error: float, block_error: float) -> float:
+    """E_t = E_u + E_b.  Raises InvalidNoiseError, naming the bad one,
+    unless both components are >= 0 and their total is below 1."""
+    for name, value in (("uniform", uniform_error), ("block", block_error)):
+        if not value >= 0.0:  # NaN too
+            raise InvalidNoiseError(f"{name} error {value} must be >= 0")
+    total = uniform_error + block_error
+    if not total < 1.0:
+        raise InvalidNoiseError(f"total error {total} outside [0, 1)")
+    return total
+
+
 def apply_noise(
     table: ProbabilityTable,
     uniform_error: float,
@@ -183,12 +195,7 @@ def apply_noise(
     are left untouched.  alignments gives the block orientation ("row" or
     "col") per matched basis index; it defaults to "row" everywhere.
     """
-    for name, value in (("uniform", uniform_error), ("block", block_error)):
-        if not value >= 0.0:  # NaN too
-            raise InvalidNoiseError(f"{name} error {value} must be >= 0")
-    total = uniform_error + block_error
-    if not total < 1.0:
-        raise InvalidNoiseError(f"total error {total} outside [0, 1)")
+    total = total_error(uniform_error, block_error)
     d = table.dim
     n_matched = min(table.bases_alice, table.bases_bob)
     if block_error > 0.0:

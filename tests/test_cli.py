@@ -225,6 +225,20 @@ def test_optics_overlapping_apertures_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("spacing", ["-5e-3", "0"])
+def test_optics_design_rejects_a_bad_plane_spacing_before_writing(tmp_path, capsys, spacing):
+    out = tmp_path / "out"
+    assert run(*optics_args(out, f"--plane-spacing={spacing}")) == 2
+    assert "plane spacing must be finite and > 0" in capsys.readouterr().err
+    assert not (out / "stack.mplc").exists()
+
+
+@pytest.mark.parametrize("d", [-1, 0])
+def test_optics_design_rejects_a_dimension_below_one(tmp_path, capsys, d):
+    assert run("optics", "design", "--d", d, "--out", tmp_path, "--quiet") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_optics_sampling_error_has_remedy(tmp_path, capsys):
     code = run(
         "optics", "design", "--d", 2, "--arrangement", "line", "--nx", 128,
@@ -297,7 +311,7 @@ def test_simulate_zero_rates_warns(tmp_path, capsys):
     assert "zero" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("alignments", ["diag,diag", "row", "row,col,"])
+@pytest.mark.parametrize("alignments", ["diag,diag", "row", "row,col,", "row,col,row"])
 def test_simulate_rejects_bad_alignments_before_writing(tmp_path, capsys, alignments):
     out = tmp_path / "sim"
     code = run("simulate", "--d", 25, "--family", "sqrt-pair", "--Et", 0.1,

@@ -127,6 +127,12 @@ def test_block_entropy_matches_distribution_entropy(d):
         assert abs(entropy_block_biased(d, e_u, e_b) - want) < 1e-12
 
 
+@pytest.mark.parametrize("e_u, e_b", [(math.nan, 0.1), (0.1, math.nan), (math.inf, 0.0)])
+def test_block_entropy_rejects_non_finite_errors(e_u, e_b):
+    with pytest.raises(DomainError):
+        entropy_block_biased(25, e_u, e_b)
+
+
 def test_block_entropy_rejects_bad_inputs():
     with pytest.raises(InvalidDimensionError):
         entropy_block_biased(5, 0.1, 0.1)

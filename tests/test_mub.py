@@ -15,6 +15,7 @@ from hdqkd.mub import (
     computational_basis,
     dft_basis,
     full_mub_set,
+    grid_side,
     overlap_table,
     sqrt_mub_pair,
     unbiasedness_deviation,
@@ -159,6 +160,12 @@ def test_sqrt_pair_rejects_bad_dimension():
             sqrt_mub_pair(d)
 
 
+@pytest.mark.parametrize("d", [-1, 0, 1, 2, 3, 8])
+def test_grid_side_needs_a_perfect_square_of_at_least_four(d):
+    with pytest.raises(InvalidDimensionError):
+        grid_side(d)
+
+
 def test_unbiasedness_deviation_on_arrays():
     b1, b2 = sqrt_mub_pair(9)
     assert unbiasedness_deviation(b1.amplitudes, b2.amplitudes) == check_mub_pair(b1, b2)[1]
@@ -211,6 +218,14 @@ def test_basis_constructor_rejects_nonunitary():
         Basis(3, bad, "broken")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_basis_rejects_a_non_finite_amplitude(bad):
+    amps = dft_basis(3).amplitudes.copy()
+    amps[1, 2] = bad
+    with pytest.raises(InvalidInputError, match="finite"):
+        Basis(3, amps)
+
+
 def test_json_round_trip_is_exact(tmp_path):
     for basis in (wh_basis(5, 4), sqrt_mub_pair(9)[0]):
         path = tmp_path / f"{basis.label}.json"
@@ -232,8 +247,11 @@ def test_json_schema_fields(tmp_path):
 
 
 def test_json_writer_rejects_non_finite_amplitudes(tmp_path):
-    # NaN slips through the construction checks, whose comparisons it fails
-    basis = Basis(2, np.full((2, 2), np.nan), "nan")
+    with pytest.raises(InvalidInputError, match="finite"):
+        Basis(2, np.full((2, 2), np.nan), "nan")
+    # construction rejects NaN, so reach the writer's guard by mutating a built basis
+    basis = dft_basis(2)
+    basis.amplitudes[0, 0] = np.nan
     with pytest.raises(InvalidInputError, match="non-finite"):
         basis.save_json(tmp_path / "b.json")
     assert not (tmp_path / "b.json").exists()

@@ -30,7 +30,6 @@ from hdqkd.optics import (
     apply_mask,
     design_converter,
     forward_pass,
-    forward_passes,
     inner,
     load_stack,
     make_aperture_modes,
@@ -59,6 +58,25 @@ def test_grid_validation():
         GridSpec(4, 64, 1e-5, 8e-7)
     with pytest.raises(InvalidInputError):
         GridSpec(64, 64, -1e-5, 8e-7)
+
+
+@pytest.mark.parametrize("nx, ny, pitch, wavelength", [
+    (16, 16, math.nan, 810e-9), (16, 16, 1e-5, math.inf), (16, 16, 1e-5, math.nan),
+    (16, 16, math.inf, 810e-9), (16.5, 16, 1e-5, 810e-9), (16, 16.0, 1e-5, 810e-9),
+])
+def test_grid_needs_whole_pixels_and_finite_positive_lengths(nx, ny, pitch, wavelength):
+    with pytest.raises(InvalidInputError):
+        GridSpec(nx, ny, pitch, wavelength)
+
+
+def test_grid_accepts_numpy_integer_sizes():
+    assert GridSpec(np.int64(16), np.int32(16), 1e-5, 810e-9) == GridSpec(16, 16, 1e-5, 810e-9)
+
+
+@pytest.mark.parametrize("radius, spacing", [(math.nan, 3e-4), (1e-4, math.nan), (1e-4, math.inf)])
+def test_layout_needs_finite_positive_lengths(radius, spacing):
+    with pytest.raises(InvalidInputError):
+        ApertureLayout(2, radius, spacing, "line")
 
 
 def test_layout_rejects_overlap():
@@ -423,8 +441,8 @@ def test_batched_scoring_matches_per_mode_passes():
     outs = [forward_pass(stack, m) for m in modes]
     want_t = np.array([[inner(o, out) for out in outs] for o in targets])
     want_objective = np.mean([abs(inner(t, out)) ** 2 for t, out in zip(targets, outs)])
-    for got, want in zip(forward_passes(stack, modes), outs):
-        assert rel_error(got.amplitude, want.amplitude) <= 1e-12
+    for got, want in zip(optics._converter_pass(stack, modes, 2), outs):
+        assert rel_error(got, want.amplitude) <= 1e-12
     t = transfer_matrix(stack, modes, targets)
     assert np.abs(t - want_t).max() <= 1e-12
     assert abs(matching_objective(stack, modes, targets) - want_objective) <= 1e-12
@@ -484,7 +502,7 @@ def rescore(out, detection):
         outputs = cli._detection_modes(args, grid, layout, modes, stack.planes)
     else:
         zero = PhaseMaskStack(grid, np.zeros((stack.planes, 32, 32)), stack.plane_spacing)
-        outputs = forward_passes(zero, modes, pad_factor=1)
+        outputs = [forward_pass(zero, mode, pad_factor=1) for mode in modes]
     transfer, objective = score_converter(stack, modes, outputs, targets)
     sorter_metrics(transfer, intended=intended).save_json(out / "rescored.json")
     return (out / "rescored.json").read_text(), objective
@@ -529,7 +547,7 @@ def test_mask_free_passes_match_stepwise_zero_stack(planes):
     assert spacing <= z_max and ((planes + 1) * spacing > z_max) == (planes == 10)
     modes = make_aperture_modes(DESK_LAYOUT, DESK_GRID)
     zero = PhaseMaskStack(DESK_GRID, np.zeros((planes, 96, 64)), spacing)
-    stepwise = forward_passes(zero, modes, pad_factor=1)
+    stepwise = [forward_pass(zero, mode, pad_factor=1) for mode in modes]
     for got, want in zip(mask_free_passes(modes, planes, spacing), stepwise):
         assert rel_error(got.amplitude, want.amplitude) <= 1e-12
 
@@ -605,6 +623,33 @@ def test_stack_rejects_non_finite_phases(bad):
     masks[0, 3, 4] = bad
     with pytest.raises(InvalidInputError):
         PhaseMaskStack(GridSpec(8, 8, 1e-5, 8e-7), masks, 1e-3)
+
+
+@pytest.mark.parametrize("spacing", [math.nan, math.inf, -1e-3, 0.0])
+def test_stack_needs_a_finite_positive_spacing(spacing):
+    with pytest.raises(InvalidInputError, match="plane spacing"):
+        PhaseMaskStack(GridSpec(8, 8, 1e-5, 8e-7), np.zeros((1, 8, 8)), spacing)
+
+
+@pytest.mark.parametrize("pitch, spacing", [(1e-5, -1e-3), (1e-5, math.nan), (math.nan, 1e-3)])
+def test_container_with_a_bad_length_is_rejected(tmp_path, pitch, spacing):
+    path = tmp_path / "bad.mplc"
+    header = optics._HEADER.pack(optics.MAGIC, optics.FORMAT_STACK, 8, 8, 1, pitch, 8e-7, spacing)
+    path.write_bytes(header + np.zeros(8 * 8).tobytes())
+    with pytest.raises(InvalidInputError, match="finite and > 0"):
+        load_stack(path)
+
+
+def test_design_rejects_a_bad_spacing_before_the_first_sweep(monkeypatch):
+    modes, targets = swap_problem()
+    calls = []
+    monkeypatch.setattr(optics, "_propagate_array", lambda *a, **k: calls.append(a))
+    for spacing in (-5e-3, 0.0):
+        with pytest.raises(InvalidInputError, match="plane spacing"):
+            wavefront_match(modes, targets, planes=2, plane_spacing=spacing, iterations=1)
+        with pytest.raises(InvalidInputError, match="plane spacing"):
+            design_converter(modes, targets, modes, planes=2, plane_spacing=spacing)
+    assert calls == []
 
 
 def test_stack_wrap_never_stores_two_pi():

@@ -158,6 +158,12 @@ def test_apply_noise_needs_a_wrong_outcome():
         apply_noise(table, 0.1)
 
 
+def test_decompose_errors_needs_blocks():
+    # d=1 has no mode outside a block to estimate the uniform error from
+    with pytest.raises(InvalidDimensionError):
+        decompose_errors(entangled_table([computational_basis(1)]))
+
+
 def test_block_noise_needs_square_dimension():
     table = entangled_table(list(full_mub_set(5)))
     with pytest.raises(InvalidDimensionError):
