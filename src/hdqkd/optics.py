@@ -290,7 +290,7 @@ def _check_sampling(grid: GridSpec, distance: float, pad_factor: int) -> None:
         # the bound grows linearly with the grid size
         n_min = math.ceil(abs(distance) / z_max * min(grid.nx, grid.ny))
         raise SamplingError(
-            f"distance {distance:.4g} m exceeds the anti-aliasing bound "
+            f"distance {abs(distance):.4g} m exceeds the anti-aliasing bound "
             f"{z_max:.4g} m of this grid; increase the grid to at least "
             f"{n_min} pixels per axis (at pad factor {pad_factor}) or enlarge "
             "the pitch"

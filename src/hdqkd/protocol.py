@@ -206,7 +206,7 @@ def apply_noise(
         raise InvalidNoiseError(f"d={d} has no wrong outcome to carry an error")
     if alignments is None:
         alignments = ["row"] * n_matched
-    if len(alignments) < n_matched:
+    if len(alignments) != n_matched:
         raise InvalidInputError(
             f"need an alignment per matched setting ({n_matched}), got {len(alignments)}"
         )
@@ -336,19 +336,19 @@ class SessionRecord:
         naming the first bad line.  seed=None records it as unknown."""
         parts, rounds = [], 0
         with open(path, "rb") as fh:
-            for line, rows, block in _line_blocks(fh, 1):
-                cols = _fields(_numbers(block, _DIGITS, np.int64), rows, 5)[:, 1:]
-                bad = _mismatch(block, _session_text(rounds + 1, *cols.T))
+            for line, block, ends in _line_blocks(fh, 1):
+                cols = _walk(block, ends, [len(key) for key in _SESSION_KEYS], 1)
+                bad = _mismatch(block, _session_text(rounds + 1, *cols))
                 if bad is None:
-                    out_of_range = (cols < 1).any(axis=1) | (cols[:, 2:] > dim).any(axis=1)
+                    out_of_range = (cols < 1).any(axis=0) | (cols[2:] > dim).any(axis=0)
                     bad = int(out_of_range.argmax()) if out_of_range.any() else None
                 if bad is not None:
                     raise InvalidInputError(
                         f"{path} line {line + bad}: not round {rounds + bad + 1} of a "
                         f"dim={dim} session in the save_jsonl layout: {_line_text(block, bad)}"
                     )
-                parts.append(cols.T.copy())
-                rounds += rows
+                parts.append(cols)
+                rounds += len(ends)
         k, l, alice, bob = np.concatenate(parts, axis=1) if parts else np.empty((4, 0), np.int64)
         return cls(dim, k, l, alice, bob, seed)
 
@@ -402,103 +402,109 @@ def simulate_session(
 
 
 # ---------------------------------------------------------------------------
-# Text serialization.  The writers render blocks of rows with numpy; the
-# readers parse a block of whole lines, render the rows it should hold and
-# require the same bytes, so a file is read only in exactly the layout the
-# writers produce, and the first differing byte names the bad line.
+# Text serialization.  One renderer writes every block of rows: it fills a
+# (rows, width) byte buffer from a template row that holds every constant,
+# writes each integer column's digits into its byte columns, with NULs for
+# leading zeros, and drops the NULs.  The readers walk the digit runs of a
+# block of whole lines, column by column for all lines at once, render the
+# rows those numbers give and require the same bytes.  So a file is read
+# only in exactly the layout the writers produce, and the first differing
+# byte names the bad line.
 
-_BLOCK_ROWS = 1 << 16  # rows per rendered block
+_BLOCK_ROWS = 1 << 14  # rows per rendered block
 _BLOCK_BYTES = 1 << 20  # bytes per read block, extended to a line end
 
-_POW10 = 10 ** np.arange(19, dtype=np.int64)
 _FLAGS = np.array([b"false", b"true"]).view(np.uint8).reshape(2, -1)
+_SESSION_KEYS = (b'{"round": ', b', "k": ', b', "l": ', b', "alice": ', b', "bob": ')
 _CSV_HEADER = b"a,b,k,l,value\r\n"
 
-# Byte map that blanks everything between the numbers a reader parses.
-_DIGITS = bytes(c if 0x30 <= c <= 0x39 else 0x20 for c in range(256))
+
+def _render(cells) -> bytearray:
+    """Concatenate, row by row, cells that are bytes constants, columns of
+    non-negative integers (written in decimal) or (rows, width) uint8 arrays
+    padded with NULs, and return all rows as one byte string."""
+    template, fills = bytearray(), []
+    for cell in cells:
+        if isinstance(cell, bytes):
+            template += cell
+            continue
+        if cell.ndim == 2:
+            width = cell.shape[1]
+        elif cell.size and cell.min() < 0:
+            raise InvalidInputError("cannot write negative integers")
+        else:
+            width = len(str(int(cell.max()))) if cell.size else 1
+        fills.append((len(template), width, cell))
+        template += bytes(width)
+    rows = len(fills[0][2])
+    text = template * rows
+    chars = np.frombuffer(text, np.uint8).reshape(rows, len(template))
+    for at, width, cell in fills:
+        if cell.ndim == 2:
+            chars[:, at:at + width] = cell
+            continue
+        # Right to left; uint32 divides far faster than int64 where it fits.
+        v = q = cell.astype(np.uint32 if width <= 9 else np.int64)
+        for k in range(width):
+            r = q // 10
+            digit = q - r * 10 + 48
+            chars[:, at + width - 1 - k] = digit * (v >= 10**k) if k else digit
+            q = r
+    return text.replace(b"\0", b"")
 
 
-def _digits(values) -> np.ndarray:
-    """Decimal digits of non-negative integers as an (n, width) uint8
-    array, right-aligned with NUL padding (see _join_cells)."""
-    v = np.asarray(values, dtype=np.int64)
-    if v.size and v.min() < 0:
-        raise InvalidInputError("cannot write negative integers")
-    width = len(str(int(v.max()))) if v.size else 1
-    out = np.empty((v.size, width), dtype=np.uint8)
-    q = v
-    for j in range(width - 1, -1, -1):
-        q, out[:, j] = np.divmod(q, 10)
-    out += ord("0")
-    out[:, :-1][v[:, None] < _POW10[width - 1:0:-1]] = 0  # leading zeros
-    return out
-
-
-def _join_cells(cells) -> bytes:
-    """Concatenate, row by row, cells that are bytes constants or (n, width)
-    uint8 arrays padded with NULs, and return all rows as one bytes object."""
-    n = next(len(c) for c in cells if isinstance(c, np.ndarray))
-    cells = [np.frombuffer(c, np.uint8) if isinstance(c, bytes) else c for c in cells]
-    chars = np.empty((n, sum(c.shape[-1] for c in cells)), dtype=np.uint8)
-    at = 0
-    for c in cells:
-        chars[:, at:at + c.shape[-1]] = c
-        at += c.shape[-1]
-    return chars[chars != 0].tobytes()
-
-
-def _session_text(first_round: int, k, l, alice, bob) -> bytes:
+def _session_text(first_round: int, k, l, alice, bob) -> bytearray:
     """save_jsonl's lines for consecutive rounds from first_round."""
-    k, l = np.asarray(k), np.asarray(l)
-    return _join_cells([
-        b'{"round": ', _digits(np.arange(first_round, first_round + len(k))),
-        b', "k": ', _digits(k), b', "l": ', _digits(l),
-        b', "alice": ', _digits(alice), b', "bob": ', _digits(bob),
-        b', "sifted": ', _FLAGS[(k == l).astype(np.intp)], b"}\n",
-    ])
+    k, l, alice, bob = (np.asarray(c) for c in (k, l, alice, bob))
+    columns = (np.arange(first_round, first_round + len(k)), k, l, alice, bob)
+    cells = [cell for pair in zip(_SESSION_KEYS, columns) for cell in pair]
+    return _render(cells + [b', "sifted": ', _FLAGS[(k == l).astype(np.intp)], b"}\n"])
 
 
-def _table_text(shape, first_row: int, values: np.ndarray) -> bytes:
+def _table_text(shape, first_row: int, values: np.ndarray) -> bytearray:
     """CSV rows from first_row on of a (d, d, K, L) count table, in file
     order (k, l outer; a, b inner)."""
     d1, d2, nk, nl = shape
     rows = np.arange(first_row, first_row + len(values))
     k, l, a, b = np.unravel_index(rows, (nk, nl, d1, d2))
-    return _join_cells([_digits(a + 1), b",", _digits(b + 1), b",", _digits(k + 1), b",",
-                        _digits(l + 1), b",", _digits(values), b"\r\n"])
+    return _render([a + 1, b",", b + 1, b",", k + 1, b",", l + 1, b",", values, b"\r\n"])
 
 
 def _line_blocks(fh, first_line: int):
-    """(number of its first line, number of line ends, block) for blocks
-    of whole lines read from fh."""
+    """(number of its first line, block, offsets of its line ends) for
+    blocks of whole lines read from fh."""
     while block := fh.read(_BLOCK_BYTES):
         block += fh.readline()
-        ends = block.count(b"\n")
-        yield first_line, ends, block
-        first_line += ends
+        ends = np.flatnonzero(np.frombuffer(block, np.uint8) == 10)
+        yield first_line, block, ends
+        first_line += len(ends)
 
 
-def _numbers(block: bytes, keep: bytes, dtype) -> np.ndarray:
-    """The numbers in block once `keep` has blanked the bytes between them.
-    A line holding something else gives none, so that the byte comparison
-    which follows names it."""
-    try:
-        return np.fromstring(block.translate(keep), dtype=dtype, sep=" ")
-    except ValueError:
-        if block.count(b"\n") <= 1:
-            return np.empty(0, dtype=dtype)
-        return np.concatenate([_numbers(line, keep, dtype) for line in block.split(b"\n")])
-
-
-def _fields(numbers: np.ndarray, rows: int, width: int) -> np.ndarray:
-    """numbers as a (rows, width) array, cut or zero-filled to size, so a
-    malformed block still renders and its comparison names the bad line."""
-    if numbers.size == rows * width:
-        return numbers.reshape(rows, width)
-    out = np.zeros(rows * width, dtype=numbers.dtype)
-    n = min(out.size, numbers.size)
-    out[:n] = numbers[:n]
-    return out.reshape(rows, width)
+def _walk(block: bytes, ends: np.ndarray, seps, skip: int) -> np.ndarray:
+    """The digit runs of the lines of block that end at `ends`, as a
+    (runs, lines) int64 array.  Each line is walked from its start: seps[i]
+    bytes are passed over before its i-th run, and the first `skip` runs
+    are only stepped over.  At most 19 digits of a run are read, and a
+    value above 2^63 - 1 reads as 0, so a run that is not an int64 never
+    renders as itself and the comparison that follows names its line."""
+    buf, rows = np.frombuffer(block, np.uint8), len(ends)
+    pos = np.concatenate(([0], ends[:-1] + 1))[:rows]
+    runs = []
+    for i, sep in enumerate(seps):
+        pos += sep
+        value = np.zeros(rows, dtype=np.uint64)
+        for _ in range(19):
+            digit = buf.take(pos, mode="clip") - 48  # wraps non-digits to 10 and above
+            more = digit < 10
+            if not more.any():
+                break
+            if i >= skip:
+                value = np.where(more, value * 10 + digit, value)
+            pos += more
+        if i >= skip:
+            value[value > np.iinfo(np.int64).max] = 0
+            runs.append(value.astype(np.int64))
+    return np.array(runs)
 
 
 def _mismatch(got: bytes, want: bytes) -> int | None:
@@ -552,16 +558,16 @@ def _read_table_csv(path, shape) -> np.ndarray:
         if header != _CSV_HEADER:
             raise InvalidInputError(f"{path} line 1: expected the header a,b,k,l,value, "
                                     f"got {header[:120]!r}")
-        for line, ends, block in _line_blocks(fh, 2):
-            rows = min(ends, n - done)
-            cut = _fields(_numbers(block, _DIGITS, np.int64), rows, 5)[:, 4]
+        for line, block, ends in _line_blocks(fh, 2):
+            rows = min(len(ends), n - done)
+            [cut] = _walk(block, ends[:rows], (0, 1, 1, 1, 1), 4)
             bad = _mismatch(block, _table_text(shape, done, cut))
             if bad is not None:
                 raise InvalidInputError(
                     f"{path} line {line + bad}: {_expected_row(shape, done + bad)}, "
                     f"got {_line_text(block, bad)}"
                 )
-            parts.append(cut.copy())
+            parts.append(cut)
             done += rows
     if done < n:
         raise InvalidInputError(f"{path} line {done + 2}: {_expected_row(shape, done)}, "

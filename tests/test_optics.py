@@ -162,6 +162,13 @@ def test_sampling_bound_error_names_required_grid(smooth_field):
         propagate(smooth_field, 2 * z_max)
 
 
+def test_sampling_bound_error_names_the_distance_magnitude(smooth_field):
+    z_max = max_propagation_distance(smooth_field.grid, 2)
+    with pytest.raises(SamplingError) as caught:
+        optics._check_sampling(smooth_field.grid, -2 * z_max, 2)
+    assert f"distance {2 * z_max:.4g} m exceeds" in str(caught.value)
+
+
 def test_evanescent_clipping_is_reported():
     # sub-wavelength pitch resolves beyond the propagating band; white
     # noise puts real power there, which the transfer function suppresses

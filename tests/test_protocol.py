@@ -151,6 +151,13 @@ def test_apply_noise_names_the_bad_component(e_u, e_b, name):
         apply_noise(table, e_u, e_b)
 
 
+@pytest.mark.parametrize("alignments", [["row"], ["row", "col", "diag"]])
+def test_apply_noise_needs_one_alignment_per_matched_setting(alignments):
+    table = entangled_table(list(sqrt_mub_pair(9)))
+    with pytest.raises(InvalidInputError, match="alignment per matched setting"):
+        apply_noise(table, 0.1, 0.1, alignments)
+
+
 def test_apply_noise_needs_a_wrong_outcome():
     table = entangled_table([computational_basis(1)])
     assert apply_noise(table, 0.0) is table
@@ -537,6 +544,42 @@ def test_counts_csv_round_trip_property(tmp_path_factory, shape, data):
     assert np.array_equal(again.counts, counts.counts)
 
 
+# Values at the edges of the renderer's digit widths and of its uint32
+# (up to 9 digits) and int64 paths.
+EDGE_VALUES = [9, 10, 999_999_999, 10**9, 2**32 - 1, 2**32, 2**63 - 1]
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES)
+def test_counts_csv_round_trips_width_edges(tmp_path, value):
+    # 3-row blocks: the first holds 0, 1 and the value, the second 10**9, so
+    # below 10**9 a uint32-path block sits next to an int64-path block
+    values = np.array([0, 1, value, 2, 10**9, 3, value, 0], dtype=np.int64)
+    counts = CountTable(2, values.reshape(2, 2, 2, 1), 1.0)
+    path = tmp_path / "counts.csv"
+    with small_blocks():
+        save_counts_csv(counts, path)
+        again = load_counts_csv(path)
+    assert path.read_bytes() == reference_csv(counts.counts)
+    assert np.array_equal(again.counts, counts.counts)
+
+
+def test_session_jsonl_round_trips_two_digit_bases(tmp_path):
+    rounds = 12  # every 3-row block mixes one- and two-digit bases
+    k = np.array([10, 1, 12, 9, 10, 11, 1, 2, 12, 10, 9, 11])
+    l = np.array([10, 9, 12, 10, 1, 11, 1, 12, 3, 10, 9, 1])
+    alice = np.arange(rounds) % 11 + 1
+    bob = np.arange(rounds)[::-1] % 11 + 1
+    record = SessionRecord(11, k, l, alice, bob, seed=None)
+    path = tmp_path / "session.jsonl"
+    with small_blocks():
+        record.save_jsonl(path)
+        again = SessionRecord.load_jsonl(path, 11)
+    assert path.read_bytes() == reference_jsonl(k, l, alice, bob)
+    for got, want in zip((again.alice_basis, again.bob_basis, again.alice_symbol,
+                          again.bob_symbol), (k, l, alice, bob)):
+        assert np.array_equal(got, want)
+
+
 # --- malformed files --------------------------------------------------------------
 
 
@@ -578,6 +621,10 @@ MALFORMED_COUNTS = {
     "negative": (lambda p: _edit_lines(p, lambda ls: _set_value(ls, 12, b"-3")), "line 13"),
     "empty value": (lambda p: _edit_lines(p, lambda ls: _set_value(ls, 12, b"")), "line 13"),
     "no final line end": (lambda p: p.write_bytes(p.read_bytes()[:-2]), "line 65"),
+    "count 2^63": (lambda p: _edit_lines(p, lambda ls: _set_value(ls, 40, b"9223372036854775808")),
+                   "line 41"),
+    "count 23 digits": (lambda p: _edit_lines(p, lambda ls: _set_value(ls, 40, b"1" * 23)),
+                        "line 41"),
     "dim": (lambda p: _edit_sidecar(p, dim=9), "line 6"),
     "huge dim": (lambda p: _edit_sidecar(p, dim=10**9), "line 6"),
     "bases_alice": (lambda p: _edit_sidecar(p, bases_alice=3), "line 66"),
@@ -616,6 +663,8 @@ def test_keyrate_rejects_malformed_counts(tmp_path, capsys, case):
     pytest.param(lambda t: t[:-1], 40, id="no final line end"),
     pytest.param(lambda t: t + b"\n", 41, id="blank line"),
     pytest.param(lambda t: t.replace(b'"bob"', b'"Bob"', 1), None, id="key"),
+    pytest.param(lambda t: t.replace(b'"alice": 3', b'"alice": 9223372036854775808', 1), None,
+                 id="alice 2^63"),
 ])
 def test_load_jsonl_rejects_other_layouts(tmp_path, edit, line):
     record = simulate_session(entangled_table(list(sqrt_mub_pair(4))), 40, seed=2)
