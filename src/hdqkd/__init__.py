@@ -25,12 +25,10 @@ from .keyrate import (  # noqa: F401
 )
 from .mub import (  # noqa: F401
     Basis,
-    MubSet,
     check_mub_pair,
     computational_basis,
     dft_basis,
     full_mub_set,
-    overlap_table,
     sqrt_mub_pair,
     wh_basis,
 )
@@ -40,8 +38,6 @@ from .optics import (  # noqa: F401
     OpticalField,
     PhaseMaskStack,
     SorterMetrics,
-    apply_mask,
-    forward_pass,
     make_aperture_modes,
     propagate,
     sorter_metrics,

@@ -339,6 +339,8 @@ def cmd_simulate(args) -> int:
     )
     if args.pair_rate == 0.0 and args.accidental_rate == 0.0:
         _echo(args, "warning: zero pair and accidental rates, counts will be all zero")
+    # Draw before creating --out, so a rejected run leaves no files (session first: less peak RSS).
+    session = protocol.simulate_session(table, args.rounds, seed=args.seed)
     counts = protocol.sample_counts(
         table, args.pair_rate, args.time, args.accidental_rate, seed=args.seed
     )
@@ -346,8 +348,6 @@ def cmd_simulate(args) -> int:
     protocol.save_counts_csv(counts, out / "counts.csv")
     _echo(args, f"wrote {out / 'counts.csv'} "
           f"({int(counts.counts.sum())} coincidences)")
-
-    session = protocol.simulate_session(table, args.rounds, seed=args.seed)
     session.save_jsonl(out / "session.jsonl")
     _echo(args, f"wrote {out / 'session.jsonl'} "
           f"(sifted {session.sifted_fraction:.3f}, QBER {session.qber:.4f})")
@@ -553,9 +553,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (InvalidConfigError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (InsufficientDataError, NoThresholdError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE

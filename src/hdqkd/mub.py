@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,12 +83,6 @@ class Basis:
                 f"'{self.label}' is not unitary (max deviation {dev:.3e})"
             )
 
-    def state(self, k: int) -> np.ndarray:
-        """Column k (1-based) as a length-d vector."""
-        if not 1 <= k <= self.dim:
-            raise InvalidInputError(f"state index {k} outside 1..{self.dim}")
-        return self.amplitudes[:, k - 1].copy()
-
     def conjugate(self) -> "Basis":
         """Entry-wise complex conjugate (the receiver-side 'transposed' basis)."""
         return Basis(self.dim, self.amplitudes.conj(), self.label + "*")
@@ -145,46 +139,20 @@ def wh_basis(d: int, r: int) -> Basis:
     return Basis(d, amps, label)
 
 
-@dataclass(frozen=True)
-class MubSet:
-    """An ordered collection of pairwise mutually unbiased bases.
-
-    The first entry is conventionally the computational basis.  Pairwise
-    unbiasedness is verified numerically at construction (tolerance 1e-10
-    on every squared overlap).
-    """
-
-    dim: int
-    bases: tuple = field(default=())
-
-    def __post_init__(self):
-        bases = tuple(self.bases)
-        object.__setattr__(self, "bases", bases)
-        for b in bases:
-            if b.dim != self.dim:
-                raise InvalidInputError(
-                    f"basis '{b.label}' has dim {b.dim}, expected {self.dim}"
-                )
-        for i in range(len(bases)):
-            for j in range(i + 1, len(bases)):
-                ok, dev = check_mub_pair(bases[i], bases[j], UNBIASED_TOL)
-                if not ok:
-                    raise InvalidInputError(
-                        f"bases '{bases[i].label}' and '{bases[j].label}' are not "
-                        f"mutually unbiased (max deviation {dev:.3e})"
-                    )
-
-    def __len__(self) -> int:
-        return len(self.bases)
-
-    def __iter__(self):
-        return iter(self.bases)
-
-
-def full_mub_set(d: int) -> MubSet:
-    """The computational basis plus all d quadratic-phase MUBs of a prime d."""
+def full_mub_set(d: int) -> tuple[Basis, ...]:
+    """The computational basis plus all d quadratic-phase MUBs of a prime d,
+    every pair re-verified unbiased to 1e-10 (InvalidInputError otherwise)."""
     quadratic = [wh_basis(d, r) for r in range(2, d + 2)]  # raises for non-prime d
-    return MubSet(d, (computational_basis(d), *quadratic))
+    bases = (computational_basis(d), *quadratic)
+    for i, b1 in enumerate(bases):
+        for b2 in bases[i + 1:]:
+            ok, dev = check_mub_pair(b1, b2, UNBIASED_TOL)
+            if not ok:
+                raise InvalidInputError(
+                    f"bases '{b1.label}' and '{b2.label}' are not mutually unbiased "
+                    f"(max deviation {dev:.3e})"
+                )
+    return bases
 
 
 def grid_side(d: int) -> int:
@@ -230,16 +198,6 @@ def sqrt_mub_pair(d: int) -> tuple[Basis, Basis]:
             f"(max deviation {dev:.3e})"
         )
     return b1, b2
-
-
-def overlap_table(b1: Basis, b2: Basis) -> np.ndarray:
-    """Squared overlaps |<b1 state i | b2 state j>|^2 as a d x d table.
-
-    Rows and columns each sum to 1 (doubly stochastic, forced by unitarity).
-    """
-    if b1.dim != b2.dim:
-        raise InvalidInputError(f"dimension mismatch: {b1.dim} vs {b2.dim}")
-    return np.abs(b1.amplitudes.conj().T @ b2.amplitudes) ** 2
 
 
 def unbiasedness_deviation(a1: np.ndarray, a2: np.ndarray) -> float:

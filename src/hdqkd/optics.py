@@ -107,13 +107,6 @@ class OpticalField:
         return OpticalField(self.grid, self.amplitude / math.sqrt(p))
 
 
-def inner(bra: OpticalField, ket: OpticalField) -> complex:
-    """<bra|ket> = sum conj(bra) * ket * pitch^2."""
-    if bra.grid != ket.grid:
-        raise GeometryError("fields live on different grids")
-    return complex((bra.amplitude.conj() * ket.amplitude).sum() * bra.grid.pitch**2)
-
-
 def superpose(fields, coefficients) -> OpticalField:
     """Linear combination sum_m c_m * field_m on a common grid."""
     fields = list(fields)
@@ -410,31 +403,11 @@ def propagate(field: OpticalField, distance: float, pad_factor: int = 2) -> Opti
     )
 
 
-def apply_mask(field: OpticalField, mask, plane: int | None = None) -> OpticalField:
-    """Multiply by exp(i*phase); power is preserved exactly.
-
-    `mask` is a phase array or a PhaseMaskStack, in which case `plane`
-    selects the mask (1-based).
-    """
-    if isinstance(mask, PhaseMaskStack):
-        if plane is None:
-            raise InvalidInputError("selecting from a stack needs a plane index")
-        if not 1 <= plane <= mask.planes:
-            raise InvalidInputError(f"plane {plane} outside 1..{mask.planes}")
-        phase = mask.masks[plane - 1]
-    else:
-        phase = np.asarray(mask, dtype=float)
-    if phase.shape != field.amplitude.shape:
-        raise GeometryError(
-            f"mask shape {phase.shape} does not match field {field.amplitude.shape}"
-        )
-    return OpticalField(field.grid, field.amplitude * np.exp(1j * phase))
-
-
 def _converter_pass(stack: PhaseMaskStack, fields, pad_factor: int) -> np.ndarray:
     """(count, nx, ny) amplitudes of the fields sent through the converter
     as one batch: mask p then one plane spacing, for every plane, then
-    one final spacing to the detection plane."""
+    one final spacing to the detection plane.  An all-zero stack
+    therefore reduces to free propagation over (planes + 1) spacings."""
     amps = _mode_matrix(fields, stack.grid)
     for p in range(stack.planes):
         amps = _propagate_array(
@@ -444,26 +417,12 @@ def _converter_pass(stack: PhaseMaskStack, fields, pad_factor: int) -> np.ndarra
     return _propagate_array(amps, stack.grid, stack.plane_spacing, pad_factor)
 
 
-def forward_pass(
-    stack: PhaseMaskStack, field: OpticalField, pad_factor: int = 2
-) -> OpticalField:
-    """Send a field through the converter to the detection plane.
-
-    Applies mask p then propagates one plane spacing, for every plane,
-    followed by one final spacing to the detection plane; an all-zero
-    stack therefore reduces to free propagation over
-    (planes + 1) * plane_spacing.
-    """
-    (out,) = _converter_pass(stack, [field], pad_factor)
-    return OpticalField(stack.grid, out)
-
-
 def mask_free_passes(fields, planes: int, plane_spacing: float) -> list[OpticalField]:
     """The fields sent through a converter of `planes` all-zero masks with
-    the periodic transform: `forward_pass(zero_stack, field, pad_factor=1)`
-    of each field to rounding.  The periodic kernel composes, so the
-    planes + 1 spacings are one forward transform, the spectrum
-    multiplied once per spacing, and one inverse transform."""
+    the periodic transform: `_converter_pass(zero_stack, fields, 1)` to
+    rounding.  The periodic kernel composes, so the planes + 1 spacings
+    are one forward transform, the spectrum multiplied once per spacing,
+    and one inverse transform."""
     fields = list(fields)
     amps = _mode_matrix(fields)
     grid = fields[0].grid

@@ -323,11 +323,8 @@ class SessionRecord:
 
     def save_jsonl(self, path) -> None:
         """One JSON object per round, in the layout README "File formats" gives."""
-        with open(path, "wb") as fh:
-            for start in range(0, self.n_rounds, _BLOCK_ROWS):
-                block = slice(start, start + _BLOCK_ROWS)
-                fh.write(_session_text(start + 1, self.alice_basis[block], self.bob_basis[block],
-                                       self.alice_symbol[block], self.bob_symbol[block]))
+        columns = (self.alice_basis, self.bob_basis, self.alice_symbol, self.bob_symbol)
+        _write_text(path, b"", columns, lambda start, *block: _session_text(start + 1, *block))
 
     @classmethod
     def load_jsonl(cls, path, dim: int, seed: int | None = None) -> "SessionRecord":
@@ -421,8 +418,8 @@ _CSV_HEADER = b"a,b,k,l,value\r\n"
 
 def _render(cells) -> bytearray:
     """Concatenate, row by row, cells that are bytes constants, columns of
-    non-negative integers (written in decimal) or (rows, width) uint8 arrays
-    padded with NULs, and return all rows as one byte string."""
+    non-negative integers in decimal (_write_text rejects negative ones) or
+    (rows, width) uint8 arrays padded with NULs: all rows as one byte string."""
     template, fills = bytearray(), []
     for cell in cells:
         if isinstance(cell, bytes):
@@ -430,8 +427,6 @@ def _render(cells) -> bytearray:
             continue
         if cell.ndim == 2:
             width = cell.shape[1]
-        elif cell.size and cell.min() < 0:
-            raise InvalidInputError("cannot write negative integers")
         else:
             width = len(str(int(cell.max()))) if cell.size else 1
         fills.append((len(template), width, cell))
@@ -468,6 +463,17 @@ def _table_text(shape, first_row: int, values: np.ndarray) -> bytearray:
     rows = np.arange(first_row, first_row + len(values))
     k, l, a, b = np.unravel_index(rows, (nk, nl, d1, d2))
     return _render([a + 1, b",", b + 1, b",", k + 1, b",", l + 1, b",", values, b"\r\n"])
+
+
+def _write_text(path, head: bytes, columns, text) -> None:
+    """Write head, then text(first row, *column blocks) per _BLOCK_ROWS rows;
+    a negative integer raises InvalidInputError before the file is opened."""
+    if any(np.min(c, initial=0) < 0 for c in columns):
+        raise InvalidInputError("cannot write negative integers")
+    with open(path, "wb") as fh:
+        fh.write(head)
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            fh.write(text(start, *(c[start:start + _BLOCK_ROWS] for c in columns)))
 
 
 def _line_blocks(fh, first_line: int):
@@ -522,10 +528,8 @@ def _line_text(block: bytes, index: int) -> str:
 
 def _write_table_csv(path, array: np.ndarray) -> None:
     values = array.transpose(2, 3, 0, 1).ravel()
-    with open(path, "wb") as fh:
-        fh.write(_CSV_HEADER)
-        for start in range(0, values.size, _BLOCK_ROWS):
-            fh.write(_table_text(array.shape, start, values[start:start + _BLOCK_ROWS]))
+    _write_text(path, _CSV_HEADER, (values,),
+                lambda start, block: _table_text(array.shape, start, block))
 
 
 def _read_sidecar(path, *keys: str) -> tuple[dict, tuple]:

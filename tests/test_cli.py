@@ -359,6 +359,13 @@ def test_simulate_rejects_unsampleable_rates_before_writing(tmp_path, capsys, fl
     assert not out.exists()
 
 
+def test_simulate_rejects_zero_rounds_before_writing(tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert run("simulate", "--d", 4, "--family", "sqrt-pair", "--rounds", 0, "--out", out) == 2
+    assert capsys.readouterr().err.startswith("error: n_rounds")
+    assert not out.exists()
+
+
 # --- keyrate ---------------------------------------------------------------------
 
 

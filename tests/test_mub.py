@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hdqkd import mub
 from hdqkd.errors import (
     InvalidBasisIndexError,
     InvalidDimensionError,
@@ -16,7 +17,6 @@ from hdqkd.mub import (
     dft_basis,
     full_mub_set,
     grid_side,
-    overlap_table,
     sqrt_mub_pair,
     unbiasedness_deviation,
     unitarity_deviation,
@@ -26,13 +26,18 @@ from hdqkd.mub import (
 PRIMES = [2, 3, 5, 7, 11, 13]
 
 
+def overlaps(b1, b2):
+    """Squared overlaps |<b1 state i | b2 state j>|^2 as a d x d table."""
+    return np.abs(b1.amplitudes.conj().T @ b2.amplitudes) ** 2
+
+
 def test_dft_dimension_one_is_identity():
     assert np.array_equal(dft_basis(1).amplitudes, np.array([[1.0 + 0j]]))
 
 
 def test_dft_first_column_is_flat():
     b = dft_basis(5)
-    assert np.allclose(b.state(1), np.full(5, 1 / math.sqrt(5)), atol=1e-15)
+    assert np.allclose(b.amplitudes[:, 0], np.full(5, 1 / math.sqrt(5)), atol=1e-15)
 
 
 def test_dft_entry_n2_k2():
@@ -55,7 +60,7 @@ def test_wh_r3_first_column():
     b = wh_basis(5, 3)
     n = np.arange(5)
     expected = np.exp(2j * np.pi * n**2 / 5) / math.sqrt(5)
-    assert np.abs(b.state(1) - expected).max() < 1e-14
+    assert np.abs(b.amplitudes[:, 0] - expected).max() < 1e-14
 
 
 @pytest.mark.parametrize("d", PRIMES)
@@ -100,7 +105,7 @@ def test_full_mub_set_d2_is_the_qubit_triple():
     assert len(mubs) == 3
     for i, b1 in enumerate(mubs):
         for b2 in list(mubs)[i + 1 :]:
-            table = overlap_table(b1, b2)
+            table = overlaps(b1, b2)
             assert np.abs(table - 0.5).max() < 1e-12
 
 
@@ -115,6 +120,18 @@ def test_full_mub_set_d3_brute_force():
                     assert abs(ov - 1 / 3) < 1e-10
 
 
+def test_full_mub_set_rejects_a_pair_that_is_not_unbiased(monkeypatch):
+    real = mub.wh_basis
+
+    def coinciding(d, r):
+        # basis r=4 repeats the DFT basis (r=2) under its own label
+        return Basis(d, real(d, 2).amplitudes, "WH:r=4") if r == 4 else real(d, r)
+
+    monkeypatch.setattr(mub, "wh_basis", coinciding)
+    with pytest.raises(InvalidInputError, match="'DFT' and 'WH:r=4' are not mutually unbiased"):
+        full_mub_set(5)
+
+
 def test_full_mub_set_rejects_nonprime():
     with pytest.raises(InvalidDimensionError):
         full_mub_set(6)
@@ -124,7 +141,7 @@ def test_sqrt_pair_d4_first_state():
     b1, _ = sqrt_mub_pair(4)
     # state (a=1,b=1): equal superposition of the first grid row
     expected = np.array([1, 1, 0, 0]) / math.sqrt(2)
-    assert np.abs(b1.state(1) - expected).max() < 1e-14
+    assert np.abs(b1.amplitudes[:, 0] - expected).max() < 1e-14
 
 
 def test_sqrt_pair_d25_all_overlaps_brute_force():
@@ -139,8 +156,7 @@ def test_sqrt_pair_d25_all_overlaps_brute_force():
 def test_sqrt_pair_support_and_modulus(d):
     side = math.isqrt(d)
     for basis in sqrt_mub_pair(d):
-        for k in range(1, d + 1):
-            col = basis.state(k)
+        for col in basis.amplitudes.T:
             nz = np.abs(col) > 1e-12
             assert nz.sum() == side
             assert np.abs(np.abs(col[nz]) - d**-0.25).max() < 1e-12
@@ -148,7 +164,7 @@ def test_sqrt_pair_support_and_modulus(d):
 
 def test_sqrt_pair_vs_computational_support_structure():
     b1, _ = sqrt_mub_pair(25)
-    table = overlap_table(computational_basis(25), b1)
+    table = overlaps(computational_basis(25), b1)
     close_to = np.minimum(np.abs(table), np.abs(table - 0.2))
     assert close_to.max() < 1e-12  # entries are exactly 0 or 1/5
     assert np.all((table > 1e-12).sum(axis=0) == 5)
@@ -181,27 +197,22 @@ def test_check_mub_pair_rejects_dimension_mismatch():
 
 def test_overlap_table_identity_and_flat():
     b = dft_basis(5)
-    assert np.abs(overlap_table(b, b) - np.eye(5)).max() < 1e-12
-    table = overlap_table(computational_basis(5), b)
+    assert np.abs(overlaps(b, b) - np.eye(5)).max() < 1e-12
+    table = overlaps(computational_basis(5), b)
     assert np.abs(table - 0.2).max() < 1e-12
 
 
 def test_overlap_table_mub1_vs_mub2_d4():
     b1, b2 = sqrt_mub_pair(4)
-    assert np.abs(overlap_table(b1, b2) - 0.25).max() < 1e-12
+    assert np.abs(overlaps(b1, b2) - 0.25).max() < 1e-12
 
 
-@pytest.mark.parametrize("maker", [lambda: full_mub_set(7).bases, lambda: sqrt_mub_pair(9)])
+@pytest.mark.parametrize("maker", [lambda: full_mub_set(7), lambda: sqrt_mub_pair(9)])
 def test_overlap_table_is_doubly_stochastic(maker):
-    bases = list(maker())
-    table = overlap_table(bases[0], bases[1])
+    bases = maker()
+    table = overlaps(bases[0], bases[1])
     assert np.abs(table.sum(axis=0) - 1.0).max() < 1e-10
     assert np.abs(table.sum(axis=1) - 1.0).max() < 1e-10
-
-
-def test_overlap_table_dimension_mismatch():
-    with pytest.raises(InvalidInputError):
-        overlap_table(dft_basis(3), dft_basis(4))
 
 
 def test_check_mub_pair_results():

@@ -27,10 +27,7 @@ from hdqkd.optics import (
     GridSpec,
     OpticalField,
     PhaseMaskStack,
-    apply_mask,
     design_converter,
-    forward_pass,
-    inner,
     load_stack,
     make_aperture_modes,
     mask_free_passes,
@@ -107,7 +104,7 @@ def test_aperture_modes_orthonormal_d25():
     assert len(modes) == 25
     for i in range(25):
         for j in range(i, 25):
-            ov = inner(modes[i], modes[j])
+            ov = np.vdot(modes[i].amplitude, modes[j].amplitude) * grid.pitch**2
             want = 1.0 if i == j else 0.0
             assert abs(ov - want) < 1e-12
 
@@ -317,37 +314,47 @@ def test_paper_grid_propagates_without_warnings():
 # --- masks ----------------------------------------------------------------------
 
 
+def one_plane_pass(field, phase, pad_factor=2, spacing=2e-3):
+    """The field sent through a one-plane converter of mask `phase`, and
+    its free propagation over the same two spacings."""
+    stack = PhaseMaskStack(field.grid, np.broadcast_to(phase, (1, *field.amplitude.shape)),
+                           spacing)
+    (through,) = optics._converter_pass(stack, [field], pad_factor)
+    free = propagate(propagate(field, spacing, pad_factor), spacing, pad_factor)
+    return through, free.amplitude
+
+
 def test_zero_mask_is_identity(smooth_field):
-    out = apply_mask(smooth_field, np.zeros((128, 128)))
-    assert np.array_equal(out.amplitude, smooth_field.amplitude)
+    through, free = one_plane_pass(smooth_field, 0.0)
+    assert np.array_equal(through, free)
 
 
 def test_constant_mask_is_global_phase(smooth_field):
-    out = apply_mask(smooth_field, np.full((128, 128), 0.7))
-    expected = smooth_field.amplitude * np.exp(0.7j)
-    assert rel_error(out.amplitude, expected) < 1e-14
-
-
-def test_mask_then_negation_is_identity(smooth_field):
-    rng = np.random.default_rng(1)
-    phase = rng.uniform(0, 2 * np.pi, size=(128, 128))
-    out = apply_mask(apply_mask(smooth_field, phase), -phase)
-    assert rel_error(out.amplitude, smooth_field.amplitude) < 1e-14
-
-
-def test_mask_preserves_power_exactly(smooth_field):
-    rng = np.random.default_rng(2)
-    phase = rng.uniform(0, 2 * np.pi, size=(128, 128))
-    out = apply_mask(smooth_field, phase)
-    assert abs(out.power - smooth_field.power) / smooth_field.power < 1e-14
+    through, free = one_plane_pass(smooth_field, 0.7)
+    assert rel_error(through, free * np.exp(0.7j)) < 1e-14
 
 
 def test_mask_from_stack_and_shape_mismatch(smooth_field):
-    stack = PhaseMaskStack(smooth_field.grid, np.ones((2, 128, 128)), 1e-3)
-    out = apply_mask(smooth_field, stack, plane=2)
-    assert np.abs(out.amplitude - smooth_field.amplitude * np.exp(1j)).max() < 1e-12
+    # the converter applies the stack's mask p at plane p
+    rng = np.random.default_rng(4)
+    masks = np.stack([np.zeros((128, 128)), rng.uniform(0, 2 * np.pi, size=(128, 128))])
+    stack = PhaseMaskStack(smooth_field.grid, masks, 1e-3)
+    (through,) = optics._converter_pass(stack, [smooth_field], 1)
+    first = propagate(smooth_field, 1e-3, pad_factor=1)
+    masked = OpticalField(first.grid, first.amplitude * np.exp(1j * stack.masks[1]))
+    want = propagate(masked, 2e-3, pad_factor=1)
+    assert rel_error(through, want.amplitude) < 1e-12
     with pytest.raises(GeometryError):
-        apply_mask(smooth_field, np.zeros((4, 4)))
+        PhaseMaskStack(smooth_field.grid, np.zeros((2, 4, 4)), 1e-3)
+
+
+def test_mask_preserves_power_exactly(smooth_field):
+    # at pad factor 1 propagation is unitary, so only the mask could lose power
+    rng = np.random.default_rng(2)
+    phase = rng.uniform(0, 2 * np.pi, size=(128, 128))
+    through, _ = one_plane_pass(smooth_field, phase, pad_factor=1)
+    power = OpticalField(smooth_field.grid, through).power
+    assert abs(power - smooth_field.power) / smooth_field.power < 1e-14
 
 
 def test_stack_wraps_phases():
@@ -364,7 +371,8 @@ def test_zero_stack_is_free_propagation(smooth_field):
     planes, spacing = 3, 2e-3
     stack = PhaseMaskStack(smooth_field.grid, np.zeros((planes, 128, 128)), spacing)
     for pad in (1, 2):
-        through = forward_pass(stack, smooth_field, pad_factor=pad)
+        (amp,) = optics._converter_pass(stack, [smooth_field], pad)
+        through = OpticalField(smooth_field.grid, amp)
         direct = propagate(smooth_field, (planes + 1) * spacing, pad_factor=pad)
         assert rel_error(through.amplitude, direct.amplitude) < 1e-8
         assert abs(through.power - smooth_field.power) < 1e-8
@@ -374,9 +382,10 @@ def test_single_plane_stack_composes_primitives(smooth_field):
     rng = np.random.default_rng(3)
     phase = rng.uniform(0, 2 * np.pi, size=(128, 128))
     stack = PhaseMaskStack(smooth_field.grid, phase[None], 3e-3)
-    through = forward_pass(stack, smooth_field, pad_factor=1)
-    direct = propagate(apply_mask(smooth_field, phase), 6e-3, pad_factor=1)
-    assert rel_error(through.amplitude, direct.amplitude) < 1e-10
+    (through,) = optics._converter_pass(stack, [smooth_field], 1)
+    masked = OpticalField(smooth_field.grid, smooth_field.amplitude * np.exp(1j * phase))
+    direct = propagate(masked, 6e-3, pad_factor=1)
+    assert rel_error(through, direct.amplitude) < 1e-10
 
 
 # --- wavefront matching ------------------------------------------------------------
@@ -428,7 +437,7 @@ def test_zero_stack_transfer_is_near_identity():
     modes = make_aperture_modes(DESK_LAYOUT, DESK_GRID)
     planes, spacing = 2, 5e-3
     stack = PhaseMaskStack(DESK_GRID, np.zeros((planes, 96, 64)), spacing)
-    outputs = [forward_pass(stack, m, pad_factor=1) for m in modes]
+    outputs = [OpticalField(DESK_GRID, a) for a in optics._converter_pass(stack, modes, 1)]
     t = transfer_matrix(stack, modes, outputs, pad_factor=1)
     assert np.abs(np.abs(np.diag(t)) - 1.0).max() < 1e-6
     assert np.abs(t - np.diag(np.diag(t))).max() < 1e-6
@@ -445,11 +454,15 @@ def test_transfer_is_passive():
 def test_batched_scoring_matches_per_mode_passes():
     modes, targets = swap_problem()
     stack = wavefront_match(modes, targets, planes=3, plane_spacing=5e-3, iterations=4)
-    outs = [forward_pass(stack, m) for m in modes]
+    outs = [optics._converter_pass(stack, [m], 2)[0] for m in modes]
+
+    def inner(bra, ket):
+        return np.vdot(bra.amplitude, ket) * DESK_GRID.pitch**2
+
     want_t = np.array([[inner(o, out) for out in outs] for o in targets])
     want_objective = np.mean([abs(inner(t, out)) ** 2 for t, out in zip(targets, outs)])
     for got, want in zip(optics._converter_pass(stack, modes, 2), outs):
-        assert rel_error(got, want.amplitude) <= 1e-12
+        assert rel_error(got, want) <= 1e-12
     t = transfer_matrix(stack, modes, targets)
     assert np.abs(t - want_t).max() <= 1e-12
     assert abs(matching_objective(stack, modes, targets) - want_objective) <= 1e-12
@@ -509,7 +522,7 @@ def rescore(out, detection):
         outputs = cli._detection_modes(args, grid, layout, modes, stack.planes)
     else:
         zero = PhaseMaskStack(grid, np.zeros((stack.planes, 32, 32)), stack.plane_spacing)
-        outputs = [forward_pass(zero, mode, pad_factor=1) for mode in modes]
+        outputs = [OpticalField(grid, a) for a in optics._converter_pass(zero, modes, 1)]
     transfer, objective = score_converter(stack, modes, outputs, targets)
     sorter_metrics(transfer, intended=intended).save_json(out / "rescored.json")
     return (out / "rescored.json").read_text(), objective
@@ -554,9 +567,9 @@ def test_mask_free_passes_match_stepwise_zero_stack(planes):
     assert spacing <= z_max and ((planes + 1) * spacing > z_max) == (planes == 10)
     modes = make_aperture_modes(DESK_LAYOUT, DESK_GRID)
     zero = PhaseMaskStack(DESK_GRID, np.zeros((planes, 96, 64)), spacing)
-    stepwise = [forward_pass(zero, mode, pad_factor=1) for mode in modes]
+    stepwise = optics._converter_pass(zero, modes, 1)
     for got, want in zip(mask_free_passes(modes, planes, spacing), stepwise):
-        assert rel_error(got.amplitude, want.amplitude) <= 1e-12
+        assert rel_error(got.amplitude, want) <= 1e-12
 
 
 def test_mask_free_passes_check_the_per_spacing_sampling_bound(smooth_field):

@@ -411,6 +411,26 @@ def test_session_jsonl_defaults_to_unknown_seed(tmp_path):
     assert SessionRecord.load_jsonl(tmp_path / "session.jsonl", dim=4).seed is None
 
 
+@pytest.mark.parametrize("column", ["alice_basis", "bob_basis", "alice_symbol", "bob_symbol"])
+def test_session_jsonl_rejects_a_negative_entry_before_opening_the_file(tmp_path, column):
+    # 40000 rounds span three 16384-row blocks, and the bad entry is in the last
+    record = simulate_session(entangled_table(list(sqrt_mub_pair(4))), 40000, seed=4)
+    getattr(record, column)[-1] = -1
+    path = tmp_path / "session.jsonl"
+    with pytest.raises(InvalidInputError, match="negative"):
+        record.save_jsonl(path)
+    assert not path.exists()
+
+
+def test_counts_csv_rejects_a_negative_count_before_opening_the_file(tmp_path):
+    counts = CountTable(2, np.ones((2, 2, 1, 1), dtype=np.int64), 1.0)
+    counts.counts[0, 0, 0, 0] = -1  # after the table checked its counts
+    path = tmp_path / "counts.csv"
+    with pytest.raises(InvalidInputError, match="negative"):
+        save_counts_csv(counts, path)
+    assert not path.exists()
+
+
 def reference_session(table, n_rounds, seed):
     """simulate_session's outcome draws with one full-array scan per setting."""
     d, n_bases = table.dim, table.bases_alice
