@@ -1,9 +1,10 @@
 """Command-line front end: `hdqkd <command> [options]`.
 
-Commands compose through files: each run writes its outputs plus a
-resolved-config snapshot (JSON) into the output directory, sufficient to
-reproduce the run bit-exactly.  A JSON config file supplies defaults per
-command; explicit flags win.
+Commands compose through files: each run writes its outputs plus
+`resolved_config.json`, a version-1 config file that replays the run
+(`hdqkd <command> [action] --config <it>`).  A config section becomes
+flags placed before the typed ones, so typed flags win; all are checked
+by one parser and spelled in full.
 
 Exit codes: 0 success, 1 computation failed after validation, 2 usage or
 configuration error.
@@ -15,6 +16,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -31,6 +33,9 @@ from .errors import (
 )
 
 CONFIG_VERSION = 1
+# A config's top level: a section per command, and what a snapshot records.
+_CONFIG_KEYS = ("version", "command", "package_version", "generator", "objective",
+                "observed_qber", "mub", "optics", "simulate", "keyrate")
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -50,74 +55,55 @@ def _out_dir(args) -> Path:
 
 
 def _snapshot(args, out: Path, extra: dict | None = None) -> None:
-    """Record everything needed to reproduce this run."""
-    params = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("func", "config") and not k.startswith("_")
-    }
-    doc = {
-        "version": CONFIG_VERSION,
-        "package_version": __version__,
-        "generator": protocol.GENERATOR_ID,
-        "command": args.command,
-        "params": params,
-    }
-    doc.update(extra or {})
+    """Record the run as a v1 config: `hdqkd <command> [action] --config
+    <snapshot>` replays it."""
+    command = [args.command] + ([args.action] if "action" in vars(args) else [])
+    skip = ("command", "action", "files", "func", "config", "out")
+    options = {k: v for k, v in vars(args).items() if v is not None and k not in skip}
+    doc = {"version": CONFIG_VERSION, "command": command, "package_version": __version__,
+           "generator": protocol.GENERATOR_ID, args.command: options, **(extra or {})}
     try:
-        text = json.dumps(doc, indent=2, default=str, allow_nan=False)
+        text = json.dumps(doc, indent=2, allow_nan=False)
     except ValueError:
         raise InvalidInputError("the resolved config holds non-finite values") from None
     (out / "resolved_config.json").write_text(text)
 
 
-def _load_config_section(path: str, command: str) -> dict:
+def _config_argv(path: str, command: str) -> list[str]:
+    """The config file's section for `command` as flags: `--key=value`,
+    `--key` for true and nothing for false.  The parser then checks them
+    exactly as it checks typed flags."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InvalidConfigError(f"cannot read config {path}: {exc}")
+    except (OSError, ValueError) as exc:
+        raise InvalidConfigError(f"cannot read config {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise InvalidConfigError(f"config {path} must hold a JSON object")
+    version = doc.get("version", CONFIG_VERSION)
+    if type(version) is not int or version != CONFIG_VERSION:
+        raise InvalidConfigError(f"config {path}: version must be 1, got {version!r}")
+    for key in doc:
+        if key not in _CONFIG_KEYS:
+            raise InvalidConfigError(f"config {path}: unknown top-level key '{key}'")
+    recorded = doc.get("command", [command])
+    if not isinstance(recorded, list) or recorded[:1] != [command]:
+        raise InvalidConfigError(f"config {path} records command {recorded!r}, not '{command}'")
     section = doc.get(command, {})
     if not isinstance(section, dict):
         raise InvalidConfigError(f"config section '{command}' must be an object")
-    return section
-
-
-def _config_defaults(parser: argparse.ArgumentParser, command: str, section: dict) -> dict:
-    """A config section as parser defaults.  Keys are the command's long
-    options; each value must be what its flag accepts on the command line:
-    true or false for a switch, otherwise a number or string that passes
-    the flag's type conversion and choices."""
-    options = {a.dest: a for a in parser._actions if a.option_strings and a.dest != "help"}
-    defaults = {}
+    argv = []
     for key, value in section.items():
-        action = options.get(key.replace("-", "_"))
-        if action is None:
-            raise InvalidConfigError(f"unknown config key for {command}: '{key}'")
-        try:
-            if action.nargs == 0:  # a switch
-                ok, converted = isinstance(value, bool), value
-            else:
-                converted = (action.type or str)(str(value))
-                ok = type(value) in (str, int, float)
-                ok = ok and converted in (action.choices or [converted])
-        except ValueError:
-            ok = False
-        if not ok:
+        if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_-]*", key):
+            raise InvalidConfigError(f"config {command}: {key!r} is not an option name")
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif type(value) in (str, int, float):
+            argv.append(f"{flag}={value}")
+        elif value is not False:
             raise InvalidConfigError(f"config {command}: {key} cannot be {value!r}")
-        defaults[action.dest] = converted
-    return defaults
-
-
-def _check_finite(parser: argparse.ArgumentParser, args) -> None:
-    """Reject NaN or an infinity in any float flag, given on the command
-    line or by a config file, before the command writes anything."""
-    for action in parser._actions:
-        value = getattr(args, action.dest, None)
-        if action.type is float and value is not None and not math.isfinite(value):
-            raise InvalidConfigError(f"{action.option_strings[0]} must be finite")
+    return argv
 
 
 def _parse_range(text: str, flag: str, integer: bool = False):
@@ -177,8 +163,8 @@ def _basis_filename(basis: mub.Basis) -> str:
 
 
 def cmd_mub(args) -> int:
-    out = _out_dir(args)
     if args.action == "gen":
+        out = _out_dir(args)
         bases = _build_bases(args.d, args.family)
         for basis in bases:
             basis.save_json(out / _basis_filename(basis))
@@ -409,6 +395,10 @@ def cmd_keyrate(args) -> int:
         if any(flag is not None for flag in (args.E, args.Eu, args.Eb)):
             raise InvalidConfigError("--counts supplies the errors; drop --E, --Eu and --Eb")
         d, e_u, e_b = _errors_from_counts(args)
+        if e_b < 0:
+            # Off the block model: all-uniform is conservative, h_d(E_t) being the largest entropy.
+            _echo(args, f"block error {e_b:.3g} < 0 folded into the uniform error")
+            e_u, e_b = e_u + e_b, 0.0
         bound = args.bound or ("two-mub-block" if e_b > 0 else "two-mub-uniform")
     else:
         d = args.d
@@ -450,19 +440,33 @@ def cmd_keyrate(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Rejects what it cannot parse with InvalidConfigError instead of
+    exiting, and takes long options only when spelled in full."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise InvalidConfigError(message)
+
+
+def finite(text: str) -> float:
+    """Float flag type: NaN and the infinities are invalid values."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser, _ = _build_parser_with_map()
-    return parser
-
-
-def _build_parser_with_map():
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--config", help="JSON config file with per-command defaults")
     common.add_argument("--out", help="output directory (default $HDQKD_OUT or .)")
     common.add_argument("--seed", type=int, default=0, help="RNG seed")
     common.add_argument("--quiet", action="store_true", help="suppress progress output")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hdqkd",
         description="High-dimensional QKD design and certification toolkit",
     )
@@ -475,8 +479,8 @@ def _build_parser_with_map():
     p_mub.add_argument("--d", type=int, default=5, help="dimension")
     p_mub.add_argument("--family", default="wh-all",
                        choices=["wh-all", "sqrt-pair", "comp-dft", "dft", "computational"])
-    p_mub.add_argument("--unitarity-tol", type=float, default=mub.UNITARITY_TOL)
-    p_mub.add_argument("--unbiased-tol", type=float, default=mub.UNBIASED_TOL)
+    p_mub.add_argument("--unitarity-tol", type=finite, default=mub.UNITARITY_TOL)
+    p_mub.add_argument("--unbiased-tol", type=finite, default=mub.UNBIASED_TOL)
     p_mub.set_defaults(func=cmd_mub)
 
     p_opt = sub.add_parser("optics", parents=[common],
@@ -488,17 +492,17 @@ def _build_parser_with_map():
     p_opt.add_argument("--target", default="dft",
                        choices=["identity", "swap", "dft", "row-dft", "col-dft"])
     p_opt.add_argument("--planes", type=int, default=10)
-    p_opt.add_argument("--plane-spacing", type=float, default=43.5e-3, help="meters")
+    p_opt.add_argument("--plane-spacing", type=finite, default=43.5e-3, help="meters")
     p_opt.add_argument("--iterations", type=int, default=30)
     p_opt.add_argument("--nx", type=int, default=192)
     p_opt.add_argument("--ny", type=int, default=192)
-    p_opt.add_argument("--pitch", type=float, default=15e-6, help="meters per pixel")
-    p_opt.add_argument("--wavelength", type=float, default=810e-9, help="meters")
-    p_opt.add_argument("--aperture-radius", type=float, default=100e-6)
-    p_opt.add_argument("--aperture-spacing", type=float, default=300e-6)
+    p_opt.add_argument("--pitch", type=finite, default=15e-6, help="meters per pixel")
+    p_opt.add_argument("--wavelength", type=finite, default=810e-9, help="meters")
+    p_opt.add_argument("--aperture-radius", type=finite, default=100e-6)
+    p_opt.add_argument("--aperture-spacing", type=finite, default=300e-6)
     p_opt.add_argument("--pad-factor", type=int, default=2)
     p_opt.add_argument("--detection", default="propagated", choices=["propagated", "disks"])
-    p_opt.add_argument("--detection-radius", type=float, default=50e-6,
+    p_opt.add_argument("--detection-radius", type=finite, default=50e-6,
                        help="fiber-core disk radius for --detection disks")
     p_opt.add_argument("--pgm", action="store_true", help="also dump masks as 16-bit PGM")
     p_opt.set_defaults(func=cmd_optics)
@@ -507,16 +511,16 @@ def _build_parser_with_map():
     p_sim.add_argument("--d", type=int, default=25)
     p_sim.add_argument("--family", default="sqrt-pair",
                        choices=["wh-all", "sqrt-pair", "comp-dft"])
-    p_sim.add_argument("--Et", type=float, default=None, help="total matched-basis error")
-    p_sim.add_argument("--block-fraction", type=float, default=None,
+    p_sim.add_argument("--Et", type=finite, default=None, help="total matched-basis error")
+    p_sim.add_argument("--block-fraction", type=finite, default=None,
                        help="share of --Et inside a block (default 0)")
-    p_sim.add_argument("--Eu", type=float, default=None, help="uniform error component")
-    p_sim.add_argument("--Eb", type=float, default=None, help="block error component")
+    p_sim.add_argument("--Eu", type=finite, default=None, help="uniform error component")
+    p_sim.add_argument("--Eb", type=finite, default=None, help="block error component")
     p_sim.add_argument("--alignments", help="comma list of row/col per basis")
     p_sim.add_argument("--rounds", type=int, default=100000)
-    p_sim.add_argument("--pair-rate", type=float, default=1e4, help="pairs per second")
-    p_sim.add_argument("--time", type=float, default=100.0, help="integration seconds")
-    p_sim.add_argument("--accidental-rate", type=float, default=0.0)
+    p_sim.add_argument("--pair-rate", type=finite, default=1e4, help="pairs per second")
+    p_sim.add_argument("--time", type=finite, default=100.0, help="integration seconds")
+    p_sim.add_argument("--accidental-rate", type=finite, default=0.0)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_kr = sub.add_parser("keyrate", parents=[common],
@@ -524,40 +528,35 @@ def _build_parser_with_map():
     p_kr.add_argument("--d", type=int, default=None)
     p_kr.add_argument("--bound",
                       choices=["depolarizing", "two-mub-uniform", "two-mub-block"])
-    p_kr.add_argument("--E", type=float, default=None, help="mean error over all bases")
-    p_kr.add_argument("--Eu", type=float, default=None)
-    p_kr.add_argument("--Eb", type=float, default=None)
+    p_kr.add_argument("--E", type=finite, default=None, help="mean error over all bases")
+    p_kr.add_argument("--Eu", type=finite, default=None)
+    p_kr.add_argument("--Eb", type=finite, default=None)
     p_kr.add_argument("--counts", help="counts CSV to normalize, decompose and bound")
     p_kr.add_argument("--alignments", help="comma list of row/col per matched basis")
     p_kr.add_argument("--curve", choices=["rate", "thresholds"])
     p_kr.add_argument("--errors", default="0:0.5:101", help="lo:hi:n grid for --curve rate")
     p_kr.add_argument("--d-range", default="2:32", help="lo:hi for --curve thresholds")
     p_kr.set_defaults(func=cmd_keyrate)
-    return parser, {"mub": p_mub, "optics": p_opt, "simulate": p_sim, "keyrate": p_kr}
+    return parser
 
 
 def main(argv=None) -> int:
-    parser, submap = _build_parser_with_map()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.config:
-            # Install the config section as the subcommand's defaults and
-            # re-parse, so precedence is built-in < config file < flags.
-            section = _load_config_section(args.config, args.command)
-            sub = submap[args.command]
-            sub.set_defaults(**_config_defaults(sub, args.command, section))
-            args = parser.parse_args(argv)
-        _check_finite(submap[args.command], args)
-    except InvalidConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+            # The config section as flags right after the command name, so
+            # that typed flags, parsed later, win.
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_argv(args.config, args.command)
+                                     + argv[at:])
         return args.func(args)
     except (InsufficientDataError, NoThresholdError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     except HdqkdError as exc:
-        # Failed validation of inputs/geometry/noise: a configuration problem.
+        # Failed validation of flags, config, inputs, geometry or noise.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

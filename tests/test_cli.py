@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hdqkd.cli import main
 from hdqkd.optics import load_stack
-from hdqkd.protocol import load_counts_csv
+from hdqkd.protocol import decompose_errors, load_counts_csv, normalize_counts
 
 
 def run(*argv):
@@ -34,6 +34,13 @@ def test_mub_check_passes_on_generated_files(tmp_path):
     run("mub", "gen", "--d", 5, "--family", "wh-all", "--out", tmp_path, "--quiet")
     files = sorted(tmp_path.glob("basis_*.json"))
     assert run("mub", "check", *files, "--quiet") == 0
+
+
+def test_mub_check_creates_no_out_directory(tmp_path):
+    run("mub", "gen", "--d", 2, "--family", "dft", "--out", tmp_path, "--quiet")
+    fresh = tmp_path / "fresh"
+    assert run("mub", "check", tmp_path / "basis_dft.json", "--out", fresh, "--quiet") == 0
+    assert not fresh.exists()
 
 
 def test_mub_check_fails_on_corrupted_file(tmp_path, capsys):
@@ -77,7 +84,8 @@ def test_mub_check_rejects_non_finite_amplitudes(tmp_path, capsys, part):
 def test_non_finite_flag_is_not_recorded(tmp_path, capsys):
     assert run("mub", "gen", "--d", 2, "--family", "dft", "--unitarity-tol", "nan",
                "--out", tmp_path, "--quiet") == 2
-    assert capsys.readouterr().err == "error: --unitarity-tol must be finite\n"
+    err = capsys.readouterr().err
+    assert err == "error: argument --unitarity-tol: invalid finite value: 'nan'\n"
     assert not (tmp_path / "resolved_config.json").exists()
 
 
@@ -141,7 +149,7 @@ def test_optics_design_rejects_a_non_finite_flag_before_writing(tmp_path, capsys
     out = tmp_path / "out"
     assert run(*optics_args(out, f"{flag}={value}")) == 2
     err = capsys.readouterr().err
-    assert err == f"error: {flag} must be finite\n"
+    assert err == f"error: argument {flag}: invalid finite value: '{value}'\n"
     assert not out.exists()
 
 
@@ -263,7 +271,7 @@ def test_simulate_writes_counts_session_and_config(tmp_path):
     assert counts.dim == 25 and counts.seed == 7
     assert (tmp_path / "session.jsonl").exists()
     snapshot = json.loads((tmp_path / "resolved_config.json").read_text())
-    assert snapshot["params"]["seed"] == 7
+    assert snapshot["simulate"]["seed"] == 7
     assert snapshot["generator"] == "numpy-philox4x64"
 
 
@@ -399,6 +407,24 @@ def test_keyrate_from_counts(tmp_path):
     assert abs(report["rate"] - 0.8167) < 0.05
 
 
+@pytest.mark.parametrize("bound", [None, "two-mub-uniform", "two-mub-block"])
+@pytest.mark.parametrize("seed", [1, 3, 4])
+def test_keyrate_counts_folds_a_negative_block_error(tmp_path, capsys, seed, bound):
+    # Uniform noise only: these seeds estimate a block error slightly below 0.
+    run("simulate", "--d", 25, "--family", "sqrt-pair", "--Eu", 0.1, "--pair-rate", "1e6",
+        "--time", 1, "--rounds", 10, "--seed", seed, "--out", tmp_path, "--quiet")
+    table = normalize_counts(load_counts_csv(tmp_path / "counts.csv"))
+    parts = [decompose_errors(table, 1, "row"), decompose_errors(table, 2, "col")]
+    assert np.mean([p.block_error for p in parts]) < 0
+    argv = ["keyrate", "--counts", tmp_path / "counts.csv", "--out", tmp_path / "r"]
+    assert run(*argv, *([] if bound is None else ["--bound", bound])) == 0
+    assert "folded into the uniform error" in capsys.readouterr().out
+    report = json.loads((tmp_path / "r" / "report.json").read_text())
+    assert report["bound"] == "two_mub_uniform"
+    assert report["inputs"]["E"] == pytest.approx(np.mean([p.total_error for p in parts]),
+                                                  abs=1e-12)
+
+
 def test_keyrate_insufficient_counts_exit_1(tmp_path, capsys):
     run(
         "simulate", "--d", 4, "--family", "sqrt-pair", "--pair-rate", 0,
@@ -465,10 +491,11 @@ def test_keyrate_needs_dimension(tmp_path):
     assert run("keyrate", "--E", 0.1, "--out", tmp_path, "--quiet") == 2
 
 
-def test_unknown_bound_is_usage_error(tmp_path):
-    with pytest.raises(SystemExit) as err:
-        run("keyrate", "--d", 5, "--bound", "magic", "--out", tmp_path)
-    assert err.value.code == 2
+def test_unknown_bound_is_usage_error(tmp_path, capsys):
+    assert run("keyrate", "--d", 5, "--bound", "magic", "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --bound: invalid choice: 'magic'")
+    assert err.count("\n") == 1
 
 
 # --- config file -----------------------------------------------------------------
@@ -522,9 +549,69 @@ def test_config_takes_numbers_and_strings_its_flags_convert(tmp_path):
     cfg.write_text(json.dumps({"simulate": {"d": "9", "rounds": 10, "Eu": 0, "Eb": "0.1",
                                             "pair-rate": 100, "quiet": True}}))
     assert run("simulate", "--config", cfg, "--out", tmp_path) == 0
-    params = json.loads((tmp_path / "resolved_config.json").read_text())["params"]
+    params = json.loads((tmp_path / "resolved_config.json").read_text())["simulate"]
     assert (params["d"], params["rounds"], params["Eu"], params["Eb"]) == (9, 10, 0.0, 0.1)
     assert params["quiet"] is True
+
+
+def test_config_false_leaves_a_switch_off(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"simulate": {"d": 4, "rounds": 10, "quiet": False}}))
+    assert run("simulate", "--config", cfg, "--out", tmp_path / "sim") == 0
+    assert "wrote" in capsys.readouterr().out
+    snapshot = json.loads((tmp_path / "sim" / "resolved_config.json").read_text())
+    assert snapshot["simulate"]["quiet"] is False
+
+
+def _replays_bit_exactly(tmp_path, *argv):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run(*argv, "--out", first, "--quiet") == 0
+    command = json.loads((first / "resolved_config.json").read_text())["command"]
+    assert run(*command, "--config", first / "resolved_config.json", "--out", second) == 0
+    names = sorted(path.name for path in first.iterdir())
+    assert names == sorted(path.name for path in second.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("argv", [
+    ("mub", "gen", "--d", 4, "--family", "sqrt-pair", "--unbiased-tol", "1e-9"),
+    ("simulate", "--d", 9, "--family", "sqrt-pair", "--Eu", 0.05, "--Eb", 0.1,
+     "--rounds", 1000, "--seed", 7),
+    ("keyrate", "--curve", "thresholds", "--d-range", "2:9"),
+])
+def test_run_replays_bit_exactly_from_its_snapshot(tmp_path, argv):
+    _replays_bit_exactly(tmp_path, *argv)
+
+
+def test_optics_design_replays_bit_exactly_from_its_snapshot(tmp_path):
+    argv = optics_args(tmp_path, "--pgm")
+    at = argv.index("--out")
+    _replays_bit_exactly(tmp_path, *argv[:at], *argv[at + 2:])
+
+
+def test_keyrate_counts_replays_bit_exactly_from_its_snapshot(tmp_path):
+    run("simulate", "--d", 9, "--family", "sqrt-pair", "--Eu", 0.05, "--Eb", 0.1,
+        "--rounds", 10, "--seed", 7, "--out", tmp_path / "sim", "--quiet")
+    _replays_bit_exactly(tmp_path, "keyrate", "--counts", tmp_path / "sim" / "counts.csv",
+                         "--bound", "two-mub-block", "--curve", "rate", "--errors", "0:0.5:11")
+
+
+@pytest.mark.parametrize("doc", [
+    {"version": 2, "optics": {"d": 2}},
+    {"version": 1, "optics": {"d": 2}, "notes": "x"},
+    {"version": 1, "command": ["simulate"], "simulate": {"d": 9}},
+    {"version": 1, "optics": {"iter": 3}},
+    {"version": 1, "optics": {"d=3": True}},
+])
+def test_config_rejects_what_is_not_a_v1_config_of_the_command(tmp_path, capsys, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run("optics", "design", "--config", cfg, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_out_dir_env_fallback(tmp_path, monkeypatch):
