@@ -60,6 +60,9 @@ def _snapshot(args, out: Path, extra: dict | None = None) -> None:
     command = [args.command] + ([args.action] if "action" in vars(args) else [])
     skip = ("command", "action", "files", "func", "config", "out")
     options = {k: v for k, v in vars(args).items() if v is not None and k not in skip}
+    for key in ("counts", "stack"):  # input files, so that a replay finds them from anywhere
+        if options.get(key):
+            options[key] = os.path.abspath(options[key])
     doc = {"version": CONFIG_VERSION, "command": command, "package_version": __version__,
            "generator": protocol.GENERATOR_ID, args.command: options, **(extra or {})}
     try:
@@ -475,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mub = sub.add_parser("mub", parents=[common], help="generate or check MUB files")
     p_mub.add_argument("action", choices=["gen", "check"])
-    p_mub.add_argument("files", nargs="*", help="basis JSON files (check)")
+    p_mub.add_argument("files", nargs="*", default=[], help="basis JSON files (check)")
     p_mub.add_argument("--d", type=int, default=5, help="dimension")
     p_mub.add_argument("--family", default="wh-all",
                        choices=["wh-all", "sqrt-pair", "comp-dft", "dft", "computational"])

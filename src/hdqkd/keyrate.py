@@ -39,6 +39,32 @@ def _xlog2(x: float) -> float:
     return 0.0 if x == 0.0 else x * math.log2(x)
 
 
+def _check_dim(d: int) -> None:
+    if d < 2:
+        raise InvalidDimensionError(f"need d >= 2, got {d}")
+
+
+def _hd(x: float, d: int) -> float:
+    # h_d(x) for d >= 2; the one copy of its formula and of its domain rule.
+    if not 0.0 <= x < 1.0:
+        raise DomainError(f"error rate {x} outside [0, 1)")
+    if x == 0.0:
+        return 0.0
+    return -x * math.log2(x / (d - 1)) - _xlog2(1.0 - x)
+
+
+def _h_block(d: int, side: int, uniform_error: float, block_error: float) -> float:
+    # The block-biased entropy for side = sqrt(d), from checked d and side.
+    total = total_error(uniform_error, block_error)
+    p_out = uniform_error / (d - 1)
+    p_in = block_error / (side - 1) + p_out
+    return (
+        -_xlog2(1.0 - total)
+        - (d - side) * _xlog2(p_out)
+        - (side - 1) * _xlog2(p_in)
+    )
+
+
 def shannon_hd(x: float, d: int) -> float:
     """High-dimensional Shannon entropy of a symmetric error channel.
 
@@ -46,13 +72,8 @@ def shannon_hd(x: float, d: int) -> float:
     outcome distribution with probability 1-x on the correct state and
     x/(d-1) on each of the d-1 wrong ones.
     """
-    if d < 2:
-        raise InvalidDimensionError(f"entropy needs d >= 2, got {d}")
-    if not 0.0 <= x < 1.0:
-        raise DomainError(f"error rate {x} outside [0, 1)")
-    if x == 0.0:
-        return 0.0
-    return -x * math.log2(x / (d - 1)) - _xlog2(1.0 - x)
+    _check_dim(d)
+    return _hd(x, d)
 
 
 def entropy_block_biased(d: int, uniform_error: float, block_error: float) -> float:
@@ -71,15 +92,7 @@ def entropy_block_biased(d: int, uniform_error: float, block_error: float) -> fl
 
     E_b = 0 reduces exactly to shannon_hd(E_u, d).
     """
-    side = grid_side(d)
-    total = total_error(uniform_error, block_error)
-    p_out = uniform_error / (d - 1)
-    p_in = block_error / (side - 1) + p_out
-    return (
-        -_xlog2(1.0 - total)
-        - (d - side) * _xlog2(p_out)
-        - (side - 1) * _xlog2(p_in)
-    )
+    return _h_block(d, grid_side(d), uniform_error, block_error)
 
 
 @dataclass(frozen=True)
@@ -124,14 +137,15 @@ def _rate_depolarizing_value(d: int, e: float) -> float:
         raise DomainError(
             f"depolarizing bound needs (d+1)E/d in [0, 1), got {scaled:.6g}"
         )
-    return math.log2(d) - shannon_hd(scaled, d) - scaled * math.log2(d + 1)
+    return math.log2(d) - _hd(scaled, d) - scaled * math.log2(d + 1)
 
 
-def _rate_two_mub_value(d: int, uniform_error: float, block_error: float) -> float:
+def _rate_two_mub_value(d: int, side: int, uniform_error: float, block_error: float) -> float:
+    # side = sqrt(d) is read only when block_error != 0.
     if block_error == 0.0:
-        h = shannon_hd(uniform_error, d)
+        h = _hd(uniform_error, d)
     else:
-        h = entropy_block_biased(d, uniform_error, block_error)
+        h = _h_block(d, side, uniform_error, block_error)
     return math.log2(d) - 2.0 * h
 
 
@@ -141,9 +155,7 @@ def rate_depolarizing(d: int, e: float) -> KeyRateReport:
     R = log2(d) - h_d((d+1)E/d) - ((d+1)/d)*E*log2(d+1), with E the
     arithmetic-mean error rate over all bases.
     """
-    if d < 2:
-        raise InvalidDimensionError(f"rate bound needs d >= 2, got {d}")
-    rate = _rate_depolarizing_value(d, e)
+    rate = rate_on_profile("depolarizing_all_mubs", d, e)
     thr = threshold("depolarizing_all_mubs", d)
     return KeyRateReport("depolarizing_all_mubs", d, {"E": e}, rate, thr)
 
@@ -155,8 +167,10 @@ def rate_two_mub(d: int, uniform_error: float, block_error: float = 0.0) -> KeyR
     block_error>0 requires a perfect-square d >= 4.  The report's threshold is
     computed along the profile with the same block fraction as the inputs.
     """
+    _check_dim(d)
+    side = 0 if block_error == 0.0 else grid_side(d)
     total = uniform_error + block_error
-    rate = _rate_two_mub_value(d, uniform_error, block_error)
+    rate = _rate_two_mub_value(d, side, uniform_error, block_error)
     if block_error == 0.0:
         bound = "two_mub_uniform"
         thr = threshold(bound, d)
@@ -168,17 +182,28 @@ def rate_two_mub(d: int, uniform_error: float, block_error: float = 0.0) -> KeyR
     return KeyRateReport(bound, d, inputs, rate, thr)
 
 
+def _profile_rate(bound: str, d: int, block_fraction: float):
+    """The bound's rate as a function of the total error E_t, split as
+    (1-f)*E_t uniform + f*E_t block.  The bound, d and f are checked here,
+    once per profile; each E_t only against the bound's domain
+    (DomainError)."""
+    if bound not in BOUNDS:
+        raise InvalidInputError(f"unknown bound '{bound}'")
+    _check_dim(d)
+    f = block_fraction
+    if not 0.0 <= f <= 1.0:
+        raise InvalidInputError(f"block_fraction {f} outside [0, 1]")
+    if bound == "depolarizing_all_mubs":
+        return lambda e: _rate_depolarizing_value(d, e)
+    if bound == "two_mub_uniform":
+        return lambda e: _rate_two_mub_value(d, 0, e, 0.0)
+    side = grid_side(d) if f > 0.0 else 0
+    return lambda e: _rate_two_mub_value(d, side, (1.0 - f) * e, f * e)
+
+
 def rate_on_profile(bound: str, d: int, total_error: float, block_fraction: float = 0.0) -> float:
     """Rate at total error E_t split as (1-f)*E_t uniform + f*E_t block."""
-    if bound == "depolarizing_all_mubs":
-        return _rate_depolarizing_value(d, total_error)
-    if bound == "two_mub_uniform":
-        return _rate_two_mub_value(d, total_error, 0.0)
-    if bound == "two_mub_block":
-        return _rate_two_mub_value(
-            d, (1.0 - block_fraction) * total_error, block_fraction * total_error
-        )
-    raise InvalidInputError(f"unknown bound '{bound}'")
+    return _profile_rate(bound, d, block_fraction)(total_error)
 
 
 def _profile_domain_hi(bound: str, d: int) -> float:
@@ -193,23 +218,20 @@ def threshold(bound: str, d: int, block_fraction: float | None = None) -> float:
     Every bound is log2(d) minus a concave entropy of an outcome
     distribution that is affine in the total error (minus a linear term
     for the depolarizing bound), so the rate is convex along the profile:
-    it falls to one minimum and rises after it.  A ternary search finds
-    that minimum.  If the rate there is within ROOT_TOL of zero the
-    profile touches zero tangentially and the minimum is the threshold
-    (the all-block profile does); if it is above, no threshold exists and
-    NoThresholdError is raised; otherwise the one root before the minimum
-    is refined by bisection to |rate| < ROOT_TOL.
+    it falls to one minimum and rises after it.  A ternary search walks
+    towards that minimum and stops at the first probe whose rate is
+    <= -ROOT_TOL: the rate is positive at the profile's start, so the one
+    root lies before that probe.  (Not < 0: on a profile that only
+    touches zero, rounding leaves the rate a hair below it.)  When no
+    probe gets that low the search runs to the minimum: within ROOT_TOL
+    of zero, the profile touches zero tangentially and the minimum is the
+    threshold (the all-block profile does); above, NoThresholdError is
+    raised.  Otherwise bisection from the profile's start refines the
+    root to |rate| < ROOT_TOL.
     """
     if bound == "two_mub_block" and block_fraction is None:
         raise InvalidInputError("two_mub_block threshold needs a block_fraction")
-    f = 0.0 if block_fraction is None else float(block_fraction)
-    if not 0.0 <= f <= 1.0:
-        raise InvalidInputError(f"block_fraction {f} outside [0, 1]")
-    if bound == "two_mub_block" and f > 0.0:
-        grid_side(d)  # raises unless d is a perfect square >= 4
-
-    def rate(e: float) -> float:
-        return rate_on_profile(bound, d, e, f)
+    rate = _profile_rate(bound, d, 0.0 if block_fraction is None else float(block_fraction))
 
     lo = _BISECT_LO
     if rate(lo) <= 0.0:
@@ -221,7 +243,13 @@ def threshold(bound: str, d: int, block_fraction: float | None = None) -> float:
         m2 = b - (b - a) / 3.0
         if not a < m1 < m2 < b:
             break
-        if rate(m1) < rate(m2):
+        r1 = rate(m1)
+        if r1 <= -ROOT_TOL:
+            return _bisect_root(rate, lo, m1)
+        r2 = rate(m2)
+        if r2 <= -ROOT_TOL:
+            return _bisect_root(rate, lo, m2)
+        if r1 < r2:
             b = m2
         else:
             a = m1
@@ -234,8 +262,11 @@ def threshold(bound: str, d: int, block_fraction: float | None = None) -> float:
             f"{bound} rate stays positive along the profile "
             f"(minimum {r_min:.3e} at E={e_min:.4f})"
         )
+    return _bisect_root(rate, lo, e_min)
 
-    a, b = lo, e_min
+
+def _bisect_root(rate, a: float, b: float) -> float:
+    # The root between a (rate > 0) and b (rate < 0), to |rate| < ROOT_TOL.
     for _ in range(_MAX_ITER):
         mid = 0.5 * (a + b)
         v = rate(mid)
@@ -297,10 +328,11 @@ def rate_curve(
 
     Points outside the bound's domain are skipped.
     """
+    rate = _profile_rate(bound, d, block_fraction)
     rows = []
     for e in np.asarray(errors, dtype=float):
         try:
-            rows.append((float(e), rate_on_profile(bound, d, float(e), block_fraction)))
+            rows.append((float(e), rate(float(e))))
         except DomainError:
             continue
     if not rows:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tempfile
 
@@ -117,6 +118,11 @@ def test_mub_gen_rejects_a_non_finite_tolerance_from_config(tmp_path, capsys):
     assert run("mub", "gen", "--d", 2, "--family", "dft", "--config", cfg, "--out", out) == 2
     assert "--unbiased-tol" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_mub_without_an_action_names_only_the_action(capsys):
+    assert run("mub") == 2
+    assert capsys.readouterr().err == "error: the following arguments are required: action\n"
 
 
 def test_mub_gen_invalid_dimension_exits_2(tmp_path):
@@ -447,6 +453,21 @@ def test_keyrate_rate_curve(tmp_path):
     assert meta["d"] == 25
 
 
+@pytest.mark.parametrize("flags, digest", [
+    # sha256 of curve.csv for the d=25 profiles of the benchmark's thresholds-scan
+    (("--bound", "two-mub-uniform", "--E", 0.001),
+     "70959171ea4ccd60c9717ce57999119b093ace5ac665d94fb86a85eaf1192747"),
+    (("--bound", "two-mub-block", "--Eu", 0.073, "--Eb", 0.248),
+     "48f7c6220cc0319d76dd6cee515a367d34c2e7f8f4dfb712c7ab7d4ae13e88be"),
+    (("--bound", "two-mub-block", "--Eu", 0, "--Eb", 0.3),
+     "1568fb1204b311ab1348b4c894cb271333bc546ee6b55f28fa0f4ce2bb438a5f"),
+])
+def test_keyrate_rate_curve_bytes_are_pinned(tmp_path, flags, digest):
+    assert run("keyrate", "--d", 25, *flags, "--curve", "rate", "--errors", "0:0.6:121",
+               "--out", tmp_path, "--quiet") == 0
+    assert hashlib.sha256((tmp_path / "curve.csv").read_bytes()).hexdigest() == digest
+
+
 def test_keyrate_threshold_curve(tmp_path):
     assert run("keyrate", "--curve", "thresholds", "--d-range", "2:9",
                "--out", tmp_path, "--quiet") == 0
@@ -595,6 +616,22 @@ def test_keyrate_counts_replays_bit_exactly_from_its_snapshot(tmp_path):
         "--rounds", 10, "--seed", 7, "--out", tmp_path / "sim", "--quiet")
     _replays_bit_exactly(tmp_path, "keyrate", "--counts", tmp_path / "sim" / "counts.csv",
                          "--bound", "two-mub-block", "--curve", "rate", "--errors", "0:0.5:11")
+
+
+def test_keyrate_counts_replays_from_another_directory(tmp_path, monkeypatch):
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path / "sub")
+    run("simulate", "--d", 9, "--family", "sqrt-pair", "--Eu", 0.05, "--Eb", 0.1,
+        "--rounds", 10, "--seed", 7, "--out", "sim", "--quiet")
+    assert run("keyrate", "--counts", "sim/counts.csv", "--bound", "two-mub-block",
+               "--out", "r", "--quiet") == 0
+    monkeypatch.chdir(tmp_path)
+    assert run("keyrate", "--config", "sub/r/resolved_config.json", "--out", "again") == 0
+    first, second = tmp_path / "sub" / "r", tmp_path / "again"
+    names = sorted(path.name for path in first.iterdir())
+    assert names == sorted(path.name for path in second.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("doc", [

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdqkd import keyrate
 from hdqkd.errors import (
     DomainError,
     InvalidDimensionError,
@@ -241,11 +242,36 @@ def test_threshold_requires_block_fraction():
 def test_all_block_profile_touches_zero_tangentially():
     # log2(d) - 2*h of the all-block distribution reaches exactly zero at
     # its maximum-entropy point for every square d, so the tangent branch
-    # of the root finder is the one that runs.
-    for d in (4, 9, 25):
-        side = math.isqrt(d)
+    # of the root finder is the one that runs.  Rounding leaves the rate a
+    # hair below zero near that point; a search that stopped at the first
+    # probe below 0, not below -ROOT_TOL, would bisect to a point ~1e-5 off.
+    for side in range(2, 23):
         expected = (side - 1) / side
-        assert abs(threshold("two_mub_block", d, block_fraction=1.0) - expected) < 1e-5
+        got = threshold("two_mub_block", side * side, block_fraction=1.0)
+        assert abs(got - expected) < 1e-6, side * side
+
+
+def test_threshold_builds_its_profile_once_and_evaluates_it_few_times(monkeypatch):
+    # Convexity lets the search stop at the first probe past the root; a
+    # search run to the rate's minimum takes about 210 evaluations.
+    build, built, evaluations = keyrate._profile_rate, [0], [0]
+
+    def counted(*args):
+        rate = build(*args)
+        built[0] += 1
+
+        def counted_rate(e):
+            evaluations[0] += 1
+            return rate(e)
+        return counted_rate
+
+    monkeypatch.setattr(keyrate, "_profile_rate", counted)
+    cases = [("two_mub_uniform", d, None) for d in range(2, 65)]
+    cases += [("two_mub_block", side * side, 0.77) for side in range(2, 9)]
+    for bound, d, f in cases:
+        built[0] = evaluations[0] = 0
+        threshold(bound, d, block_fraction=f)
+        assert built[0] == 1 and evaluations[0] <= 60, (bound, d, f, evaluations[0])
 
 
 def scan_threshold(bound, d, f=0.0):
