@@ -28,8 +28,8 @@ from .errors import (
     InsufficientDataError,
     InvalidConfigError,
     InvalidDimensionError,
-    InvalidInputError,
     NoThresholdError,
+    write_json,
 )
 
 CONFIG_VERSION = 1
@@ -65,11 +65,7 @@ def _snapshot(args, out: Path, extra: dict | None = None) -> None:
             options[key] = os.path.abspath(options[key])
     doc = {"version": CONFIG_VERSION, "command": command, "package_version": __version__,
            "generator": protocol.GENERATOR_ID, args.command: options, **(extra or {})}
-    try:
-        text = json.dumps(doc, indent=2, allow_nan=False)
-    except ValueError:
-        raise InvalidInputError("the resolved config holds non-finite values") from None
-    (out / "resolved_config.json").write_text(text)
+    write_json(out / "resolved_config.json", doc, "the resolved config holds non-finite values")
 
 
 def _config_argv(path: str, command: str) -> list[str]:
@@ -399,24 +395,22 @@ def cmd_keyrate(args) -> int:
             raise InvalidConfigError("--counts supplies the errors; drop --E, --Eu and --Eb")
         d, e_u, e_b = _errors_from_counts(args)
         if e_b < 0:
-            # Off the block model: all-uniform is conservative, h_d(E_t) being the largest entropy.
             _echo(args, f"block error {e_b:.3g} < 0 folded into the uniform error")
-            e_u, e_b = e_u + e_b, 0.0
-        bound = args.bound or ("two-mub-block" if e_b > 0 else "two-mub-uniform")
     else:
         d = args.d
         if d is None:
             raise InvalidConfigError("need --d unless reading --counts")
-        bound = args.bound or "two-mub-uniform"
         if args.E is not None and (args.Eu is not None or args.Eb is not None):
             raise InvalidConfigError("--E cannot be combined with --Eu/--Eb")
         e_u, e_b = (args.E, 0.0) if args.E is not None else (args.Eu or 0.0, args.Eb or 0.0)
 
-    if bound == "depolarizing":
+    # No --bound: the two-MUB bound, named uniform or block from E_b.  A counted E_b < 0 is off
+    # the block model; all-uniform is conservative (h_d(E_t) is the largest entropy at E_t).
+    if (args.bound == "two-mub-uniform" and e_b > 0) or (args.counts and e_b < 0):
+        e_u, e_b = e_u + e_b, 0.0
+    if args.bound == "depolarizing":
         report = keyrate.rate_depolarizing(d, e_u + e_b)
     else:
-        if bound == "two-mub-uniform" and e_b > 0:
-            e_u, e_b = e_u + e_b, 0.0
         report = keyrate.rate_two_mub(d, e_u, e_b)
 
     _echo(args, f"bound {report.bound}  d={report.dim}  "

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one JSON writer."""
+
+import json
 
 
 class HdqkdError(ValueError):
@@ -51,3 +53,14 @@ class NoThresholdError(HdqkdError):
 
 class DegenerateTransferError(HdqkdError):
     """Transfer matrix captures no power at all."""
+
+
+def write_json(path, doc, message: str, indent: int | None = 2) -> None:
+    """Write doc to path as strict JSON.  A NaN or infinity raises
+    InvalidInputError(message) before the file is opened."""
+    try:
+        text = json.dumps(doc, indent=indent, allow_nan=False)
+    except ValueError:
+        raise InvalidInputError(message) from None
+    with open(path, "w") as fh:
+        fh.write(text)

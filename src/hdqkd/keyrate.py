@@ -12,9 +12,8 @@ zero-error and all-block axes without NaNs.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .errors import (
     InvalidDimensionError,
     InvalidInputError,
     NoThresholdError,
+    write_json,
 )
 from .mub import grid_side
 from .protocol import total_error
@@ -113,22 +113,8 @@ class KeyRateReport:
                 f"rate {self.rate} exceeds log2({self.dim}) = {math.log2(self.dim)}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "bound": self.bound,
-            "dim": self.dim,
-            "inputs": dict(self.inputs),
-            "rate": self.rate,
-            "threshold": self.threshold,
-        }
-
     def save_json(self, path) -> None:
-        try:
-            text = json.dumps(self.to_dict(), indent=2, allow_nan=False)
-        except ValueError:
-            raise InvalidInputError("key-rate report holds non-finite values") from None
-        with open(path, "w") as fh:
-            fh.write(text)
+        write_json(path, asdict(self), "key-rate report holds non-finite values")
 
 
 def _rate_depolarizing_value(d: int, e: float) -> float:
@@ -185,8 +171,8 @@ def rate_two_mub(d: int, uniform_error: float, block_error: float = 0.0) -> KeyR
 def _profile_rate(bound: str, d: int, block_fraction: float):
     """The bound's rate as a function of the total error E_t, split as
     (1-f)*E_t uniform + f*E_t block.  The bound, d and f are checked here,
-    once per profile; each E_t only against the bound's domain
-    (DomainError)."""
+    once per profile (two_mub_uniform takes only f = 0); each E_t only
+    against the bound's domain (DomainError)."""
     if bound not in BOUNDS:
         raise InvalidInputError(f"unknown bound '{bound}'")
     _check_dim(d)
@@ -196,6 +182,8 @@ def _profile_rate(bound: str, d: int, block_fraction: float):
     if bound == "depolarizing_all_mubs":
         return lambda e: _rate_depolarizing_value(d, e)
     if bound == "two_mub_uniform":
+        if f != 0.0:
+            raise InvalidInputError(f"two_mub_uniform has no block error, got block_fraction {f}")
         return lambda e: _rate_two_mub_value(d, 0, e, 0.0)
     side = grid_side(d) if f > 0.0 else 0
     return lambda e: _rate_two_mub_value(d, side, (1.0 - f) * e, f * e)
@@ -388,12 +376,7 @@ def save_curve_csv(path, header, rows, sidecar: dict) -> None:
     """Write rows under a header as CSV, each value as its repr() and every
     line ended by \\r\\n, plus a JSON sidecar describing them."""
     path = str(path)
-    try:
-        meta = json.dumps(sidecar, indent=2, allow_nan=False)
-    except ValueError:
-        raise InvalidInputError("key-rate CSV sidecar holds non-finite values") from None
+    write_json(path + ".meta.json", sidecar, "key-rate CSV sidecar holds non-finite values")
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
-    with open(path + ".meta.json", "w") as fh:
-        fh.write(meta)

@@ -14,13 +14,12 @@ matrices store state j in column j, expressed in the computational basis.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidBasisIndexError, InvalidDimensionError, InvalidInputError
+from .errors import InvalidBasisIndexError, InvalidDimensionError, InvalidInputError, write_json
 
 UNITARITY_TOL = 1e-12
 UNBIASED_TOL = 1e-10
@@ -91,12 +90,7 @@ class Basis:
         """The basis file `mub gen` writes and `mub check` reads."""
         doc = {"dim": self.dim, "label": self.label, "re": self.amplitudes.real.tolist(),
                "im": self.amplitudes.imag.tolist()}
-        try:
-            text = json.dumps(doc, allow_nan=False)
-        except ValueError:
-            raise InvalidInputError(f"basis {self.label} holds non-finite amplitudes") from None
-        with open(path, "w") as fh:
-            fh.write(text)
+        write_json(path, doc, f"basis {self.label} holds non-finite amplitudes", indent=None)
 
 
 def computational_basis(d: int) -> Basis:

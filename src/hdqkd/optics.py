@@ -33,6 +33,7 @@ from .errors import (
     InvalidInputError,
     InvalidModeSetError,
     SamplingError,
+    write_json,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -638,24 +639,15 @@ class SorterMetrics:
                 f"transfer column captured power {col_power.max():.9f} exceeds 1"
             )
 
-    def to_dict(self) -> dict:
-        return {
+    def save_json(self, path) -> None:
+        doc = {
             "fidelity": self.fidelity,
             "mean_crosstalk": self.mean_crosstalk,
             "insertion_loss_db": self.insertion_loss_db,
             "transfer_re": self.transfer.real.tolist(),
             "transfer_im": self.transfer.imag.tolist(),
         }
-
-    def save_json(self, path) -> None:
-        import json
-
-        try:
-            text = json.dumps(self.to_dict(), indent=2, allow_nan=False)
-        except ValueError:
-            raise InvalidInputError("sorter metrics hold non-finite values") from None
-        with open(path, "w") as fh:
-            fh.write(text)
+        write_json(path, doc, "sorter metrics hold non-finite values")
 
 
 def sorter_metrics(transfer: np.ndarray, intended: np.ndarray | None = None) -> SorterMetrics:

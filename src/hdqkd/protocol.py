@@ -25,6 +25,7 @@ from .errors import (
     InvalidConfigError,
     InvalidInputError,
     InvalidNoiseError,
+    write_json,
 )
 from .mub import grid_side
 
@@ -601,13 +602,8 @@ def save_counts_csv(counts: CountTable, path) -> None:
         "seed": counts.seed,
         "generator": counts.generator,
     }
-    try:
-        meta = json.dumps(sidecar, indent=2, allow_nan=False)
-    except ValueError:
-        raise InvalidInputError("counts sidecar holds non-finite values") from None
+    write_json(path + ".meta.json", sidecar, "counts sidecar holds non-finite values")
     _write_table_csv(path, counts.counts)
-    with open(path + ".meta.json", "w") as fh:
-        fh.write(meta)
 
 
 def load_counts_csv(path) -> CountTable:

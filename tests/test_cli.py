@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hdqkd.cli import main
+from hdqkd.keyrate import rate_two_mub
 from hdqkd.optics import load_stack
 from hdqkd.protocol import decompose_errors, load_counts_csv, normalize_counts
 
@@ -431,6 +432,32 @@ def test_keyrate_counts_folds_a_negative_block_error(tmp_path, capsys, seed, bou
                                                   abs=1e-12)
 
 
+@pytest.mark.parametrize("bound", [None, "two-mub-uniform"])
+def test_keyrate_rejects_a_typed_negative_block_error(tmp_path, capsys, bound):
+    # Only a count estimate of E_b below 0 is folded into E_u.
+    argv = ["keyrate", "--d", 25, "--Eu", 0.1, "--Eb", -0.05, "--out", tmp_path]
+    assert run(*argv, *([] if bound is None else ["--bound", bound])) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: block error -0.05 must be >= 0"]
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_keyrate_default_bound_is_the_two_mub_bound(tmp_path):
+    # The paper's d=25 link: without --bound, typed errors and counts
+    # with the same noise both get the block-biased bound.
+    assert run("keyrate", "--d", 25, "--Eu", 0.073, "--Eb", 0.248, "--out", tmp_path / "flags",
+               "--quiet") == 0
+    report = json.loads((tmp_path / "flags" / "report.json").read_text())
+    assert report["bound"] == "two_mub_block"
+    assert report["rate"] == rate_two_mub(25, 0.073, 0.248).rate
+    run("simulate", "--d", 25, "--family", "sqrt-pair", "--Eu", 0.073, "--Eb", 0.248,
+        "--pair-rate", "1e4", "--time", 100, "--rounds", 10, "--seed", 5,
+        "--out", tmp_path / "sim", "--quiet")
+    assert run("keyrate", "--counts", tmp_path / "sim" / "counts.csv",
+               "--out", tmp_path / "counts", "--quiet") == 0
+    report = json.loads((tmp_path / "counts" / "report.json").read_text())
+    assert report["bound"] == "two_mub_block"
+
+
 def test_keyrate_insufficient_counts_exit_1(tmp_path, capsys):
     run(
         "simulate", "--d", 4, "--family", "sqrt-pair", "--pair-rate", 0,
@@ -755,3 +782,113 @@ def test_any_noise_argv_exits_0_1_or_2(command, d, rounds, family, bound, noise,
         argv.append(f"--alignments={alignments}")
     with tempfile.TemporaryDirectory() as out:
         assert main(argv + ["--out", out]) in (0, 1, 2)
+
+
+# --- written JSON bytes ------------------------------------------------------------
+
+TOY_DESIGN = ("optics", "design", "--d", 4, "--target", "row-dft", "--planes", 3,
+              "--plane-spacing", "5e-3", "--iterations", 2, "--nx", 32, "--ny", 32,
+              "--aperture-radius", "40e-6", "--aperture-spacing", "120e-6")
+
+# The toy run of json_files(): (subdirectory, argv) per command.  The
+# keyrate --counts snapshot records the counts file's absolute path, so
+# its resolved_config.json is left out.
+TOY_RUN = [
+    ("mubs5", ("mub", "gen", "--d", 5, "--family", "wh-all")),
+    ("mubs4", ("mub", "gen", "--d", 4, "--family", "sqrt-pair")),
+    ("design_p", (*TOY_DESIGN, "--detection", "propagated")),
+    ("design_d", (*TOY_DESIGN, "--detection", "disks")),
+    ("sim", ("simulate", "--d", 9, "--family", "sqrt-pair", "--Eu", 0.05, "--Eb", 0.1,
+             "--pair-rate", "1e3", "--time", 1, "--rounds", 50, "--seed", 3)),
+    ("rate_counts", ("keyrate", "--counts", "sim/counts.csv", "--curve", "rate",
+                     "--errors", "0:0.5:11")),
+    ("rate_dep", ("keyrate", "--d", 5, "--bound", "depolarizing", "--E", 0.11)),
+    ("rate_uni", ("keyrate", "--d", 25, "--bound", "two-mub-uniform", "--E", 0.001,
+                  "--curve", "rate", "--errors", "0:0.6:121")),
+    ("rate_block", ("keyrate", "--d", 25, "--bound", "two-mub-block", "--Eu", 0.073,
+                    "--Eb", 0.248, "--curve", "rate", "--errors", "0:0.6:121")),
+    ("thresholds", ("keyrate", "--curve", "thresholds", "--d-range", "2:9")),
+]
+
+# sha256 of every JSON file and sidecar of the toy run, recorded under
+# numpy 2.4 and scipy 1.17 (the metrics pin the optics' FFTs, the counts
+# sidecar and reports numpy's Philox poisson stream).
+JSON_SHA256 = {
+    "design_d/metrics.json":
+        "f5bcb545459a696bcabaaf6de6eae59dd1d0bcf384eb8277bd6874e44733d1f0",
+    "design_d/resolved_config.json":
+        "359e7bd6451f17efb78d2a96481a0dff934383289c17fbfd094f7a1ef534c3d1",
+    "design_p/metrics.json":
+        "331a72b142da4484fbc734f00ce39dbd7a44cb3518be32c299b6c73d33badcac",
+    "design_p/resolved_config.json":
+        "9b2f8e14749203c295dfdf260fdddea8ced68eeef638575eba5a67608e48a55f",
+    "mubs4/basis_col_dft.json":
+        "7ecbf6c923922e36d3ed287fd41c594d9987a43c7b9dc3cd1fdb31530fc7b291",
+    "mubs4/basis_row_dft.json":
+        "e391b0aad068419d23f43872031b554b5c2bfd653db230fed7d9bbb72a864b9a",
+    "mubs4/resolved_config.json":
+        "44c05eb476b4f8be279d6fd269e526c617cfd35720015c01323bad9bfa2c42a0",
+    "mubs5/basis_computational.json":
+        "be5caf403d7894000a3c4480d4adb480b794fd36542b1dadba8cdb75e4905f4a",
+    "mubs5/basis_dft.json":
+        "d2ac350f38ead5c6dc92fcb752e88ed7195e43840e410b33b9cd3828bf0b6161",
+    "mubs5/basis_wh_r3.json":
+        "e1819f5984cdb8e2b7885655bbd802f2da00ca59950782debe6d437811b5f595",
+    "mubs5/basis_wh_r4.json":
+        "5aeb9abcefa8ec920dda9edce44d49358727d5cddb58e5e7c749838d4b4ecd3d",
+    "mubs5/basis_wh_r5.json":
+        "633d1a2cb668c86e040640877f1956570f13ee029e430030b562ac549ec4d1da",
+    "mubs5/basis_wh_r6.json":
+        "0c592c606d4162c349b52b25c072fdc48827a18b3b960d6cbaff09c2edf0cb9a",
+    "mubs5/resolved_config.json":
+        "d1cc6d00ea86a250e3b82365e9f4b3afd24900a722557757729d34f5113b993e",
+    "rate_block/curve.csv.meta.json":
+        "d1bc17a705d36f6f0fef95f211e0816002a7cd1eea85885ad01048c4835b73a4",
+    "rate_block/report.csv.meta.json":
+        "cd65f4190ad8debccf823a0b7b2b2364aed18d01446fbeacfa540d23787dff04",
+    "rate_block/report.json":
+        "f33eec6f9389f0035336a18aa3f3fe972637b82bacf2ada2037dc1d104c0e6d2",
+    "rate_block/resolved_config.json":
+        "3dd2b9235d778dc116a648a1ad9d44896fe3a7448c1638274e81e7b3750efde9",
+    "rate_counts/curve.csv.meta.json":
+        "6c3db861fe2081a203c09946eeb7c90eb18f29171af6541f7c4438d7c668e296",
+    "rate_counts/report.csv.meta.json":
+        "77968aade2494d0f871c36aea09f36b23137ec3e5c2684cbb3f955f1ba2e0ca2",
+    "rate_counts/report.json":
+        "097b321281841008364d6d38dd7a2a23fcfd3a5457343def5ee4e55c8440540b",
+    "rate_dep/report.csv.meta.json":
+        "e8c268c7e142525dabe71a9007fe915f56edfd756def44c6911b1389d4bf0848",
+    "rate_dep/report.json":
+        "07f8697f244f22cbb5d67f9220cbef64ca50576fa0a3a96dc35564f376604eb7",
+    "rate_dep/resolved_config.json":
+        "4a3c5cdb74a41213316603beb6e3e545fe63c99a5e6a168990719b0aeaa90cfe",
+    "rate_uni/curve.csv.meta.json":
+        "dc52a0631c5107ac8ed1232de1095b980d5f2bf440f0e05e5091a27657c06113",
+    "rate_uni/report.csv.meta.json":
+        "9d600cc8336f988134a55182392793d3ad0bdae8b390ec02d33fdb56680016c0",
+    "rate_uni/report.json":
+        "fa3b5c2719351d8c74134947e81de21dcbc7291424aef5bbe0e9b9571c01134e",
+    "rate_uni/resolved_config.json":
+        "99d53e95a969ad09057e0b2835b4636d5a4289849c4a711543778e85596edd60",
+    "sim/counts.csv.meta.json":
+        "4b7de74cddff49e79f9576f73d36e552d9b88afa54e1aac6041b249d73685f32",
+    "sim/resolved_config.json":
+        "21dacf50ca056a2e1cff6ffd5174a3ffe852b68929b73e0e37d42c1fca5a9383",
+    "thresholds/resolved_config.json":
+        "64fb7b54347c6cd40ab36e1bc2810c70732ec7276bd6edea9b20a15cd51baeb5",
+    "thresholds/thresholds.csv.meta.json":
+        "101475be0fb132afe8854ccc8a08698f493c39da673c13fc16bb43957ee5c0b4",
+}
+
+
+def json_files(root):
+    for sub, argv in TOY_RUN:
+        assert run(*argv, "--out", sub, "--quiet") == 0, sub
+    (root / "rate_counts" / "resolved_config.json").unlink()
+    return {path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(root.rglob("*.json"))}
+
+
+def test_written_json_bytes_match_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert json_files(tmp_path) == JSON_SHA256

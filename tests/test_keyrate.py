@@ -239,6 +239,18 @@ def test_threshold_requires_block_fraction():
         threshold("two_mub_block", 25)
 
 
+def test_uniform_bound_rejects_a_block_fraction():
+    # The uniform bound has no block error to split off: a nonzero fraction
+    # is rejected, not read as f = 0 (rate 2.7889 at E_t = 0.1, d = 25).
+    for call in (lambda: rate_curve("two_mub_uniform", 25, [0.1], block_fraction=0.9),
+                 lambda: rate_on_profile("two_mub_uniform", 25, 0.1, 0.9),
+                 lambda: threshold("two_mub_uniform", 25, block_fraction=0.9)):
+        with pytest.raises(InvalidInputError, match="block_fraction 0.9"):
+            call()
+    assert rate_curve("two_mub_uniform", 25, [0.1], block_fraction=0.0)[0, 1] == (
+        rate_two_mub(25, 0.1).rate)
+
+
 def test_all_block_profile_touches_zero_tangentially():
     # log2(d) - 2*h of the all-block distribution reaches exactly zero at
     # its maximum-entropy point for every square d, so the tangent branch
@@ -333,6 +345,8 @@ def test_rate_is_convex_along_every_profile(bound, side, d, f):
     # the premise threshold() rests on: one minimum, no second descent
     if bound == "two_mub_block":
         d = side * side
+    if bound == "two_mub_uniform":
+        f = 0.0  # the uniform profile has no block part
     hi = d / (d + 1) - 1e-9 if bound == "depolarizing_all_mubs" else 1.0 - 1e-6
     rates = np.array([rate_on_profile(bound, d, float(e), f)
                       for e in np.linspace(1e-12, hi, 401)])
