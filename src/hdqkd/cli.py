@@ -137,21 +137,6 @@ def _build_bases(d: int, family: str) -> list[mub.Basis]:
     return [mub.computational_basis(d)]  # argparse choices leave only "computational"
 
 
-def _alignments(text: str | None, n_matched: int) -> list[str]:
-    """--alignments: 'row' or 'col' for each of the n_matched settings.
-    Without the flag, row,col for two matched settings (the row/col-DFT
-    pair) and row for each setting otherwise."""
-    if text is None:
-        return ["row", "col"] if n_matched == 2 else ["row"] * n_matched
-    values = text.split(",")
-    if len(values) != n_matched or not set(values) <= {"row", "col"}:
-        raise InvalidConfigError(
-            f"--alignments needs row or col for each of the {n_matched} matched "
-            f"settings, got '{text}'"
-        )
-    return values
-
-
 # ---------------------------------------------------------------------------
 # mub
 
@@ -318,17 +303,17 @@ def _noise_from_args(args) -> tuple[float, float]:
 def cmd_simulate(args) -> int:
     bases = _build_bases(args.d, args.family)
     e_u, e_b = _noise_from_args(args)
+    alignments = protocol._alignments(args.alignments and args.alignments.split(","),
+                                      len(bases), "--alignments")
     table = protocol.apply_noise(
-        protocol.ideal_prob_table(bases, [b.conjugate() for b in bases]), e_u, e_b,
-        _alignments(args.alignments, len(bases)),
+        protocol.ideal_prob_table(bases, [b.conjugate() for b in bases]), e_u, e_b, alignments
     )
     if args.pair_rate == 0.0 and args.accidental_rate == 0.0:
         _echo(args, "warning: zero pair and accidental rates, counts will be all zero")
     # Draw before creating --out, so a rejected run leaves no files (session first: less peak RSS).
     session = protocol.simulate_session(table, args.rounds, seed=args.seed)
-    counts = protocol.sample_counts(
-        table, args.pair_rate, args.time, args.accidental_rate, seed=args.seed
-    )
+    counts = protocol.sample_counts(table, args.pair_rate, args.time, args.accidental_rate,
+                                    seed=args.seed, alignments=alignments)
     out = _out_dir(args)
     protocol.save_counts_csv(counts, out / "counts.csv")
     _echo(args, f"wrote {out / 'counts.csv'} "
@@ -357,15 +342,13 @@ def _errors_from_counts(args):
     counts = protocol.load_counts_csv(args.counts)
     table = protocol.normalize_counts(counts)
     d = table.dim
-    n_matched = min(table.bases_alice, table.bases_bob)
-    alignments = _alignments(args.alignments, n_matched)
     if not _has_blocks(d):
         # No block structure to separate; report the total error as uniform.
         stats = keyrate.subset_stats(table)
         return d, float(stats.E), 0.0
     parts = [
-        protocol.decompose_errors(table, k + 1, alignments[k])
-        for k in range(n_matched)
+        protocol.decompose_errors(table, k + 1, alignment)
+        for k, alignment in enumerate(counts.alignments)
     ]
     e_u = float(np.mean([p.uniform_error for p in parts]))
     e_b = float(np.mean([p.block_error for p in parts]))
@@ -373,8 +356,6 @@ def _errors_from_counts(args):
 
 
 def cmd_keyrate(args) -> int:
-    if args.alignments is not None and not args.counts:
-        raise InvalidConfigError("--alignments applies only to --counts")
     out = _out_dir(args)
 
     if args.curve == "thresholds":
@@ -409,7 +390,7 @@ def cmd_keyrate(args) -> int:
     if (args.bound == "two-mub-uniform" and e_b > 0) or (args.counts and e_b < 0):
         e_u, e_b = e_u + e_b, 0.0
     if args.bound == "depolarizing":
-        report = keyrate.rate_depolarizing(d, e_u + e_b)
+        report = keyrate.rate_depolarizing(d, protocol.total_error(e_u, e_b))
     else:
         report = keyrate.rate_two_mub(d, e_u, e_b)
 
@@ -460,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--config", help="JSON config file with per-command defaults")
     common.add_argument("--out", help="output directory (default $HDQKD_OUT or .)")
-    common.add_argument("--seed", type=int, default=0, help="RNG seed")
+    common.add_argument("--seed", type=int, default=0, help="RNG seed (>= 0)")
     common.add_argument("--quiet", action="store_true", help="suppress progress output")
 
     parser = _Parser(
@@ -513,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="share of --Et inside a block (default 0)")
     p_sim.add_argument("--Eu", type=finite, default=None, help="uniform error component")
     p_sim.add_argument("--Eb", type=finite, default=None, help="block error component")
-    p_sim.add_argument("--alignments", help="comma list of row/col per basis")
+    p_sim.add_argument("--alignments", help="comma list of row/col per basis (kept in counts)")
     p_sim.add_argument("--rounds", type=int, default=100000)
     p_sim.add_argument("--pair-rate", type=finite, default=1e4, help="pairs per second")
     p_sim.add_argument("--time", type=finite, default=100.0, help="integration seconds")
@@ -524,12 +505,13 @@ def build_parser() -> argparse.ArgumentParser:
                           help="compute rate bounds and thresholds")
     p_kr.add_argument("--d", type=int, default=None)
     p_kr.add_argument("--bound",
-                      choices=["depolarizing", "two-mub-uniform", "two-mub-block"])
+                      choices=["depolarizing", "two-mub-uniform", "two-mub-block"],
+                      help="default: the two-MUB bound, reported as two_mub_block if "
+                           "E_b > 0, else two_mub_uniform; two-mub-block is an alias of it")
     p_kr.add_argument("--E", type=finite, default=None, help="mean error over all bases")
     p_kr.add_argument("--Eu", type=finite, default=None)
     p_kr.add_argument("--Eb", type=finite, default=None)
     p_kr.add_argument("--counts", help="counts CSV to normalize, decompose and bound")
-    p_kr.add_argument("--alignments", help="comma list of row/col per matched basis")
     p_kr.add_argument("--curve", choices=["rate", "thresholds"])
     p_kr.add_argument("--errors", default="0:0.5:101", help="lo:hi:n grid for --curve rate")
     p_kr.add_argument("--d-range", default="2:32", help="lo:hi for --curve thresholds")

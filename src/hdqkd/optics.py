@@ -43,6 +43,9 @@ FORMAT_STACK = 1
 _HEADER = struct.Struct("<4sIIIIddd")  # magic, version, nx, ny, P, pitch, wl, spacing
 
 ORTHOGONALITY_TOL = 1e-6
+# A transfer column captures at most 1 + this of its power: output modes
+# are only orthonormal to ORTHOGONALITY_TOL.
+CAPTURED_POWER_TOL = 1e-6
 
 
 class EvanescentClippingWarning(UserWarning):
@@ -565,12 +568,14 @@ def design_converter(
 def _transfer_from_outputs(outs: np.ndarray, output_modes, grid: GridSpec) -> np.ndarray:
     """T[i, j] = <output_mode_i | outs[j]>, checked to be passive."""
     modes_flat = _mode_matrix(output_modes, grid).reshape(len(output_modes), -1)
-    t = modes_flat.conj() @ outs.reshape(len(outs), -1).T * grid.pitch**2
+    return _check_passive(modes_flat.conj() @ outs.reshape(len(outs), -1).T * grid.pitch**2)
+
+
+def _check_passive(t: np.ndarray) -> np.ndarray:
+    """t, unless a column captures more than 1 + CAPTURED_POWER_TOL."""
     col_power = (np.abs(t) ** 2).sum(axis=0)
-    if col_power.max() > 1.0 + 1e-6:
-        raise InvalidInputError(
-            f"transfer column captured power {col_power.max():.9f} exceeds 1"
-        )
+    if col_power.size and col_power.max() > 1.0 + CAPTURED_POWER_TOL:
+        raise InvalidInputError(f"transfer column captured power {col_power.max():.9f} exceeds 1")
     return t
 
 
@@ -631,13 +636,8 @@ class SorterMetrics:
     insertion_loss_db: float
 
     def __post_init__(self):
-        t = np.asarray(self.transfer, dtype=np.complex128)
+        t = _check_passive(np.asarray(self.transfer, dtype=np.complex128))
         object.__setattr__(self, "transfer", t)
-        col_power = (np.abs(t) ** 2).sum(axis=0)
-        if col_power.size and col_power.max() > 1.0 + 1e-9:
-            raise InvalidInputError(
-                f"transfer column captured power {col_power.max():.9f} exceeds 1"
-            )
 
     def save_json(self, path) -> None:
         doc = {

@@ -37,7 +37,22 @@ NORMALIZATION_TOL = 1e-9
 
 
 def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise InvalidInputError(f"seed {seed} must be >= 0")
     return np.random.Generator(np.random.Philox(seed))
+
+
+def _alignments(values, n_matched: int, name: str = "alignments") -> tuple:
+    """The block orientation, row or col, of each of n_matched matched settings.
+    None gives row,col for two (the row/col-DFT pair), else row for each;
+    anything but one row or col per setting raises InvalidInputError."""
+    if values is None:
+        return ("row", "col") if n_matched == 2 else ("row",) * n_matched
+    if not (isinstance(values, (list, tuple)) and len(values) == n_matched
+            and all(value in ("row", "col") for value in values)):
+        raise InvalidInputError(f"{name} needs one alignment per matched setting "
+                                f"({n_matched}), each row or col, got {values!r}")
+    return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -78,7 +93,8 @@ class ProbabilityTable:
 
 @dataclass(frozen=True)
 class CountTable:
-    """Coincidence counts c(a,b|k,l) with the acquisition metadata."""
+    """Coincidence counts c(a,b|k,l) with the acquisition metadata and the
+    block orientation of each matched setting (by default apply_noise's)."""
 
     dim: int
     counts: np.ndarray
@@ -86,6 +102,7 @@ class CountTable:
     coincidence_window: float = 400e-12
     seed: int | None = None
     generator: str = GENERATOR_ID
+    alignments: tuple | None = None
 
     def __post_init__(self):
         counts = np.asarray(self.counts)
@@ -106,6 +123,7 @@ class CountTable:
         elif top > np.iinfo(np.int64).max:
             raise InvalidInputError("counts must be integers below 2^63")
         object.__setattr__(self, "counts", counts.astype(np.int64))
+        object.__setattr__(self, "alignments", _alignments(self.alignments, min(counts.shape[2:])))
 
 
 @dataclass(frozen=True)
@@ -131,12 +149,7 @@ def _block_mask(d: int, alignment: str) -> np.ndarray:
     """Boolean (a, b) table: outcome a shares sent state b's grid block."""
     side = grid_side(d)
     flat = np.arange(d)
-    if alignment == "row":
-        group = flat // side
-    elif alignment == "col":
-        group = flat % side
-    else:
-        raise InvalidInputError(f"alignment must be 'row' or 'col', got '{alignment}'")
+    group = flat // side if alignment == "row" else flat % side
     return group[:, None] == group[None, :]
 
 
@@ -194,30 +207,24 @@ def apply_noise(
     b, E_u/(d-1) on every wrong outcome, plus E_b/(sqrt(d)-1) extra on
     the sqrt(d)-1 wrong outcomes inside b's block.  Mismatched settings
     are left untouched.  alignments gives the block orientation ("row" or
-    "col") per matched basis index; it defaults to "row" everywhere.
+    "col") per matched basis index (default: row,col for two, else row).
     """
     total = total_error(uniform_error, block_error)
     d = table.dim
-    n_matched = min(table.bases_alice, table.bases_bob)
+    alignments = _alignments(alignments, min(table.bases_alice, table.bases_bob))
     if block_error > 0.0:
         side = grid_side(d)  # raises InvalidDimensionError for non-square d
     if total == 0.0:
         return table
     if d < 2:
         raise InvalidNoiseError(f"d={d} has no wrong outcome to carry an error")
-    if alignments is None:
-        alignments = ["row"] * n_matched
-    if len(alignments) != n_matched:
-        raise InvalidInputError(
-            f"need an alignment per matched setting ({n_matched}), got {len(alignments)}"
-        )
     probs = table.probs.copy()
     eye = np.eye(d, dtype=bool)
-    for k in range(n_matched):
+    for k, alignment in enumerate(alignments):
         cond = np.full((d, d), uniform_error / (d - 1))
         np.fill_diagonal(cond, 1.0 - total)
         if block_error > 0.0:
-            in_block = _block_mask(d, alignments[k]) & ~eye
+            in_block = _block_mask(d, alignment) & ~eye
             cond[in_block] += block_error / (side - 1)
         probs[:, :, k, k] = cond / d
     return ProbabilityTable(d, probs)
@@ -229,12 +236,13 @@ def sample_counts(
     time: float,
     accidental_rate: float = 0.0,
     seed: int = 0,
+    alignments=None,
 ) -> CountTable:
     """Poisson coincidence counts for every setting measured for `time`.
 
     c(a,b|k,l) ~ Poisson(time * (pair_rate * p(a,b|k,l) + accidental_rate/d^2)):
     true pairs follow the table, accidentals add a flat floor.  Bit-exact
-    reproducible from the seed.
+    reproducible from the seed.  The counts record the table's `alignments`.
     """
     for name, rate in (("pair rate", pair_rate), ("accidental rate", accidental_rate)):
         if not 0.0 <= rate < math.inf:  # NaN too
@@ -247,7 +255,7 @@ def sample_counts(
         counts = _rng(seed).poisson(mean)
     except ValueError as exc:  # a mean beyond what numpy can sample
         raise InvalidInputError(f"cannot sample Poisson counts: {exc}") from None
-    return CountTable(d, counts, integration_time=time, seed=seed)
+    return CountTable(d, counts, integration_time=time, seed=seed, alignments=alignments)
 
 
 def normalize_counts(counts: CountTable) -> ProbabilityTable:
@@ -270,19 +278,25 @@ def normalize_counts(counts: CountTable) -> ProbabilityTable:
 def decompose_errors(
     table: ProbabilityTable,
     setting: int = 1,
-    alignment: str = "row",
+    alignment: str | None = None,
 ) -> NoiseDecomposition:
     """Split the matched-setting error into uniform and block parts.
 
     E_t is the total wrong-outcome probability.  The uniform component is
     estimated from the d - sqrt(d) outcomes outside the sent state's
-    block, rescaled by (d-1)/(d-sqrt(d)) to account for all d-1 error
-    states; the block component is the remainder.
+    block (oriented as apply_noise's default unless `alignment` is given),
+    rescaled by (d-1)/(d-sqrt(d)) to account for all d-1 error states; the
+    block component is the remainder.
     """
     d = table.dim
     side = grid_side(d)
-    if not 1 <= setting <= min(table.bases_alice, table.bases_bob):
+    n_matched = min(table.bases_alice, table.bases_bob)
+    if not 1 <= setting <= n_matched:
         raise InvalidInputError(f"no matched setting {setting} in the table")
+    alignments = list(_alignments(None, n_matched))
+    if alignment is not None:
+        alignments[setting - 1] = alignment
+    alignment = _alignments(alignments, n_matched)[setting - 1]
     joint = table.probs[:, :, setting - 1, setting - 1]
     total = 1.0 - float(np.trace(joint))  # 1 - sum_a p(a,a|k,k)
     out_of_block = float(joint[~_block_mask(d, alignment)].sum())
@@ -601,6 +615,7 @@ def save_counts_csv(counts: CountTable, path) -> None:
         "coincidence_window": counts.coincidence_window,
         "seed": counts.seed,
         "generator": counts.generator,
+        "alignments": counts.alignments,
     }
     write_json(path + ".meta.json", sidecar, "counts sidecar holds non-finite values")
     _write_table_csv(path, counts.counts)
@@ -609,7 +624,7 @@ def save_counts_csv(counts: CountTable, path) -> None:
 def load_counts_csv(path) -> CountTable:
     path = str(path)
     meta, shape = _read_sidecar(path, "integration_time", "coincidence_window", "seed",
-                                "generator")
+                                "generator", "alignments")
     array = _read_table_csv(path, shape)
     return CountTable(
         meta["dim"],
@@ -618,4 +633,5 @@ def load_counts_csv(path) -> CountTable:
         coincidence_window=meta["coincidence_window"],
         seed=meta["seed"],
         generator=meta["generator"],
+        alignments=meta["alignments"],
     )

@@ -336,18 +336,9 @@ def test_simulate_rejects_bad_alignments_before_writing(tmp_path, capsys, alignm
     assert not out.exists()
 
 
-def test_keyrate_counts_rejects_bad_alignments(tmp_path, capsys):
-    run("simulate", "--d", 4, "--family", "sqrt-pair", "--rounds", 10, "--out", tmp_path,
-        "--quiet")
-    code = run("keyrate", "--counts", tmp_path / "counts.csv", "--alignments", "row,diag",
-               "--out", tmp_path / "r", "--quiet")
-    assert code == 2
-    assert "--alignments" in capsys.readouterr().err
-
-
 def test_comp_dft_pipeline_recovers_the_block_split(tmp_path):
-    # simulate and keyrate --counts default to the same alignments (row,col
-    # for two matched settings), so the split the session was given comes back
+    # simulate records its default alignments (row,col for two matched
+    # settings) in the counts, so the split the session was given comes back
     assert run("simulate", "--d", 25, "--family", "comp-dft", "--Eu", 0.073, "--Eb", 0.248,
                "--rounds", 10, "--out", tmp_path / "sim", "--quiet") == 0
     assert run("keyrate", "--counts", tmp_path / "sim" / "counts.csv",
@@ -356,10 +347,28 @@ def test_comp_dft_pipeline_recovers_the_block_split(tmp_path):
     assert abs(report["rate"] - 0.8167) < 0.05
 
 
-def test_keyrate_alignments_need_counts(tmp_path, capsys):
-    out = tmp_path / "rate"
-    assert run("keyrate", "--d", 4, "--E", 0.1, "--alignments", "diag", "--out", out) == 2
-    assert capsys.readouterr().err.startswith("error: --alignments")
+def test_keyrate_counts_reads_the_simulated_alignments(tmp_path, capsys):
+    # The paper's d=25 link measured with the blocks the other way round:
+    # the counts carry col,row, so the typed split's bound comes back.
+    assert run("simulate", "--d", 25, "--family", "sqrt-pair", "--Eu", 0.073, "--Eb", 0.248,
+               "--alignments", "col,row", "--pair-rate", "1e6", "--time", 1, "--rounds", 10,
+               "--seed", 3, "--out", tmp_path / "sim", "--quiet") == 0
+    counts = tmp_path / "sim" / "counts.csv"
+    assert load_counts_csv(counts).alignments == ("col", "row")
+    assert run("keyrate", "--counts", counts, "--out", tmp_path / "rate", "--quiet") == 0
+    report = json.loads((tmp_path / "rate" / "report.json").read_text())
+    assert report["bound"] == "two_mub_block"
+    assert abs(report["rate"] - 0.8167) < 0.05
+    capsys.readouterr()
+    assert run("keyrate", "--counts", counts, "--alignments", "col,row",
+               "--out", tmp_path / "again", "--quiet") == 2
+    assert capsys.readouterr().err == "error: unrecognized arguments: --alignments col,row\n"
+
+
+def test_negative_seed_exits_2_before_writing(tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert run("simulate", "--d", 4, "--seed", -1, "--rounds", 10, "--out", out) == 2
+    assert capsys.readouterr().err == "error: seed -1 must be >= 0\n"
     assert not out.exists()
 
 
@@ -432,7 +441,7 @@ def test_keyrate_counts_folds_a_negative_block_error(tmp_path, capsys, seed, bou
                                                   abs=1e-12)
 
 
-@pytest.mark.parametrize("bound", [None, "two-mub-uniform"])
+@pytest.mark.parametrize("bound", [None, "two-mub-uniform", "depolarizing"])
 def test_keyrate_rejects_a_typed_negative_block_error(tmp_path, capsys, bound):
     # Only a count estimate of E_b below 0 is folded into E_u.
     argv = ["keyrate", "--d", 25, "--Eu", 0.1, "--Eb", -0.05, "--out", tmp_path]
@@ -756,7 +765,7 @@ _noise_flags = st.dictionaries(
 
 @settings(max_examples=80, deadline=None)
 @example(command="simulate", d=1, rounds=1, family="comp-dft", bound=None,
-         noise={"--Et": "0.05"}, alignments=None)  # no wrong outcome at d=1
+         noise={"--Et": "0.05"}, alignments=None, seed=0)  # no wrong outcome at d=1
 @given(
     command=st.sampled_from(["simulate", "keyrate"]),
     d=st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 9]),
@@ -766,9 +775,11 @@ _noise_flags = st.dictionaries(
     noise=_noise_flags,
     alignments=st.one_of(st.none(), st.sampled_from(["row", "col", "row,col", "col,row,row",
                                                      "diag", "row,", ",", ""])),
+    seed=st.sampled_from([-1, 0, 3]),
 )
-def test_any_noise_argv_exits_0_1_or_2(command, d, rounds, family, bound, noise, alignments):
-    argv = [command, "--d", str(d), "--quiet"]
+def test_any_noise_argv_exits_0_1_or_2(command, d, rounds, family, bound, noise, alignments,
+                                       seed):
+    argv = [command, "--d", str(d), "--seed", str(seed), "--quiet"]
     if command == "simulate":
         noise.pop("--E", None)
         argv += ["--family", family, "--rounds", str(rounds), "--pair-rate", "100",
@@ -871,7 +882,7 @@ JSON_SHA256 = {
     "rate_uni/resolved_config.json":
         "99d53e95a969ad09057e0b2835b4636d5a4289849c4a711543778e85596edd60",
     "sim/counts.csv.meta.json":
-        "4b7de74cddff49e79f9576f73d36e552d9b88afa54e1aac6041b249d73685f32",
+        "cd681d069983bd1cdce7bd03bb9c781c72d8ebadc498fd5ca4a6798084014da8",
     "sim/resolved_config.json":
         "21dacf50ca056a2e1cff6ffd5174a3ffe852b68929b73e0e37d42c1fca5a9383",
     "thresholds/resolved_config.json":

@@ -22,6 +22,7 @@ from hdqkd.errors import (
     SamplingError,
 )
 from hdqkd.optics import (
+    CAPTURED_POWER_TOL,
     ApertureLayout,
     EvanescentClippingWarning,
     GridSpec,
@@ -608,6 +609,13 @@ def test_metrics_of_uniform_loss():
 def test_metrics_reject_zero_transfer():
     with pytest.raises(DegenerateTransferError):
         sorter_metrics(np.zeros((3, 3)))
+
+
+def test_metrics_allow_captured_power_within_the_tolerance():
+    # the same bound as transfer_matrix: a column may capture 1 + CAPTURED_POWER_TOL
+    sorter_metrics(math.sqrt(1 + CAPTURED_POWER_TOL / 2) * np.eye(3))
+    with pytest.raises(InvalidInputError, match="exceeds 1"):
+        sorter_metrics(math.sqrt(1 + 2 * CAPTURED_POWER_TOL) * np.eye(3))
 
 
 @pytest.mark.parametrize("loss_db,d", [(10.7, 5), (13.4, 25)])

@@ -289,6 +289,14 @@ def test_sample_counts_rejects_what_it_cannot_sample(pair_rate, time, accidental
         sample_counts(table, pair_rate, time, accidental_rate)
 
 
+def test_negative_seed_is_rejected():
+    table = entangled_table([computational_basis(2)])
+    with pytest.raises(InvalidInputError, match="seed -1"):
+        sample_counts(table, 1.0, 1.0, seed=-1)
+    with pytest.raises(InvalidInputError, match="seed -1"):
+        simulate_session(table, 10, seed=-1)
+
+
 # --- normalization ------------------------------------------------------------
 
 
@@ -376,7 +384,8 @@ def test_session_rejects_empty_and_bad_rounds():
 
 def test_counts_csv_round_trip(tmp_path):
     table = entangled_table(list(sqrt_mub_pair(4)))
-    counts = sample_counts(table, 500.0, 10.0, 5.0, seed=77)
+    counts = sample_counts(table, 500.0, 10.0, 5.0, seed=77, alignments=["col", "row"])
+    assert CountTable(4, counts.counts, 10.0).alignments == ("row", "col")  # the default
     path = tmp_path / "counts.csv"
     save_counts_csv(counts, path)
     again = load_counts_csv(path)
@@ -384,6 +393,7 @@ def test_counts_csv_round_trip(tmp_path):
     assert again.integration_time == counts.integration_time
     assert again.coincidence_window == counts.coincidence_window
     assert again.seed == 77
+    assert again.alignments == ("col", "row")
 
 
 def test_counts_csv_rejects_a_non_finite_sidecar(tmp_path):
@@ -653,6 +663,9 @@ MALFORMED_COUNTS = {
     "sidecar time": (lambda p: _edit_sidecar(p, integration_time=None), "integration_time"),
     "sidecar generator": (lambda p: _edit_sidecar(p, generator=None), "generator"),
     "sidecar type": (lambda p: _edit_sidecar(p, dim="4"), "integers"),
+    "sidecar alignments": (lambda p: _edit_sidecar(p, alignments=None), "lacks alignments"),
+    "sidecar alignment value": (lambda p: _edit_sidecar(p, alignments=["row", "diag"]),
+                                "alignments needs one alignment per matched setting"),
 }
 
 
