@@ -13,6 +13,7 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -319,9 +320,9 @@ def cmd_simulate(args) -> int:
     _echo(args, f"wrote {out / 'counts.csv'} "
           f"({int(counts.counts.sum())} coincidences)")
     session.save_jsonl(out / "session.jsonl")
-    _echo(args, f"wrote {out / 'session.jsonl'} "
-          f"(sifted {session.sifted_fraction:.3f}, QBER {session.qber:.4f})")
     qber = session.qber
+    _echo(args, f"wrote {out / 'session.jsonl'} "
+          f"(sifted {session.sifted_fraction:.3f}, QBER {qber:.4f})")
     _snapshot(args, out, {"observed_qber": None if math.isnan(qber) else qber})
     return EXIT_OK
 
@@ -437,7 +438,9 @@ def finite(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `hdqkd` parser, built once per process: parsing leaves it as it was."""
     common = _Parser(add_help=False)
     common.add_argument("--config", help="JSON config file with per-command defaults")
     common.add_argument("--out", help="output directory (default $HDQKD_OUT or .)")

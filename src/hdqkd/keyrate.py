@@ -35,8 +35,13 @@ _BISECT_HI = 1.0 - 1e-6
 _MAX_ITER = 200
 
 
-def _xlog2(x: float) -> float:
-    return 0.0 if x == 0.0 else x * math.log2(x)
+def _xlog2(x, scale=1):
+    # x*log2(x/scale) with 0*log2(0) -> +0.0, for x a float or, elementwise,
+    # an array: math.log2 keeps scalar rates bit-identical, numpy.log2 serves
+    # the lockstep search.  The one copy of the 0*log(0) convention.
+    if isinstance(x, np.ndarray):
+        return x * np.log2(np.where(x == 0.0, 1.0, x / scale))
+    return 0.0 if x == 0.0 else x * math.log2(x / scale)
 
 
 def _check_dim(d: int) -> None:
@@ -44,18 +49,21 @@ def _check_dim(d: int) -> None:
         raise InvalidDimensionError(f"need d >= 2, got {d}")
 
 
-def _hd(x: float, d: int) -> float:
-    # h_d(x) for d >= 2; the one copy of its formula and of its domain rule.
+def _check_error_rate(x: float) -> None:
     if not 0.0 <= x < 1.0:
         raise DomainError(f"error rate {x} outside [0, 1)")
-    if x == 0.0:
-        return 0.0
-    return -x * math.log2(x / (d - 1)) - _xlog2(1.0 - x)
 
 
-def _h_block(d: int, side: int, uniform_error: float, block_error: float) -> float:
-    # The block-biased entropy for side = sqrt(d), from checked d and side.
-    total = total_error(uniform_error, block_error)
+def _hd(x, d):
+    # h_d(x) for d >= 2 and x in [0, 1), floats or arrays: the one copy of its
+    # formula.  0.0 - ...: h_d(0) is +0.0, not -0.0.
+    return 0.0 - _xlog2(x, d - 1) - _xlog2(1.0 - x)
+
+
+def _h_block(d, side, uniform_error, block_error):
+    # The block-biased entropy for side = sqrt(d), from checked d, side and
+    # errors, floats or arrays.
+    total = uniform_error + block_error
     p_out = uniform_error / (d - 1)
     p_in = block_error / (side - 1) + p_out
     return (
@@ -73,6 +81,7 @@ def shannon_hd(x: float, d: int) -> float:
     x/(d-1) on each of the d-1 wrong ones.
     """
     _check_dim(d)
+    _check_error_rate(x)
     return _hd(x, d)
 
 
@@ -92,7 +101,9 @@ def entropy_block_biased(d: int, uniform_error: float, block_error: float) -> fl
 
     E_b = 0 reduces exactly to shannon_hd(E_u, d).
     """
-    return _h_block(d, grid_side(d), uniform_error, block_error)
+    side = grid_side(d)
+    total_error(uniform_error, block_error)
+    return _h_block(d, side, uniform_error, block_error)
 
 
 @dataclass(frozen=True)
@@ -129,8 +140,10 @@ def _rate_depolarizing_value(d: int, e: float) -> float:
 def _rate_two_mub_value(d: int, side: int, uniform_error: float, block_error: float) -> float:
     # side = sqrt(d) is read only when block_error != 0.
     if block_error == 0.0:
+        _check_error_rate(uniform_error)
         h = _hd(uniform_error, d)
     else:
+        total_error(uniform_error, block_error)
         h = _h_block(d, side, uniform_error, block_error)
     return math.log2(d) - 2.0 * h
 
@@ -267,6 +280,100 @@ def _bisect_root(rate, a: float, b: float) -> float:
     return 0.5 * (a + b)
 
 
+def _lane_rates(e, d, side, f, log2_d):
+    # The two-basis rate at total errors e (one row per probe) on profile
+    # lanes (d, sqrt(d), f, log2 d), lanes with f = 0 first: the uniform
+    # entropy on those, the block-biased one on the rest.
+    n = int(np.searchsorted(f, 0.0, side="right"))
+    h = np.empty_like(e)
+    if n:
+        h[..., :n] = _hd(e[..., :n], d[:n])
+    if n < f.size:
+        e, f = e[..., n:], f[n:]
+        h[..., n:] = _h_block(d[n:], side[n:], (1.0 - f) * e, f * e)
+    return log2_d - 2.0 * h
+
+
+def _by_lane(parts):
+    # (lanes, values) pairs joined and sorted by lane, so f = 0 comes first.
+    lane, values = (np.concatenate(column) for column in zip(*parts))
+    order = np.argsort(lane)
+    return lane[order], values[order]
+
+
+def _lockstep_thresholds(dims, fractions) -> np.ndarray:
+    """threshold() of the two-basis bound on every lane (dims[i],
+    fractions[i]) at once, a lane with fraction > 0 on a perfect-square
+    d >= 4; NaN where threshold() raises NoThresholdError.
+
+    The lanes take threshold()'s steps in three stages: the ternary
+    search, the minima of lanes it runs to the end, and bisection from
+    _BISECT_LO.  Each round of a stage makes one rate call over the lanes
+    still in it.  numpy.log2 and math.log2 round apart on a few
+    arguments, so a lane can take another step than threshold() where
+    that flips a comparison, and end a few ulps from it.
+    """
+    order = np.argsort(fractions, kind="stable")  # f = 0 first, for _lane_rates
+    d = np.array(dims, dtype=float)[order]
+    f = np.array(fractions, dtype=float)[order]
+    side = np.where(f > 0.0, np.floor(np.sqrt(d)), 0.0)
+    log2_d = np.array([math.log2(n) for n in dims])[order]
+    found = np.full(d.size, np.nan)
+    lo = _BISECT_LO
+
+    def rates(e, lane):
+        return _lane_rates(e, d[lane], side[lane], f[lane], log2_d[lane])
+
+    # No threshold where the rate is not positive at lo.
+    lane = np.flatnonzero(rates(np.full(d.size, lo), slice(None)) > 0.0)
+    a, b = np.full(lane.size, lo), np.full(lane.size, _BISECT_HI)
+    # Ternary search, to a probe past the root (bracket [lo, probe]) or
+    # to the rate's minimum.
+    brackets, minima = [], []
+    for _ in range(_MAX_ITER):
+        if not lane.size:
+            break
+        third = (b - a) / 3.0
+        m1, m2 = a + third, b - third
+        ordered = (a < m1) & (m1 < m2) & (m2 < b)
+        r1, r2 = rates(np.stack([m1, m2]), lane)
+        past1 = r1 <= -ROOT_TOL
+        past = ordered & (past1 | (r2 <= -ROOT_TOL))
+        lower = r1 < r2
+        keep = ordered & ~past
+        if not keep.all():
+            brackets.append((lane[past], np.where(past1, m1, m2)[past]))
+            minima.append((lane[~ordered], 0.5 * (a + b)[~ordered]))
+            lane, a, b, m1, m2, lower = (x[keep] for x in (lane, a, b, m1, m2, lower))
+        a, b = np.where(lower, a, m1), np.where(lower, m2, b)
+    minima.append((lane, 0.5 * (a + b)))
+
+    # A minimum within ROOT_TOL of zero is the root, one above it means no
+    # threshold, one below it is bisected.
+    lane, e_min = _by_lane(minima)
+    r_min = rates(e_min, lane)
+    tangent = np.abs(r_min) < ROOT_TOL
+    found[lane[tangent]] = e_min[tangent]
+    below = ~tangent & ~(r_min > 0.0)
+    brackets.append((lane[below], e_min[below]))
+
+    # Bisection of each bracket to |rate| < ROOT_TOL.
+    lane, b = _by_lane(brackets)
+    a = np.full(lane.size, lo)
+    for _ in range(_MAX_ITER):
+        if not lane.size:
+            break
+        mid = 0.5 * (a + b)
+        v = rates(mid, lane)
+        root = np.abs(v) < ROOT_TOL
+        found[lane[root]] = mid[root]
+        keep, pos = ~root, v > 0.0
+        a, b = np.where(pos, mid, a)[keep], np.where(pos, b, mid)[keep]
+        lane = lane[keep]
+    found[lane] = 0.5 * (a + b)
+    return found[np.argsort(order)]
+
+
 @dataclass(frozen=True)
 class SubsetStats:
     """Error statistics reduced from p(a,b|k,l) at five granularities.
@@ -339,23 +446,23 @@ def threshold_curve(dims) -> list[dict]:
     each profile of CURVE_BLOCK_FRACTIONS.
 
     Uniform errors (fraction 0) are evaluated for every d; block-biased
-    profiles only exist on perfect squares and other d are skipped.
+    profiles only exist on perfect squares and other d are skipped, as
+    are profiles without a threshold.  All profiles are searched at once
+    (_lockstep_thresholds), so a row may differ from threshold() of its
+    profile in the last bits.
     """
-    rows = []
+    lanes = []
     for d in dims:
-        for f in CURVE_BLOCK_FRACTIONS:
-            bound = "two_mub_uniform" if f == 0.0 else "two_mub_block"
-            if f > 0.0:
-                try:
-                    grid_side(d)
-                except InvalidDimensionError:
-                    continue
-            try:
-                thr = threshold(bound, d, block_fraction=f if f > 0.0 else None)
-            except NoThresholdError:
-                continue
-            rows.append({"d": d, "block_fraction": f, "threshold": thr})
-    return rows
+        _check_dim(d)
+        try:
+            grid_side(d)
+            fractions = CURVE_BLOCK_FRACTIONS
+        except InvalidDimensionError:
+            fractions = (0.0,)
+        lanes += [(d, f) for f in fractions]
+    found = _lockstep_thresholds([d for d, _ in lanes], [f for _, f in lanes])
+    return [{"d": d, "block_fraction": f, "threshold": thr}
+            for (d, f), thr in zip(lanes, found.tolist()) if not math.isnan(thr)]
 
 
 def save_report_csv(report: KeyRateReport, path) -> None:

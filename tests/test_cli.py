@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hdqkd import cli
 from hdqkd.cli import main
 from hdqkd.keyrate import rate_two_mub
 from hdqkd.optics import load_stack
@@ -518,6 +519,21 @@ def test_keyrate_threshold_curve(tmp_path):
         assert fraction == repr(float(fraction)) and threshold == repr(float(threshold))
 
 
+def test_keyrate_thresholds_csv_bytes_are_pinned(tmp_path):
+    # The benchmark's threshold scan; recorded with the scalar search, one
+    # profile at a time, and kept by the lockstep search of all of them.
+    assert run("keyrate", "--curve", "thresholds", "--d-range", "2:512",
+               "--out", tmp_path, "--quiet") == 0
+    assert hashlib.sha256((tmp_path / "thresholds.csv").read_bytes()).hexdigest() == (
+        "a1f33cc168556a31d8c73836fdca3fc5b18364fb15f7042d85b610bfbf40b251")
+
+
+def test_keyrate_thresholds_below_d_2_is_usage_error(tmp_path, capsys):
+    assert run("keyrate", "--curve", "thresholds", "--d-range", "1:5",
+               "--out", tmp_path, "--quiet") == 2
+    assert capsys.readouterr().err == "error: need d >= 2, got 1\n"
+
+
 @pytest.mark.parametrize("d_range", ["abc", "2", "2:x", "2:9:3", "9:2"])
 def test_keyrate_bad_d_range_is_usage_error(tmp_path, capsys, d_range):
     code = run("keyrate", "--curve", "thresholds", "--d-range", d_range,
@@ -639,6 +655,36 @@ def _replays_bit_exactly(tmp_path, *argv):
 ])
 def test_run_replays_bit_exactly_from_its_snapshot(tmp_path, argv):
     _replays_bit_exactly(tmp_path, *argv)
+
+
+def test_one_parser_serves_a_sequence_of_calls(tmp_path, capsys):
+    # The parser is built once per process; each call of a sequence must
+    # do what it does on a parser of its own.
+    sequence = [
+        ("bad", ("keyrate", "--d", 5, "--bound", "magic")),
+        ("rate", ("keyrate", "--d", 25, "--Eu", 0.073, "--Eb", 0.248, "--curve", "rate",
+                  "--errors", "0:0.5:11")),
+        ("replay", ("keyrate", "--config", tmp_path / "seq" / "rate" / "resolved_config.json")),
+    ]
+
+    def results(root, alone):
+        out = []
+        cli.build_parser.cache_clear()
+        for name, argv in sequence:
+            if alone:
+                cli.build_parser.cache_clear()
+            code = run(*argv, "--out", root / name, "--quiet")
+            files = {p.name: p.read_bytes() for p in sorted((root / name).glob("*"))}
+            out.append((code, capsys.readouterr().err, files))
+        return out
+
+    in_sequence = results(tmp_path / "seq", alone=False)
+    assert cli.build_parser.cache_info().misses == 1
+    (code, err, files), rate, replay = in_sequence
+    assert code == 2 and err.startswith("error: argument --bound") and err.count("\n") == 1
+    assert not files
+    assert rate[0] == replay[0] == 0 and replay[2]["curve.csv"] == rate[2]["curve.csv"]
+    assert results(tmp_path / "alone", alone=True) == in_sequence
 
 
 def test_optics_design_replays_bit_exactly_from_its_snapshot(tmp_path):

@@ -367,6 +367,79 @@ def test_threshold_curve_skips_nonsquare_blocks():
     assert block_dims == {4, 9}
 
 
+LOCKSTEP_FRACTIONS = (0.0, 0.3, 0.77, 0.9, 1.0 - 1e-12, 1.0)
+
+
+def lockstep_lanes(dims):
+    return [(d, f) for d in dims for f in LOCKSTEP_FRACTIONS
+            if f == 0.0 or (d >= 4 and math.isqrt(d) ** 2 == d)]
+
+
+def scalar_thresholds(lanes):
+    """threshold() on each lane, NaN where it finds none."""
+    out = []
+    for d, f in lanes:
+        try:
+            out.append(threshold("two_mub_block" if f > 0.0 else "two_mub_uniform", d,
+                                 block_fraction=f if f > 0.0 else None))
+        except NoThresholdError:
+            out.append(math.nan)
+    return np.array(out)
+
+
+def test_lockstep_thresholds_match_threshold():
+    # numpy.log2 and math.log2 round apart on ~0.1% of arguments, which can
+    # flip one comparison of a search; the roots then differ in the last bits.
+    lanes = lockstep_lanes(range(2, 2049))
+    got = keyrate._lockstep_thresholds(*zip(*lanes))
+    want = scalar_thresholds(lanes)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.nanmax(np.abs(got - want)) <= 1e-12
+
+
+def test_lockstep_threshold_search_takes_the_scalar_steps(monkeypatch):
+    # On a rate made of +, - and * alone both searches round alike, so they
+    # must agree bit for bit on every branch: a root past a probe, a tangent
+    # minimum, a minimum above zero (no threshold) and a start at or below
+    # zero (no threshold).
+    def centre_and_depth(d, f):
+        centre = 0.1 + 0.8 * f
+        return centre, centre * centre * ((d % 4) - 1) * 0.5
+
+    def lane_rates(e, d, side, f, log2_d):
+        centre, depth = centre_and_depth(d, f)
+        return (e - centre) * (e - centre) - depth
+
+    def profile_rate(bound, d, f):
+        centre, depth = centre_and_depth(d, f)
+        return lambda e: (e - centre) * (e - centre) - depth
+
+    monkeypatch.setattr(keyrate, "_lane_rates", lane_rates)
+    monkeypatch.setattr(keyrate, "_profile_rate", profile_rate)
+    lanes = lockstep_lanes(range(2, 40))
+    got = keyrate._lockstep_thresholds(*zip(*lanes))
+    want = scalar_thresholds(lanes)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert 0 < np.isnan(want).sum() < len(lanes)
+
+
+def test_threshold_curve_searches_in_few_vectorized_rate_calls(monkeypatch):
+    calls, lane_rates = [0], keyrate._lane_rates
+
+    def counted(*args):
+        calls[0] += 1
+        return lane_rates(*args)
+
+    def scalar(*args, **kwargs):
+        raise AssertionError("threshold_curve ran a scalar search")
+
+    monkeypatch.setattr(keyrate, "_lane_rates", counted)
+    monkeypatch.setattr(keyrate, "threshold", scalar)
+    rows = threshold_curve(range(2, 513))
+    assert len(rows) == 511 + 2 * 21
+    assert calls[0] <= 150
+
+
 # --- subset statistics ------------------------------------------------------
 
 
