@@ -28,7 +28,6 @@ from .errors import (
     HdqkdError,
     InsufficientDataError,
     InvalidConfigError,
-    InvalidDimensionError,
     NoThresholdError,
     write_json,
 )
@@ -200,7 +199,7 @@ def _design_geometry(args):
     grid = optics.GridSpec(args.nx, args.ny, args.pitch, args.wavelength)
     arrangement = args.arrangement
     if arrangement == "auto":
-        arrangement = "grid" if _has_blocks(args.d) else "line"
+        arrangement = "grid" if mub.square_side(args.d) else "line"
     layout = optics.ApertureLayout(args.d, args.aperture_radius, args.aperture_spacing,
                                    arrangement)
     modes = optics.make_aperture_modes(layout, grid)
@@ -331,20 +330,12 @@ def cmd_simulate(args) -> int:
 # keyrate
 
 
-def _has_blocks(d: int) -> bool:
-    """Whether d is a perfect square >= 4, whose modes form sqrt(d)-mode blocks."""
-    try:
-        return mub.grid_side(d) > 1
-    except InvalidDimensionError:
-        return False
-
-
 def _errors_from_counts(args):
     counts = protocol.load_counts_csv(args.counts)
     table = protocol.normalize_counts(counts)
     d = table.dim
-    if not _has_blocks(d):
-        # No block structure to separate; report the total error as uniform.
+    if not mub.square_side(d):
+        # No sqrt(d)-mode blocks to separate; report the total error as uniform.
         stats = keyrate.subset_stats(table)
         return d, float(stats.E), 0.0
     parts = [

@@ -24,7 +24,7 @@ from .errors import (
     NoThresholdError,
     write_json,
 )
-from .mub import grid_side
+from .mub import grid_side, square_side
 from .protocol import total_error
 
 BOUNDS = ("depolarizing_all_mubs", "two_mub_uniform", "two_mub_block")
@@ -454,12 +454,7 @@ def threshold_curve(dims) -> list[dict]:
     lanes = []
     for d in dims:
         _check_dim(d)
-        try:
-            grid_side(d)
-            fractions = CURVE_BLOCK_FRACTIONS
-        except InvalidDimensionError:
-            fractions = (0.0,)
-        lanes += [(d, f) for f in fractions]
+        lanes += [(d, f) for f in (CURVE_BLOCK_FRACTIONS if square_side(d) else (0.0,))]
     found = _lockstep_thresholds([d for d, _ in lanes], [f for _, f in lanes])
     return [{"d": d, "block_fraction": f, "threshold": thr}
             for (d, f), thr in zip(lanes, found.tolist()) if not math.isnan(thr)]

@@ -149,12 +149,19 @@ def full_mub_set(d: int) -> tuple[Basis, ...]:
     return bases
 
 
-def grid_side(d: int) -> int:
+def square_side(d: int) -> int:
     """sqrt(d), the side of the grid of sqrt(d)-mode blocks, for a perfect
-    square d >= 4; raises InvalidDimensionError otherwise."""
-    if d < 4 or math.isqrt(d) ** 2 != d:  # d < 4 first: isqrt rejects negatives
+    square d >= 4; 0 for any other d."""
+    side = math.isqrt(d) if d >= 4 else 0  # d < 4 first: isqrt rejects negatives
+    return side if side * side == d else 0
+
+
+def grid_side(d: int) -> int:
+    """square_side(d), raising InvalidDimensionError where that is 0."""
+    side = square_side(d)
+    if not side:
         raise InvalidDimensionError(f"d={d} is not a perfect square >= 4")
-    return math.isqrt(d)
+    return side
 
 
 def sqrt_mub_pair(d: int) -> tuple[Basis, Basis]:

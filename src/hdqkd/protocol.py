@@ -175,11 +175,12 @@ def ideal_prob_table(alice_bases, bob_bases) -> ProbabilityTable:
                 f"basis '{basis.label}' has dim {basis.dim}, expected {d}"
             )
     probs = np.empty((d, d, len(alice), len(bob)))
+    bob_conj = np.array([b_l.amplitudes.conj() for b_l in bob])
     for k, a_k in enumerate(alice):
-        for l, b_l in enumerate(bob):
-            # (A_k^dagger conj(B_l))[b, a] = sum_n conj(A_k[n,b]) conj(B_l[n,a])
-            m = a_k.amplitudes.conj().T @ b_l.amplitudes.conj()
-            probs[:, :, k, l] = np.abs(m.T) ** 2 / d
+        # m[l, b, a] = (A_k^dagger conj(B_l))[b, a] = sum_n conj(A_k[n,b]) conj(B_l[n,a]),
+        # one (L, d, d) product per Alice basis
+        m = a_k.amplitudes.conj().T @ bob_conj
+        probs[:, :, k, :] = (np.abs(m) ** 2 / d).transpose(2, 1, 0)
     return ProbabilityTable(d, probs)
 
 
@@ -331,10 +332,11 @@ class SessionRecord:
     @property
     def qber(self) -> float:
         """Error fraction on sifted rounds; NaN when nothing was sifted."""
-        mask = self.sifted
-        if not mask.any():
+        sifted = self.sifted
+        n_sifted = np.count_nonzero(sifted)
+        if not n_sifted:
             return float("nan")
-        return float((self.alice_symbol[mask] != self.bob_symbol[mask]).mean())
+        return np.count_nonzero((self.alice_symbol != self.bob_symbol) & sifted) / n_sifted
 
     def save_jsonl(self, path) -> None:
         """One JSON object per round, in the layout README "File formats" gives."""
@@ -349,7 +351,10 @@ class SessionRecord:
         parts, rounds = [], 0
         with open(path, "rb") as fh:
             for line, block, ends in _line_blocks(fh, 1):
-                cols = _walk(block, ends, [len(key) for key in _SESSION_KEYS], 1)
+                # A line's round is its number: step over its width, walk the rest.
+                numbers = np.arange(rounds + 1, rounds + len(ends) + 1)
+                cols = _walk(block, ends, len(_SESSION_KEYS[0]) + _widths(numbers),
+                             [len(key) for key in _SESSION_KEYS[1:]])
                 bad = _mismatch(block, _session_text(rounds + 1, *cols))
                 if bad is None:
                     out_of_range = (cols < 1).any(axis=0) | (cols[2:] > dim).any(axis=0)
@@ -365,6 +370,26 @@ class SessionRecord:
         return cls(dim, k, l, alice, bob, seed)
 
 
+def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """cdf.searchsorted(u, side="right"), the index Generator.choice maps
+    each uniform draw u in [0, 1) to, for a non-decreasing cdf ending in 1.0.
+
+    With at least as many draws as its 2^b >= 4 len(cdf) bins, a guide
+    table (Chen & Asau 1974; Devroye 1986, III.2.4) starts each draw at the
+    answer for its bin's lower edge floor(u 2^b) / 2^b <= u, which is exact,
+    and steps up while cdf[i] <= u; fewer draws go to searchsorted."""
+    bins = 1 << (4 * len(cdf) - 1).bit_length()
+    if len(u) < bins:
+        return cdf.searchsorted(u, side="right")
+    guide = cdf.searchsorted(np.arange(bins) / bins, side="right")
+    i = guide.take((u * bins).astype(np.intp))
+    more = np.flatnonzero(cdf.take(i) <= u)
+    while more.size:  # stops below len(cdf): cdf[-1] = 1.0 > u
+        i[more] += 1
+        more = more[cdf.take(i[more]) <= u[more]]
+    return i
+
+
 def simulate_session(
     table: ProbabilityTable,
     n_rounds: int,
@@ -375,7 +400,13 @@ def simulate_session(
 
     Alice and Bob each pick one of the table's K bases per round, all
     equally likely; the outcome pair of each round is drawn from the
-    table's joint distribution for that setting.
+    table's joint distribution for that setting.  Every pick is the
+    inverse CDF of one Philox `random` draw u: the first index whose
+    cumulative probability, normalized to end in 1, exceeds u, as
+    Generator.choice(p=...) maps it.  Alice's bases take the first
+    n_rounds draws, Bob's the next n_rounds, and the outcomes the rest,
+    setting by setting in (k,l) order and by ascending round within a
+    setting, so the result is independent of how rounds interleave.
     Deterministic for a fixed seed.
     """
     n_bases = table.bases_alice
@@ -387,30 +418,34 @@ def simulate_session(
     if n_rounds < 1:
         raise InvalidConfigError(f"n_rounds must be >= 1, got {n_rounds}")
     d = table.dim
+    n_settings = n_bases * n_bases
 
     rng = _rng(seed)
-    # choice() draws another stream without p, so the uniform p is explicit.
-    basis_probs = np.full(n_bases, 1.0 / n_bases)
-    k_arr = rng.choice(n_bases, size=n_rounds, p=basis_probs)
-    l_arr = rng.choice(n_bases, size=n_rounds, p=basis_probs)
-    # Draw outcomes setting by setting in fixed (k,l) order, rounds in
-    # ascending order within a setting, so the result is independent of
-    # how rounds happen to interleave.  A stable sort groups the rounds;
-    # the narrowest integer type lets numpy use its radix sort.
-    setting = (k_arr * n_bases + l_arr).astype(np.min_scalar_type(n_bases * n_bases - 1))
+    basis_cdf = np.full(n_bases, 1.0 / n_bases).cumsum()
+    basis_cdf /= basis_cdf[-1]
+    k_arr = _inverse_cdf(basis_cdf, rng.random(n_rounds))
+    l_arr = _inverse_cdf(basis_cdf, rng.random(n_rounds))
+    # One outcome CDF per setting s = k*K + l over flat outcomes a*d + b,
+    # made by the row sums and cumsums that choice() gives a 1-D p.
+    cdf = table.probs.reshape(d * d, n_settings).T.copy()
+    cdf /= cdf.sum(axis=1, keepdims=True)
+    np.cumsum(cdf, axis=1, out=cdf)
+    cdf /= cdf[:, -1:].copy()  # a view of cdf would make numpy copy all of it
+    # A stable sort groups the rounds by setting; the narrowest integer
+    # type lets numpy use its radix sort.
+    setting = (k_arr * n_bases + l_arr).astype(np.min_scalar_type(n_settings - 1))
     order = np.argsort(setting, kind="stable")
-    flat = np.empty(n_rounds, dtype=np.int64)
+    flat = np.empty(n_rounds, dtype=np.intp)
     start = 0
-    for s, size in enumerate(np.bincount(setting, minlength=n_bases * n_bases).tolist()):
-        if size == 0:
-            continue
-        joint = table.probs[:, :, s // n_bases, s % n_bases].ravel()
-        joint = joint / joint.sum()
-        flat[order[start:start + size]] = rng.choice(d * d, size=size, p=joint)
-        start += size
-    bob = flat // d + 1
-    alice = flat % d + 1
-    return SessionRecord(d, k_arr + 1, l_arr + 1, alice, bob, seed)
+    for s, size in enumerate(np.bincount(setting, minlength=n_settings).tolist()):
+        if size:
+            flat[order[start:start + size]] = _inverse_cdf(cdf[s], rng.random(size))
+            start += size
+    outcome = np.arange(d * d)
+    k_arr += 1
+    l_arr += 1
+    return SessionRecord(d, k_arr, l_arr, (outcome % d + 1).take(flat),
+                         (outcome // d + 1).take(flat), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -471,13 +506,33 @@ def _session_text(first_round: int, k, l, alice, bob) -> bytearray:
     return _render(cells + [b', "sifted": ', _FLAGS[(k == l).astype(np.intp)], b"}\n"])
 
 
-def _table_text(shape, first_row: int, values: np.ndarray) -> bytearray:
-    """CSV rows from first_row on of a (d, d, K, L) count table, in file
-    order (k, l outer; a, b inner)."""
-    d1, d2, nk, nl = shape
-    rows = np.arange(first_row, first_row + len(values))
-    k, l, a, b = np.unravel_index(rows, (nk, nl, d1, d2))
-    return _render([a + 1, b",", b + 1, b",", k + 1, b",", l + 1, b",", values, b"\r\n"])
+def _table_index(shape, first_row: int, rows: int) -> list:
+    """The 1-based a, b, k, l of `rows` CSV rows from first_row on of a
+    (d, d, K, L) count table, in file order (k, l outer; a, b inner).
+    A file's row numbers stay far below 2^62, and an axis a sidecar
+    claims longer than that divides them as 2^62 does."""
+    d1, d2, _, nl = shape
+    q, index = np.arange(first_row, first_row + rows), []
+    for size in (min(n, 2**62) for n in (d2, d1, nl)):
+        r = q // size  # numpy divides by a scalar far faster than divmod does
+        index.append(q - r * size + 1)
+        q = r
+    b, a, l = index
+    return [a, b, q + 1, l]
+
+
+def _table_text(index, values: np.ndarray) -> bytearray:
+    """CSV rows of the counts `values` at the _table_index `index`."""
+    a, b, k, l = index
+    return _render([a, b",", b, b",", k, b",", l, b",", values, b"\r\n"])
+
+
+def _widths(column: np.ndarray) -> np.ndarray:
+    """Decimal digit counts of a column of positive integers."""
+    width = np.ones(len(column), dtype=np.intp)
+    for k in range(1, len(str(int(column.max(initial=1))))):
+        width += column >= 10**k
+    return width
 
 
 def _write_text(path, head: bytes, columns, text) -> None:
@@ -501,17 +556,19 @@ def _line_blocks(fh, first_line: int):
         first_line += len(ends)
 
 
-def _walk(block: bytes, ends: np.ndarray, seps, skip: int) -> np.ndarray:
+def _walk(block: bytes, ends: np.ndarray, first, seps) -> np.ndarray:
     """The digit runs of the lines of block that end at `ends`, as a
-    (runs, lines) int64 array.  Each line is walked from its start: seps[i]
-    bytes are passed over before its i-th run, and the first `skip` runs
-    are only stepped over.  At most 19 digits of a run are read, and a
-    value above 2^63 - 1 reads as 0, so a run that is not an int64 never
-    renders as itself and the comparison that follows names its line."""
+    (runs, lines) int64 array.  Each line is entered `first` bytes (one
+    number, or one per line) past its start, the rendered width of the
+    columns its row number fixes, and seps[i] bytes are passed over before
+    its i-th run.  At most 19 digits of a run are read, and a value above
+    2^63 - 1 reads as 0, so a run that is not an int64 never renders as
+    itself and the comparison that follows names its line; so does a
+    line whose fixed columns are not `first` bytes wide."""
     buf, rows = np.frombuffer(block, np.uint8), len(ends)
-    pos = np.concatenate(([0], ends[:-1] + 1))[:rows]
+    pos = np.concatenate(([0], ends[:-1] + 1))[:rows] + first
     runs = []
-    for i, sep in enumerate(seps):
+    for sep in seps:
         pos += sep
         value = np.zeros(rows, dtype=np.uint64)
         for _ in range(19):
@@ -519,12 +576,10 @@ def _walk(block: bytes, ends: np.ndarray, seps, skip: int) -> np.ndarray:
             more = digit < 10
             if not more.any():
                 break
-            if i >= skip:
-                value = np.where(more, value * 10 + digit, value)
+            value = np.where(more, value * 10 + digit, value)
             pos += more
-        if i >= skip:
-            value[value > np.iinfo(np.int64).max] = 0
-            runs.append(value.astype(np.int64))
+        value[value > np.iinfo(np.int64).max] = 0
+        runs.append(value.astype(np.int64))
     return np.array(runs)
 
 
@@ -544,7 +599,8 @@ def _line_text(block: bytes, index: int) -> str:
 def _write_table_csv(path, array: np.ndarray) -> None:
     values = array.transpose(2, 3, 0, 1).ravel()
     _write_text(path, _CSV_HEADER, (values,),
-                lambda start, block: _table_text(array.shape, start, block))
+                lambda start, block: _table_text(_table_index(array.shape, start, len(block)),
+                                                 block))
 
 
 def _read_sidecar(path, *keys: str) -> tuple[dict, tuple]:
@@ -579,8 +635,10 @@ def _read_table_csv(path, shape) -> np.ndarray:
                                     f"got {header[:120]!r}")
         for line, block, ends in _line_blocks(fh, 2):
             rows = min(len(ends), n - done)
-            [cut] = _walk(block, ends[:rows], (0, 1, 1, 1, 1), 4)
-            bad = _mismatch(block, _table_text(shape, done, cut))
+            # a,b,k,l follow from the row number: step over them and their commas.
+            index = _table_index(shape, done, rows)
+            [cut] = _walk(block, ends[:rows], sum(map(_widths, index)) + 4, (0,))
+            bad = _mismatch(block, _table_text(index, cut))
             if bad is not None:
                 raise InvalidInputError(
                     f"{path} line {line + bad}: {_expected_row(shape, done + bad)}, "
@@ -597,12 +655,12 @@ def _read_table_csv(path, shape) -> np.ndarray:
 
 
 def _expected_row(shape, row: int) -> str:
-    d1, d2, nk, nl = shape
+    d1, _, nk, nl = shape
     table = f"the dim={d1}, {nk}x{nl}-setting table of the sidecar"
     if row >= math.prod(shape):
         return f"expected the end of {table}"
-    k, l, a, b = np.unravel_index(row, (nk, nl, d1, d2))
-    return f"expected row {a + 1},{b + 1},{k + 1},{l + 1},<count> of {table}"
+    a, b, k, l = (int(c[0]) for c in _table_index(shape, row, 1))
+    return f"expected row {a},{b},{k},{l},<count> of {table}"
 
 
 def save_counts_csv(counts: CountTable, path) -> None:

@@ -17,6 +17,7 @@ from hdqkd.mub import (
     dft_basis,
     full_mub_set,
     grid_side,
+    square_side,
     sqrt_mub_pair,
     unbiasedness_deviation,
     unitarity_deviation,
@@ -180,6 +181,17 @@ def test_sqrt_pair_rejects_bad_dimension():
 def test_grid_side_needs_a_perfect_square_of_at_least_four(d):
     with pytest.raises(InvalidDimensionError):
         grid_side(d)
+
+
+def test_square_side_is_grid_side_or_zero():
+    squares = {side * side: side for side in range(2, 40)}
+    for d in range(-5, 1500):
+        assert square_side(d) == squares.get(d, 0)
+        if squares.get(d):
+            assert grid_side(d) == squares[d]
+        else:
+            with pytest.raises(InvalidDimensionError):
+                grid_side(d)
 
 
 def test_unbiasedness_deviation_on_arrays():

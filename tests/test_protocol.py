@@ -4,6 +4,9 @@ import hashlib
 import io
 import json
 import math
+import re
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from hdqkd.errors import (
     InvalidInputError,
     InvalidNoiseError,
 )
-from hdqkd.mub import computational_basis, dft_basis, full_mub_set, sqrt_mub_pair
+from hdqkd.mub import Basis, computational_basis, dft_basis, full_mub_set, sqrt_mub_pair
 from hdqkd.protocol import (
     CountTable,
     ProbabilityTable,
@@ -94,6 +97,34 @@ def test_count_table_keeps_integral_counts_exactly(good):
 def test_ideal_table_rejects_mixed_dims():
     with pytest.raises(InvalidInputError):
         ideal_prob_table([dft_basis(3)], [dft_basis(4)])
+
+
+def reference_prob_table(alice, bob):
+    """ideal_prob_table's products one (k, l) setting at a time."""
+    d = alice[0].dim
+    probs = np.empty((d, d, len(alice), len(bob)))
+    for k, a_k in enumerate(alice):
+        for l, b_l in enumerate(bob):
+            m = a_k.amplitudes.conj().T @ b_l.amplitudes.conj()
+            probs[:, :, k, l] = np.abs(m.T) ** 2 / d
+    return probs
+
+
+def random_bases(d, count, seed):
+    rng = np.random.default_rng(seed)
+    shape = (count, d, d)
+    unitaries = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))[0]
+    return [Basis(d, u) for u in unitaries]
+
+
+@pytest.mark.parametrize("alice, bob", [
+    pytest.param(list(full_mub_set(7)), [b.conjugate() for b in full_mub_set(7)], id="7-all"),
+    pytest.param(list(sqrt_mub_pair(25)), [b.conjugate() for b in sqrt_mub_pair(25)], id="25-pair"),
+    pytest.param(random_bases(6, 3, 0), random_bases(6, 4, 1), id="6-random-3x4"),
+    pytest.param([dft_basis(5)], random_bases(5, 2, 2), id="5-random-1x2"),
+])
+def test_ideal_table_matches_per_setting_products(alice, bob):
+    assert np.array_equal(ideal_prob_table(alice, bob).probs, reference_prob_table(alice, bob))
 
 
 # --- noise injection ----------------------------------------------------------
@@ -462,15 +493,67 @@ def reference_session(table, n_rounds, seed):
     return k_arr + 1, l_arr + 1, alice, bob
 
 
-@pytest.mark.parametrize("d, family", [(4, "pair"), (5, "all"), (9, "pair")])
-def test_session_grouping_matches_per_setting_scans(d, family):
-    bases = list(sqrt_mub_pair(d)) if family == "pair" else list(full_mub_set(d))
-    table = apply_noise(entangled_table(bases), 0.2, alignments=["row"] * len(bases))
-    record = simulate_session(table, 3000, seed=21)
-    want = reference_session(table, 3000, 21)
+# Outcome draws per setting against the guide table's 4 len(cdf) bins or
+# more: 4-pair 750 vs 64, 5-all about 83 vs 128 (searchsorted), 9-pair
+# 750 vs 512, the d=25 block-noise pair 50k vs 4096, and one basis (one
+# setting) 3000 vs 256.
+@pytest.mark.parametrize("d, family, noise, n_rounds", [
+    pytest.param(4, "pair", (0.2, 0.0), 3000, id="4-pair"),
+    pytest.param(5, "all", (0.2, 0.0), 3000, id="5-all"),
+    pytest.param(9, "pair", (0.2, 0.0), 3000, id="9-pair"),
+    pytest.param(25, "pair", (0.073, 0.248), 200_000, id="25-pair-block"),
+    pytest.param(7, "one", (0.2, 0.0), 3000, id="7-one-basis"),
+])
+def test_session_grouping_matches_per_setting_scans(d, family, noise, n_rounds):
+    bases = {"pair": lambda: list(sqrt_mub_pair(d)), "all": lambda: list(full_mub_set(d)),
+             "one": lambda: [dft_basis(d)]}[family]()
+    alignments = ["row", "col"] if noise[1] else ["row"] * len(bases)
+    table = apply_noise(entangled_table(bases), *noise, alignments=alignments)
+    probs = table.probs.copy()
+    record = simulate_session(table, n_rounds, seed=21)
+    assert np.array_equal(table.probs, probs)  # the table is left as it was
+    want = reference_session(table, n_rounds, 21)
     got = (record.alice_basis, record.bob_basis, record.alice_symbol, record.bob_symbol)
     for column, expected in zip(got, want):
         assert np.array_equal(column, expected)
+        assert column.dtype == expected.dtype
+
+
+def choice_cdf(p):
+    """The cumulative p that Generator.choice searches."""
+    cdf = np.asarray(p, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+ADVERSARIAL_P = {
+    "one": [1.0],
+    "halves": [0.5, 0.5],
+    "zeros": [0.0, 0.0, 0.3, 0.0, 0.7, 0.0, 0.0],  # zero-probability entries everywhere
+    "tiny-first": [1e-300, 1.0, 0.0],
+    "clustered": [1e-9] * 300 + [1.0],  # 300 boundaries in one guide bin
+    "thirds": [1 / 3] * 3,
+    "dirichlet": list(np.random.default_rng(5).dirichlet(np.full(625, 0.05))),
+}
+
+
+@pytest.mark.parametrize("p", ADVERSARIAL_P.values(), ids=ADVERSARIAL_P.keys())
+def test_inverse_cdf_is_searchsorted_right(p):
+    cdf = choice_cdf(p)
+    inside = cdf[cdf < 1.0]
+    edges = np.concatenate([np.arange(2**b) / 2**b for b in range(13)])  # every guide's bins
+    draws = np.concatenate([
+        [0.0, np.nextafter(0.0, 1.0), 0.5, np.nextafter(1.0, 0.0)],
+        inside, np.nextafter(inside, 0.0), np.nextafter(inside, 1.0),
+        edges, np.nextafter(edges[1:], 0.0), np.nextafter(edges, 1.0),
+        np.random.default_rng(0).random(1000),
+    ])
+    assert draws.min() >= 0.0 and draws.max() < 1.0
+    # Single draws take searchsorted; the whole tiled set takes the guide table.
+    many = np.tile(draws, 1 + 64 * len(cdf) // len(draws))
+    for u in [many, draws, *draws[:40, None]]:
+        got = protocol._inverse_cdf(cdf, u)
+        assert np.array_equal(got, cdf.searchsorted(u, side="right"))
 
 
 # --- byte format ----------------------------------------------------------------
@@ -557,6 +640,27 @@ def test_session_jsonl_round_trip_property(tmp_path_factory, record):
     for got, want in zip((again.alice_basis, again.bob_basis, again.alice_symbol,
                           again.bob_symbol), columns):
         assert np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(record=sessions())
+def test_qber_counts_sifted_mismatches(record):
+    mask = record.alice_basis == record.bob_basis
+    if mask.any():
+        assert record.qber == float((record.alice_symbol[mask] != record.bob_symbol[mask]).mean())
+    else:
+        assert math.isnan(record.qber)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_qber_of_long_random_records(seed):
+    rng = np.random.default_rng(seed)
+    n, n_bases, dim = 100_000 + seed, 1 + seed, 2 + 3 * seed
+    k, l = rng.integers(1, n_bases + 1, (2, n))
+    alice, bob = rng.integers(1, dim + 1, (2, n))
+    record = SessionRecord(dim, k, l, alice, bob, seed)
+    mask = k == l
+    assert record.qber == float((alice[mask] != bob[mask]).mean())
 
 
 @settings(max_examples=60, deadline=None)
@@ -657,6 +761,7 @@ MALFORMED_COUNTS = {
                         "line 41"),
     "dim": (lambda p: _edit_sidecar(p, dim=9), "line 6"),
     "huge dim": (lambda p: _edit_sidecar(p, dim=10**9), "line 6"),
+    "dim past int64": (lambda p: _edit_sidecar(p, dim=10**30), "line 6"),
     "bases_alice": (lambda p: _edit_sidecar(p, bases_alice=3), "line 66"),
     "bases_bob": (lambda p: _edit_sidecar(p, bases_bob=1), "line 18"),
     "sidecar key": (lambda p: _edit_sidecar(p, bases_bob=None), "bases_bob"),
@@ -682,6 +787,33 @@ def test_keyrate_rejects_malformed_counts(tmp_path, capsys, case):
     assert err.startswith("error: ") and "Traceback" not in err
     assert where in err
     assert not (tmp_path / "r" / "report.json").exists()
+
+
+@pytest.mark.parametrize("claim, where", [
+    pytest.param({"dim": 10**10},
+                 "line 6: expected row 1,5,1,1,<count> of the dim=10000000000, 2x2", id="dim"),
+    pytest.param({"dim": 2**62 + 1}, "line 6: expected row 1,5,1,1,<count>", id="dim-2^62"),
+    pytest.param({"dim": 10**30}, "line 6: expected row 1,5,1,1,<count>", id="dim-1e30"),
+    pytest.param({"bases_alice": 10**12}, "line 66: expected row 1,1,3,1,<count>", id="bases"),
+    pytest.param({"dim": 10**9, "bases_alice": 10**12, "bases_bob": 10**12},
+                 "line 6: expected row 1,5,1,1", id="all"),
+])
+def test_counts_csv_sidecar_claiming_a_huge_table_is_a_line_error(tmp_path, claim, where):
+    counts = sample_counts(entangled_table(list(sqrt_mub_pair(4))), 500.0, 10.0, 5.0, seed=3)
+    path = tmp_path / "counts.csv"
+    save_counts_csv(counts, path)
+    _edit_sidecar(path, **claim)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(InvalidInputError, match=re.escape(where)):
+            load_counts_csv(path)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5
+    assert peak < 4 * 2**20  # nothing sized by the claimed shape
 
 
 @pytest.mark.parametrize("edit, line", [
