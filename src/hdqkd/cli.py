@@ -125,16 +125,18 @@ def _parse_range(text: str, flag: str, integer: bool = False):
     return range(lo, hi + 1) if integer else np.linspace(lo, hi, n)
 
 
-def _build_bases(d: int, family: str) -> list[mub.Basis]:
-    if family == "wh-all":
-        return list(mub.full_mub_set(d))
-    if family == "sqrt-pair":
-        return list(mub.sqrt_mub_pair(d))
-    if family == "comp-dft":
-        return [mub.computational_basis(d), mub.dft_basis(d)]
-    if family == "dft":
-        return [mub.dft_basis(d)]
-    return [mub.computational_basis(d)]  # argparse choices leave only "computational"
+# Each family's bases, in the order `mub gen` writes them: `--family` names a
+# family, `--target family:i` its basis i.
+_FAMILIES = {
+    "wh-all": mub.full_mub_set,
+    "sqrt-pair": mub.sqrt_mub_pair,
+    "comp-dft": lambda d: (mub.computational_basis(d), mub.dft_basis(d)),
+    "dft": lambda d: (mub.dft_basis(d),),
+    "computational": lambda d: (mub.computational_basis(d),),
+}
+# The basis names `--target` took before `family:i`; snapshots still hold them.
+_TARGET_ALIASES = {"identity": "computational:1", "dft": "dft:1",
+                   "row-dft": "sqrt-pair:1", "col-dft": "sqrt-pair:2"}
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +150,8 @@ def _basis_filename(basis: mub.Basis) -> str:
 
 def cmd_mub(args) -> int:
     if args.action == "gen":
+        bases = _FAMILIES[args.family](args.d)
         out = _out_dir(args)
-        bases = _build_bases(args.d, args.family)
         for basis in bases:
             basis.save_json(out / _basis_filename(basis))
             _echo(args, f"wrote {out / _basis_filename(basis)}")
@@ -208,15 +210,15 @@ def _design_geometry(args):
 
 def _design_targets(args, modes):
     d = args.d
-    if args.target == "identity":
-        coeff = np.eye(d, dtype=complex)
-    elif args.target == "swap":
+    if args.target == "swap":
         coeff = np.eye(d, dtype=complex)[::-1]
-    elif args.target == "dft":
-        coeff = mub.dft_basis(d).amplitudes
-    else:  # row-dft or col-dft, the remaining argparse choices
-        pair = mub.sqrt_mub_pair(d)
-        coeff = pair[0 if args.target == "row-dft" else 1].amplitudes
+    else:  # family:i or an alias of one, as `target` admits
+        family, _, index = _TARGET_ALIASES.get(args.target, args.target).partition(":")
+        bases = _FAMILIES[family](d)
+        if int(index) > len(bases):
+            raise InvalidConfigError(f"--target {args.target}: {family} has {len(bases)} "
+                                     f"bases at d={d}")
+        coeff = bases[int(index) - 1].amplitudes
     # Sorter convention: incoming basis state m ends up in port m, so
     # input mode n maps to sum_m conj(coeff[n, m]) * port_m.
     targets = [optics.superpose(modes, coeff[n, :].conj()) for n in range(d)]
@@ -236,7 +238,6 @@ def _detection_modes(args, grid, layout, modes, planes):
 
 
 def cmd_optics(args) -> int:
-    out = _out_dir(args)
     grid, layout, modes = _design_geometry(args)
     targets, intended = _design_targets(args, modes)
 
@@ -246,6 +247,7 @@ def cmd_optics(args) -> int:
             modes, targets, outputs, args.planes, args.plane_spacing,
             iterations=args.iterations, pad_factor=args.pad_factor,
         )
+        out = _out_dir(args)
         optics.save_stack(stack, out / "stack.mplc")
         _echo(args, f"wrote {out / 'stack.mplc'}")
     else:  # eval
@@ -265,6 +267,7 @@ def cmd_optics(args) -> int:
         transfer, objective = optics.score_converter(
             stack, modes, outputs, targets, pad_factor=args.pad_factor
         )
+        out = _out_dir(args)
     metrics = optics.sorter_metrics(transfer, intended=intended)
     metrics.save_json(out / "metrics.json")
     _echo(args, f"objective {objective:.4f}  fidelity {metrics.fidelity:.4f}  "
@@ -301,7 +304,7 @@ def _noise_from_args(args) -> tuple[float, float]:
 
 
 def cmd_simulate(args) -> int:
-    bases = _build_bases(args.d, args.family)
+    bases = _FAMILIES[args.family](args.d)
     e_u, e_b = _noise_from_args(args)
     alignments = protocol._alignments(args.alignments and args.alignments.split(","),
                                       len(bases), "--alignments")
@@ -348,11 +351,10 @@ def _errors_from_counts(args):
 
 
 def cmd_keyrate(args) -> int:
-    out = _out_dir(args)
-
     if args.curve == "thresholds":
         dims = _parse_range(args.d_range, "--d-range", integer=True)
         rows = keyrate.threshold_curve(dims)
+        out = _out_dir(args)
         header = ["d", "block_fraction", "threshold"]
         keyrate.save_curve_csv(
             out / "thresholds.csv", header, [[row[key] for key in header] for row in rows],
@@ -389,13 +391,12 @@ def cmd_keyrate(args) -> int:
     _echo(args, f"bound {report.bound}  d={report.dim}  "
           f"rate {report.rate:.4f} bits/sifted photon  "
           f"threshold {report.threshold:.4f}")
+    frac = e_b / (e_u + e_b) if e_u + e_b > 0 else 0.0
+    rows = None if errors is None else keyrate.rate_curve(report.bound, d, errors, frac)
+    out = _out_dir(args)  # every rate is computed, so a failed run leaves no --out
     report.save_json(out / "report.json")
     keyrate.save_report_csv(report, out / "report.csv")
-
-    if args.curve == "rate":
-        total = e_u + e_b
-        frac = e_b / total if total > 0 else 0.0
-        rows = keyrate.rate_curve(report.bound, d, errors, block_fraction=frac)
+    if rows is not None:
         keyrate.save_curve_csv(
             out / "curve.csv", ["E", "rate"], rows.tolist(),
             {"bound": report.bound, "d": d, "block_fraction": frac,
@@ -429,6 +430,15 @@ def finite(text: str) -> float:
     return value
 
 
+def target(text: str) -> str:
+    """`--target` type: `swap`, an alias, or `family:i` with i >= 1."""
+    family, _, index = _TARGET_ALIASES.get(text, text).partition(":")
+    if text != "swap" and not (family in _FAMILIES and re.fullmatch("[0-9]+", index)
+                               and int(index) >= 1):
+        raise ValueError(text)
+    return text
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The `hdqkd` parser, built once per process: parsing leaves it as it was."""
@@ -449,8 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mub.add_argument("action", choices=["gen", "check"])
     p_mub.add_argument("files", nargs="*", default=[], help="basis JSON files (check)")
     p_mub.add_argument("--d", type=int, default=5, help="dimension")
-    p_mub.add_argument("--family", default="wh-all",
-                       choices=["wh-all", "sqrt-pair", "comp-dft", "dft", "computational"])
+    p_mub.add_argument("--family", default="wh-all", choices=list(_FAMILIES))
     p_mub.add_argument("--unitarity-tol", type=finite, default=mub.UNITARITY_TOL)
     p_mub.add_argument("--unbiased-tol", type=finite, default=mub.UNBIASED_TOL)
     p_mub.set_defaults(func=cmd_mub)
@@ -461,8 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--stack", help="stack container to evaluate (eval)")
     p_opt.add_argument("--d", type=int, default=5, help="number of modes")
     p_opt.add_argument("--arrangement", default="auto", choices=["auto", "grid", "line"])
-    p_opt.add_argument("--target", default="dft",
-                       choices=["identity", "swap", "dft", "row-dft", "col-dft"])
+    p_opt.add_argument("--target", type=target, default="dft",
+                       help="family:i (basis i as mub gen orders them), an alias or swap")
     p_opt.add_argument("--planes", type=int, default=10)
     p_opt.add_argument("--plane-spacing", type=finite, default=43.5e-3, help="meters")
     p_opt.add_argument("--iterations", type=int, default=30)

@@ -161,6 +161,36 @@ def test_optics_design_rejects_a_non_finite_flag_before_writing(tmp_path, capsys
     assert not out.exists()
 
 
+TARGET_DESIGN = ("optics", "design", "--d", 4, "--planes", 3, "--plane-spacing", "5e-3",
+                 "--iterations", 2, "--nx", 32, "--ny", 32, "--aperture-radius", "40e-6",
+                 "--aperture-spacing", "120e-6", "--quiet")
+
+
+@pytest.mark.parametrize("alias, spec", [
+    ("identity", "computational:1"), ("dft", "dft:1"),
+    ("row-dft", "sqrt-pair:1"), ("col-dft", "sqrt-pair:2"),
+])
+def test_old_target_names_are_aliases_of_family_bases(tmp_path, alias, spec):
+    assert run(*TARGET_DESIGN, "--target", alias, "--out", tmp_path / "alias") == 0
+    assert run(*TARGET_DESIGN, "--target", spec, "--out", tmp_path / "spec") == 0
+    for name in ("stack.mplc", "metrics.json"):
+        assert (tmp_path / "alias" / name).read_bytes() == (tmp_path / "spec" / name).read_bytes()
+
+
+@pytest.mark.parametrize("d, spec", [
+    (5, "wh-all:0"), (5, "wh-all:x"), (5, "nope:1"), (5, "swap:1"), (5, ""),
+    (5, "wh-all:7"),  # six bases at d=5
+    (4, "wh-all:1"),  # d not prime
+    (5, "sqrt-pair:1"),  # d not square
+])
+def test_a_bad_target_is_a_usage_error(tmp_path, capsys, d, spec):
+    out = tmp_path / "out"
+    assert run("optics", "design", "--d", d, "--target", spec, "--out", out, "--quiet") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_optics_eval_reuses_stack(tmp_path):
     run(*optics_args(tmp_path))
     out2 = tmp_path / "eval"
@@ -690,7 +720,14 @@ def test_one_parser_serves_a_sequence_of_calls(tmp_path, capsys):
 def test_optics_design_replays_bit_exactly_from_its_snapshot(tmp_path):
     argv = optics_args(tmp_path, "--pgm")
     at = argv.index("--out")
-    _replays_bit_exactly(tmp_path, *argv[:at], *argv[at + 2:])
+    _replays_bit_exactly(tmp_path / "swap", *argv[:at], *argv[at + 2:])
+    # a family:i target goes through the snapshot as --target=wh-all:3
+    _replays_bit_exactly(tmp_path / "mub", "optics", "design", "--d", 5, "--target", "wh-all:3",
+                         "--arrangement", "line", "--planes", 3, "--plane-spacing", "5e-3",
+                         "--iterations", 2, "--nx", 48, "--ny", 48, "--aperture-radius", "20e-6",
+                         "--aperture-spacing", "60e-6")
+    snapshot = json.loads((tmp_path / "mub" / "first" / "resolved_config.json").read_text())
+    assert snapshot["optics"]["target"] == "wh-all:3"
 
 
 def test_keyrate_counts_replays_bit_exactly_from_its_snapshot(tmp_path):
@@ -731,6 +768,22 @@ def test_config_rejects_what_is_not_a_v1_config_of_the_command(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("code, argv", [
+    (2, ("keyrate", "--d", 1, "--E", 0.1)),
+    (1, ("keyrate", "--counts", "missing.csv")),
+    (2, ("keyrate", "--curve", "thresholds", "--d-range", "1:3")),
+    (2, ("optics", "design", "--d", 4, "--nx", 8, "--ny", 8)),
+    (2, ("mub", "gen", "--d", 6, "--family", "wh-all")),
+    # the report is valid, the rate curve is not: nothing may be written
+    (2, ("keyrate", "--d", 25, "--bound", "depolarizing", "--E", 0.1, "--curve", "rate",
+         "--errors", "0.97:0.99:3")),
+], ids=["keyrate-d1", "counts-missing", "thresholds-d1", "optics-grid", "mub-d6", "rate-curve"])
+def test_a_failing_command_creates_no_out(tmp_path, monkeypatch, code, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv, "--out", "out", "--quiet") == code
+    assert not (tmp_path / "out").exists()
 
 
 def test_out_dir_env_fallback(tmp_path, monkeypatch):

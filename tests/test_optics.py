@@ -547,6 +547,31 @@ def test_design_with_propagated_detection_matches_stepwise_scoring(tmp_path):
     assert abs(config["objective"] - objective) <= 1e-12
 
 
+# The paper's d=5 measurement set at toy size: one sorter per basis of
+# `mub gen --family wh-all`, in the order mub gen writes them.
+MUB5_DESIGN = [
+    "optics", "design", "--d", "5", "--arrangement", "line", "--planes", "3",
+    "--plane-spacing", "5e-3", "--iterations", "8", "--nx", "48", "--ny", "48",
+    "--aperture-radius", "20e-6", "--aperture-spacing", "60e-6", "--quiet",
+]
+
+
+def test_each_of_the_six_d5_mubs_gets_a_sorter(tmp_path):
+    fidelities = []
+    for i in range(1, 7):
+        argv = MUB5_DESIGN + ["--target", f"wh-all:{i}"]
+        assert cli.main(argv + ["--out", str(tmp_path / str(i))]) == 0
+        args = cli.build_parser().parse_args(argv)
+        _, _, modes = cli._design_geometry(args)
+        _, intended = cli._design_targets(args, modes)
+        stack = load_stack(tmp_path / str(i) / "stack.mplc")
+        fidelities.append(sorter_metrics(transfer_matrix(stack, modes, modes), intended).fidelity)
+    assert min(fidelities) > 0.9
+    # WH_r = diag(phase) DFT, and the apertures are disjoint, so the first
+    # mask absorbs the phase: the five quadratic-phase sorters score alike.
+    assert max(fidelities[1:]) - min(fidelities[1:]) <= 1e-12
+
+
 def test_design_converter_matches_wavefront_match_then_score():
     modes, targets = swap_problem()
     stack, transfer, objective = design_converter(
