@@ -301,6 +301,7 @@ def _propagate_array(
     pad_factor: int,
     steps: int = 1,
     phase: np.ndarray | None = None,
+    overwrite: bool = False,
 ) -> np.ndarray:
     """Angular-spectrum propagation of (..., nx, ny) amplitudes.
 
@@ -309,7 +310,10 @@ def _propagate_array(
     All transforms run in place in one padded buffer: along y over the
     nx nonzero rows only, and the padding rows are dropped before the
     inverse transform along y.  Returns a new C-contiguous array of the
-    window's size.
+    window's size.  `overwrite` is for a C-contiguous complex128 batch
+    that the caller drops: the result is written over `amps` instead.
+    That is safe because field i is copied into its thread's buffer
+    before out[i] is written, and no other thread touches either.
 
     The fields are split into one contiguous chunk per core.  Each
     chunk runs on a thread of its own, which carries its fields one at a
@@ -344,7 +348,7 @@ def _propagate_array(
     h, evanescent = _transfer_function(px, py, grid.pitch, grid.wavelength, distance)
     fields = np.reshape(amps, (-1, nx, ny))
     n = len(fields)
-    out = np.empty((n, nx, ny), dtype=np.complex128)
+    out = fields if overwrite else np.empty((n, nx, ny), dtype=np.complex128)
     k = max(min(_fft_workers(), n), 1)
     workers = _fft_workers() // k
     fft = functools.partial(scipy.fft.fft, overwrite_x=True, workers=workers)
@@ -416,9 +420,9 @@ def _converter_pass(stack: PhaseMaskStack, fields, pad_factor: int) -> np.ndarra
     for p in range(stack.planes):
         amps = _propagate_array(
             amps, stack.grid, stack.plane_spacing, pad_factor,
-            phase=np.exp(1j * stack.masks[p]),
+            phase=np.exp(1j * stack.masks[p]), overwrite=True,
         )
-    return _propagate_array(amps, stack.grid, stack.plane_spacing, pad_factor)
+    return _propagate_array(amps, stack.grid, stack.plane_spacing, pad_factor, overwrite=True)
 
 
 def mask_free_passes(fields, planes: int, plane_spacing: float) -> list[OpticalField]:
@@ -430,7 +434,7 @@ def mask_free_passes(fields, planes: int, plane_spacing: float) -> list[OpticalF
     fields = list(fields)
     amps = _mode_matrix(fields)
     grid = fields[0].grid
-    outs = _propagate_array(amps, grid, plane_spacing, 1, steps=planes + 1)
+    outs = _propagate_array(amps, grid, plane_spacing, 1, steps=planes + 1, overwrite=True)
     return [OpticalField(grid, amp) for amp in outs]
 
 
@@ -503,33 +507,50 @@ def _wavefront_sweeps(inputs, targets, planes, plane_spacing, iterations, pad_fa
     _check_orthonormal(inputs, "input modes")
     _check_orthonormal(targets, "target modes")
 
-    fwd0 = _mode_matrix(inputs)  # (d, nx, ny), fields just before plane 1
     masks = np.zeros((planes, grid.nx, grid.ny))
+    overlap = np.empty((grid.nx, grid.ny), dtype=np.complex128)
+    term = np.empty_like(overlap)
 
-    def back(a, phase=None):
-        return _propagate_array(a, grid, -plane_spacing, pad_factor, phase=phase)
+    def back(a, phase=None, overwrite=False):
+        return _propagate_array(
+            a, grid, -plane_spacing, pad_factor, phase=phase, overwrite=overwrite
+        )
 
-    def fwd(a, phase):
-        return _propagate_array(a, grid, plane_spacing, pad_factor, phase=phase)
+    def set_mask(p, f, b):
+        """masks[p] from the overlap sum_n f[n] * conj(b[n]), summed from
+        +0 in mode order as numpy's add.reduce does, one (nx, ny) term at
+        a time."""
+        overlap[...] = 0.0
+        for fn, bn in zip(f, b):
+            np.multiply(fn, np.conjugate(bn, out=term), out=term)
+            np.add(overlap, term, out=overlap)
+        masks[p] = _wrap_phase(-np.angle(overlap))
 
     # Targets carried back from the detection plane to just after the
     # last mask: the same in every iteration.
-    last = back(back(_mode_matrix(targets)))
+    last = back(back(_mode_matrix(targets), overwrite=True), overwrite=True)
     for _ in range(iterations):
+        f = None  # the previous sweep's batch, not needed in this backward sweep
         # Backward fields just after each mask, from the current stack.
+        # They are kept until their plane is set, so never overwritten.
         backward = [None] * planes
-        b = backward[planes - 1] = last
+        backward[planes - 1] = last
         for p in range(planes - 2, -1, -1):
-            b = back(b, np.exp(-1j * masks[p + 1]))
-            backward[p] = b
-        # Forward sweep, updating each plane before passing through it.
-        f = fwd0
+            backward[p] = back(backward[p + 1], np.exp(-1j * masks[p + 1]))
+        # Forward sweep, updating each plane before passing through it and
+        # dropping each backward batch after its plane.  Plane 1 reads the
+        # inputs as given; the sweep's own batch is stacked only once
+        # backward[0] is gone, and is then propagated in place.
+        f = [m.amplitude for m in inputs]
         for p in range(planes):
-            overlap = (f * backward[p].conj()).sum(axis=0)
-            masks[p] = _wrap_phase(-np.angle(overlap))
+            set_mask(p, f, backward[p])
+            backward[p] = None
             if p < planes - 1:
-                f = fwd(f, np.exp(1j * masks[p]))
-    return PhaseMaskStack(grid, masks, plane_spacing), f
+                f = _propagate_array(
+                    np.asarray(f), grid, plane_spacing, pad_factor,
+                    phase=np.exp(1j * masks[p]), overwrite=True,
+                )
+    return PhaseMaskStack(grid, masks, plane_spacing), np.asarray(f)
 
 
 def design_converter(
@@ -555,9 +576,10 @@ def design_converter(
         inputs, targets, planes, plane_spacing, iterations, pad_factor
     )
     outs = _propagate_array(
-        outs, stack.grid, plane_spacing, pad_factor, phase=np.exp(1j * stack.masks[-1])
+        outs, stack.grid, plane_spacing, pad_factor, phase=np.exp(1j * stack.masks[-1]),
+        overwrite=True,
     )
-    outs = _propagate_array(outs, stack.grid, plane_spacing, pad_factor)
+    outs = _propagate_array(outs, stack.grid, plane_spacing, pad_factor, overwrite=True)
     return (
         stack,
         _transfer_from_outputs(outs, output_modes, stack.grid),

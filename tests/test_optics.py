@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -267,6 +268,25 @@ def test_mode_parallel_kernel_reraises_on_the_calling_thread(monkeypatch):
         optics._propagate_array(np.ones((3, 24, 20)), grid, 1e-3, 2, phase=np.ones((3, 3)))
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("pad, steps", [(1, 1), (2, 1), (1, 3)])
+def test_in_place_kernel_is_bit_identical_to_the_fresh_output_kernel(monkeypatch, workers, pad,
+                                                                    steps):
+    monkeypatch.setattr(optics, "_fft_workers", lambda: workers)
+    grid = GridSpec(24, 20, 10e-6, 810e-9)
+    rng = np.random.default_rng(10 * pad + steps)
+    phase = np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=(24, 20)))
+    for count in (1, 2, 3, 5):
+        amps = rng.normal(size=(count, 24, 20)) + 1j * rng.normal(size=(count, 24, 20))
+        for mask in (None, phase):
+            want = optics._propagate_array(amps, grid, 1e-3, pad, steps, phase=mask)
+            batch = amps.copy()
+            got = optics._propagate_array(batch, grid, 1e-3, pad, steps, phase=mask,
+                                          overwrite=True)
+            assert np.array_equal(got, want)
+            assert np.shares_memory(got, batch) and np.array_equal(batch, want)
+
+
 def test_kernel_rejects_fields_of_another_shape():
     # reshaping alone would read a (20, 24) field as (24, 20)
     grid = GridSpec(24, 20, 10e-6, 810e-9)
@@ -418,6 +438,76 @@ def test_wavefront_match_is_deterministic():
     one = wavefront_match(modes, targets, planes=3, plane_spacing=5e-3, iterations=5)
     two = wavefront_match(modes, targets, planes=3, plane_spacing=5e-3, iterations=5)
     assert np.array_equal(one.masks, two.masks)
+
+
+def reference_masks(inputs, targets, planes, spacing, iterations):
+    """wavefront_match's masks with each plane's overlap summed one mode
+    at a time as f * conj(b), from +0, with no temporary to elide."""
+    grid = inputs[0].grid
+
+    def prop(amps, distance, phase=None):
+        return optics._propagate_array(amps, grid, distance, 2, phase=phase)
+
+    masks = np.zeros((planes, grid.nx, grid.ny))
+    last = prop(prop(np.stack([t.amplitude for t in targets]), -spacing), -spacing)
+    for _ in range(iterations):
+        backward = [last]
+        for p in range(planes - 2, -1, -1):
+            backward.insert(0, prop(backward[0], -spacing, np.exp(-1j * masks[p + 1])))
+        f = np.stack([m.amplitude for m in inputs])
+        for p in range(planes):
+            overlap = np.zeros((grid.nx, grid.ny), dtype=complex)
+            for fn, bn in zip(f, backward[p]):
+                overlap = np.add(overlap, np.multiply(fn, np.conjugate(bn)))
+            masks[p] = optics._wrap_phase(-np.angle(overlap))
+            f = prop(f, spacing, np.exp(1j * masks[p]))
+    return masks
+
+
+@pytest.mark.parametrize("count, n, kib", [(2, 64, 128), (4, 96, 576)])
+def test_sweep_overlaps_do_not_depend_on_temporary_elision(count, n, kib):
+    # numpy elides the temporary of a batch product from 256 KiB on, and
+    # then multiplies in the other order, which changes the last bits
+    grid = GridSpec(n, n, 15e-6, 810e-9)
+    modes = make_aperture_modes(ApertureLayout(count, 60e-6, 180e-6, "line"), grid)
+    assert count * n * n * 16 == kib * 1024
+    dft = np.exp(2j * np.pi * np.outer(range(count), range(count)) / count)
+    targets = [superpose(modes, row / math.sqrt(count)) for row in dft]
+    stack = wavefront_match(modes, targets, planes=3, plane_spacing=5e-3, iterations=2)
+    assert np.array_equal(stack.masks, reference_masks(modes, targets, 3, 5e-3, 2))
+    # outside the apertures every plane-1 product is +-0: the sum from +0
+    # is +0, so the phase is 0 and not pi
+    dark = ~np.any([m.amplitude != 0 for m in modes], axis=0)
+    assert dark.sum() > n * n // 2 and np.all(stack.masks[0][dark] == 0.0)
+
+
+def test_design_holds_its_backward_batches_and_little_else(monkeypatch):
+    # Above what the caller holds: P = 5 backward batches, the two
+    # threads' padded buffers (a batch each at d = 4 and pad 2), the masks
+    # (5/8 of a batch), the overlap scratch and one plane's exp(i*mask).
+    # Measured 8.63 batches (7.63 when the threads' buffers do not
+    # overlap in time); 11.38 while each plane's overlap was one batch
+    # product and every propagation made a new batch.
+    monkeypatch.setattr(optics, "_fft_workers", lambda: 2)
+    grid = GridSpec(96, 96, 15e-6, 810e-9)
+    modes = make_aperture_modes(ApertureLayout(4, 100e-6, 300e-6), grid)
+    dft = np.exp(2j * np.pi * np.outer(range(4), range(4)) / 4)
+    targets = [superpose(modes, row / 2) for row in dft]
+    batch = 4 * 96 * 96 * 16
+
+    def design():
+        return design_converter(modes, targets, modes, planes=5, plane_spacing=5e-3,
+                                iterations=2)
+
+    design()  # warm: transfer functions cached, FFT plans made
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        design()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - held <= (8.63 + 0.5) * batch
 
 
 def test_wavefront_match_validates_inputs():
