@@ -27,7 +27,6 @@ from . import __version__, keyrate, mub, optics, protocol
 from .errors import (
     HdqkdError,
     InsufficientDataError,
-    InvalidBasisIndexError,
     InvalidConfigError,
     NoThresholdError,
     write_json,
@@ -215,16 +214,11 @@ def _design_targets(args, modes):
         coeff = np.eye(d, dtype=complex)[::-1]
     else:  # family:i or an alias of one, as `target` admits
         family, _, index = _TARGET_ALIASES.get(args.target, args.target).partition(":")
-        try:
-            # A wh-all basis is built alone: the set would build all d + 1
-            # bases and check every pair.
-            basis = (mub.full_mub_basis(d, int(index)) if family == "wh-all"
-                     else _FAMILIES[family](d)[int(index) - 1])
-        except (InvalidBasisIndexError, IndexError):
-            count = d + 1 if family == "wh-all" else len(_FAMILIES[family](d))
-            raise InvalidConfigError(f"--target {args.target}: {family} has {count} "
-                                     f"bases at d={d}") from None
-        coeff = basis.amplitudes
+        bases = _FAMILIES[family](d)
+        if int(index) > len(bases):
+            raise InvalidConfigError(f"--target {args.target}: {family} has {len(bases)} "
+                                     f"bases at d={d}")
+        coeff = bases[int(index) - 1].amplitudes
     # Sorter convention: incoming basis state m ends up in port m, so
     # input mode n maps to sum_m conj(coeff[n, m]) * port_m.
     targets = [optics.superpose(modes, coeff[n, :].conj()) for n in range(d)]

@@ -118,7 +118,8 @@ def wh_basis(d: int, r: int) -> Basis:
     (-1)**(n-1)^2, giving the standard three-MUB qubit set (the odd-prime
     formula would only permute the DFT basis there).
     """
-    _require_prime(d)
+    if not is_prime(d):
+        raise InvalidDimensionError(f"quadratic-phase MUBs need prime d, got {d}")
     if not 2 <= r <= d + 1:
         raise InvalidBasisIndexError(f"basis index r={r} outside 2..{d + 1}")
     n = np.arange(d)
@@ -132,27 +133,11 @@ def wh_basis(d: int, r: int) -> Basis:
     return Basis(d, amps, label)
 
 
-def _require_prime(d: int) -> None:
-    if not is_prime(d):
-        raise InvalidDimensionError(f"quadratic-phase MUBs need prime d, got {d}")
-
-
-def full_mub_basis(d: int, i: int) -> Basis:
-    """Basis i (1-based) of `full_mub_set(d)`, built alone and not checked
-    against the others: the computational basis, then wh_basis(d, r) for
-    r = 2..d+1, so basis i is wh_basis(d, i) from i = 2 on.  Raises
-    InvalidDimensionError for a non-prime d, then InvalidBasisIndexError
-    for i outside 1..d+1."""
-    _require_prime(d)
-    if not 1 <= i <= d + 1:
-        raise InvalidBasisIndexError(f"basis index i={i} outside 1..{d + 1}")
-    return computational_basis(d) if i == 1 else wh_basis(d, i)
-
-
 def full_mub_set(d: int) -> tuple[Basis, ...]:
     """The computational basis plus all d quadratic-phase MUBs of a prime d,
     every pair re-verified unbiased to 1e-10 (InvalidInputError otherwise)."""
-    bases = tuple(full_mub_basis(d, i) for i in range(1, d + 2))
+    quadratic = [wh_basis(d, r) for r in range(2, d + 2)]  # raises for non-prime d
+    bases = (computational_basis(d), *quadratic)
     for i, b1 in enumerate(bases):
         for b2 in bases[i + 1:]:
             ok, dev = check_mub_pair(b1, b2, UNBIASED_TOL)

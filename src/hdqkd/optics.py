@@ -420,9 +420,9 @@ def _converter_pass(stack: PhaseMaskStack, fields, pad_factor: int) -> np.ndarra
     for p in range(stack.planes):
         amps = _propagate_array(
             amps, stack.grid, stack.plane_spacing, pad_factor,
-            phase=np.exp(1j * stack.masks[p]), overwrite=True,
+            phase=np.exp(1j * stack.masks[p]),
         )
-    return _propagate_array(amps, stack.grid, stack.plane_spacing, pad_factor, overwrite=True)
+    return _propagate_array(amps, stack.grid, stack.plane_spacing, pad_factor)
 
 
 def mask_free_passes(fields, planes: int, plane_spacing: float) -> list[OpticalField]:
@@ -434,7 +434,7 @@ def mask_free_passes(fields, planes: int, plane_spacing: float) -> list[OpticalF
     fields = list(fields)
     amps = _mode_matrix(fields)
     grid = fields[0].grid
-    outs = _propagate_array(amps, grid, plane_spacing, 1, steps=planes + 1, overwrite=True)
+    outs = _propagate_array(amps, grid, plane_spacing, 1, steps=planes + 1)
     return [OpticalField(grid, amp) for amp in outs]
 
 
@@ -511,10 +511,8 @@ def _wavefront_sweeps(inputs, targets, planes, plane_spacing, iterations, pad_fa
     overlap = np.empty((grid.nx, grid.ny), dtype=np.complex128)
     term = np.empty_like(overlap)
 
-    def back(a, phase=None, overwrite=False):
-        return _propagate_array(
-            a, grid, -plane_spacing, pad_factor, phase=phase, overwrite=overwrite
-        )
+    def back(a, phase=None):
+        return _propagate_array(a, grid, -plane_spacing, pad_factor, phase=phase)
 
     def set_mask(p, f, b):
         """masks[p] from the overlap sum_n f[n] * conj(b[n]), summed from
@@ -528,7 +526,7 @@ def _wavefront_sweeps(inputs, targets, planes, plane_spacing, iterations, pad_fa
 
     # Targets carried back from the detection plane to just after the
     # last mask: the same in every iteration.
-    last = back(back(_mode_matrix(targets), overwrite=True), overwrite=True)
+    last = back(back(_mode_matrix(targets)))
     for _ in range(iterations):
         f = None  # the previous sweep's batch, not needed in this backward sweep
         # Backward fields just after each mask, from the current stack.
@@ -576,10 +574,9 @@ def design_converter(
         inputs, targets, planes, plane_spacing, iterations, pad_factor
     )
     outs = _propagate_array(
-        outs, stack.grid, plane_spacing, pad_factor, phase=np.exp(1j * stack.masks[-1]),
-        overwrite=True,
+        outs, stack.grid, plane_spacing, pad_factor, phase=np.exp(1j * stack.masks[-1])
     )
-    outs = _propagate_array(outs, stack.grid, plane_spacing, pad_factor, overwrite=True)
+    outs = _propagate_array(outs, stack.grid, plane_spacing, pad_factor)
     return (
         stack,
         _transfer_from_outputs(outs, output_modes, stack.grid),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hdqkd import cli, mub
+from hdqkd import cli
 from hdqkd.cli import main
 from hdqkd.keyrate import rate_two_mub
 from hdqkd.optics import load_stack
@@ -189,31 +189,6 @@ def test_a_bad_target_is_a_usage_error(tmp_path, capsys, d, spec):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
-
-
-def test_a_wh_all_target_builds_only_its_basis(monkeypatch, capsys, tmp_path):
-    # the whole set builds d + 1 bases and checks every pair; one target needs one
-    bases = mub.full_mub_set(5)
-
-    def whole_set(d):
-        raise AssertionError("built the whole wh-all set")
-
-    monkeypatch.setattr(mub, "full_mub_set", whole_set)
-    monkeypatch.setitem(cli._FAMILIES, "wh-all", whole_set)
-    geometry = ["optics", "design", "--d", "5", "--arrangement", "line", "--nx", "48",
-                "--ny", "48", "--aperture-radius", "20e-6", "--aperture-spacing", "60e-6"]
-    for i, basis in enumerate(bases, start=1):
-        args = cli.build_parser().parse_args(geometry + ["--target", f"wh-all:{i}"])
-        _, _, modes = cli._design_geometry(args)
-        _, intended = cli._design_targets(args, modes)
-        assert np.array_equal(intended, basis.amplitudes.conj().T)
-    for d, spec, message in [
-        (5, "wh-all:7", "error: --target wh-all:7: wh-all has 6 bases at d=5\n"),
-        (4, "wh-all:1", "error: quadratic-phase MUBs need prime d, got 4\n"),
-        (4, "wh-all:9", "error: quadratic-phase MUBs need prime d, got 4\n"),
-    ]:
-        assert run("optics", "design", "--d", d, "--target", spec, "--out", tmp_path) == 2
-        assert capsys.readouterr().err == message
 
 
 def test_optics_eval_reuses_stack(tmp_path):

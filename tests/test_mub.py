@@ -15,7 +15,6 @@ from hdqkd.mub import (
     check_mub_pair,
     computational_basis,
     dft_basis,
-    full_mub_basis,
     full_mub_set,
     grid_side,
     square_side,
@@ -137,23 +136,6 @@ def test_full_mub_set_rejects_a_pair_that_is_not_unbiased(monkeypatch):
 def test_full_mub_set_rejects_nonprime():
     with pytest.raises(InvalidDimensionError):
         full_mub_set(6)
-
-
-@pytest.mark.parametrize("d", [2, 3, 5, 7])
-def test_full_mub_basis_is_that_member_of_the_set(d):
-    for i, basis in enumerate(full_mub_set(d), start=1):
-        alone = full_mub_basis(d, i)
-        assert alone.label == basis.label
-        assert np.array_equal(alone.amplitudes, basis.amplitudes)
-
-
-def test_full_mub_basis_checks_the_dimension_before_the_index():
-    for i in (1, 9):
-        with pytest.raises(InvalidDimensionError, match="need prime d, got 4"):
-            full_mub_basis(4, i)
-    for i in (0, 7):
-        with pytest.raises(InvalidBasisIndexError, match=f"i={i} outside 1..6"):
-            full_mub_basis(5, i)
 
 
 def test_sqrt_pair_d4_first_state():

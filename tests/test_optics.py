@@ -482,18 +482,25 @@ def test_sweep_overlaps_do_not_depend_on_temporary_elision(count, n, kib):
 
 
 def test_design_holds_its_backward_batches_and_little_else(monkeypatch):
-    # Above what the caller holds: P = 5 backward batches, the two
-    # threads' padded buffers (a batch each at d = 4 and pad 2), the masks
-    # (5/8 of a batch), the overlap scratch and one plane's exp(i*mask).
-    # Measured 8.63 batches (7.63 when the threads' buffers do not
-    # overlap in time); 11.38 while each plane's overlap was one batch
-    # product and every propagation made a new batch.
     monkeypatch.setattr(optics, "_fft_workers", lambda: 2)
     grid = GridSpec(96, 96, 15e-6, 810e-9)
     modes = make_aperture_modes(ApertureLayout(4, 100e-6, 300e-6), grid)
     dft = np.exp(2j * np.pi * np.outer(range(4), range(4)) / 4)
     targets = [superpose(modes, row / 2) for row in dft]
-    batch = 4 * 96 * 96 * 16
+    field = 96 * 96 * 16  # one complex (nx, ny) field
+    # Everything the design may hold at once above what the caller holds,
+    # at its worst case: 8.93 batches.  Forming each overlap as a
+    # (d, nx, ny) product and making a new batch at every propagation
+    # peaks near 11.4 batches.
+    model = {
+        "P = 5 backward batches of d = 4 fields": 5 * 4 * field,
+        "2 threads' padded buffers, pad 2": 2 * 4 * field,
+        "2 threads' ufunc buffers for the phase product": 2 * np.getbufsize() * 16,
+        "the masks": 5 * field // 2,
+        "the overlap and its term": 2 * field,
+        "one plane's exp(i*mask)": field,
+        "small Python objects": 64 * 1024,
+    }
 
     def design():
         return design_converter(modes, targets, modes, planes=5, plane_spacing=5e-3,
@@ -507,7 +514,7 @@ def test_design_holds_its_backward_batches_and_little_else(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - held <= (8.63 + 0.5) * batch
+    assert peak - held <= sum(model.values()), (peak - held, model)
 
 
 def test_wavefront_match_validates_inputs():
