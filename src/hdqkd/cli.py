@@ -242,14 +242,14 @@ def cmd_optics(args) -> int:
     targets, intended = _design_targets(args, modes)
 
     if args.action == "design":
-        outputs = _detection_modes(args, grid, layout, modes, args.planes)
+        # The detection modes only score the design, so they are built and
+        # checked before its sweeps, dropped, and built again after them.
+        outputs = functools.partial(_detection_modes, args, grid, layout, modes, args.planes)
+        optics._check_orthonormal(outputs(), "output modes")
         stack, transfer, objective = optics.design_converter(
             modes, targets, outputs, args.planes, args.plane_spacing,
             iterations=args.iterations, pad_factor=args.pad_factor,
         )
-        out = _out_dir(args)
-        optics.save_stack(stack, out / "stack.mplc")
-        _echo(args, f"wrote {out / 'stack.mplc'}")
     else:  # eval
         if args.stack is None:
             raise InvalidConfigError("optics eval needs --stack")
@@ -267,8 +267,11 @@ def cmd_optics(args) -> int:
         transfer, objective = optics.score_converter(
             stack, modes, outputs, targets, pad_factor=args.pad_factor
         )
-        out = _out_dir(args)
-    metrics = optics.sorter_metrics(transfer, intended=intended)
+    metrics = optics.sorter_metrics(transfer, intended=intended)  # finite, or it raises
+    out = _out_dir(args)
+    if args.action == "design":
+        optics.save_stack(stack, out / "stack.mplc")
+        _echo(args, f"wrote {out / 'stack.mplc'}")
     metrics.save_json(out / "metrics.json")
     _echo(args, f"objective {objective:.4f}  fidelity {metrics.fidelity:.4f}  "
           f"crosstalk {metrics.mean_crosstalk:.4f}  "

@@ -17,6 +17,7 @@ y = (iy - ny//2) * pitch, both in meters.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
@@ -294,6 +295,92 @@ def _check_sampling(grid: GridSpec, distance: float, pad_factor: int) -> None:
         )
 
 
+def _check_kernel(grid: GridSpec, distance: float, pad_factor: int, steps: int) -> None:
+    if pad_factor < 1:
+        raise InvalidConfigError(f"pad_factor must be >= 1, got {pad_factor}")
+    if steps < 1 or (steps > 1 and pad_factor != 1):
+        raise InvalidConfigError(f"cannot compose {steps} steps at pad factor {pad_factor}")
+    _check_sampling(grid, distance, pad_factor)
+
+
+def _warn_clipping(clipped: float, total: float) -> None:
+    """Warns, at the caller of the kernel's caller, if the suppressed
+    evanescent components carried more than 1e-12 of the spectral power."""
+    if total > 0.0 and clipped / total > 1e-12:
+        warnings.warn(
+            f"evanescent components carried {clipped / total:.3e} of the "
+            "spectral power and were suppressed",
+            EvanescentClippingWarning,
+            stacklevel=4,
+        )
+
+
+@contextlib.contextmanager
+def _kernel_threads(grid: GridSpec, pad_factor: int, count: int):
+    """Yields the threads for `_propagate_into` calls on `grid` at
+    `pad_factor`: an executor of min(cores, count) threads and one padded
+    work buffer for each.  A caller that propagates many times keeps them
+    across its calls, which costs less than making them per call."""
+    # Imported here so that `import hdqkd` pays for neither scipy nor
+    # the executor.
+    from concurrent.futures import ThreadPoolExecutor
+
+    k = max(min(_fft_workers(), count), 1)
+    shape = (grid.nx * pad_factor, grid.ny * pad_factor)
+    with ThreadPoolExecutor(k) as pool:
+        yield pool, [np.empty(shape, dtype=np.complex128) for _ in range(k)]
+
+
+def _propagate_into(fields, out, grid, distance, pad_factor, steps, phase, threads):
+    """Propagates the checked (nx, ny) fields into `out`, which may be
+    `fields` itself, on `threads` from `_kernel_threads`; returns the
+    clipped evanescent and the total spectral power."""
+    import scipy.fft
+
+    nx, ny = grid.nx, grid.ny
+    px, py = nx * pad_factor, ny * pad_factor
+    h, evanescent = _transfer_function(px, py, grid.pitch, grid.wavelength, distance)
+    pool, buffers = threads
+    n = len(fields)
+    k = max(min(len(buffers), n), 1)
+    workers = _fft_workers() // k
+    fft = functools.partial(scipy.fft.fft, overwrite_x=True, workers=workers)
+    ifft = functools.partial(scipy.fft.ifft, overwrite_x=True, workers=workers)
+
+    def in_place(transform, view, axis):
+        result = transform(view, axis=axis)
+        if not np.may_share_memory(result, view):  # scipy transformed out of place
+            view[...] = result
+
+    def chunk(lo, hi, work):
+        """Propagates fields lo..hi-1 into `out` through the padded
+        buffer `work`; returns their clipped and total spectral power."""
+        window = work[:nx, :ny]
+        clipped = total = 0.0
+        for i in range(lo, hi):
+            work[:nx, ny:] = 0.0
+            work[nx:] = 0.0
+            if phase is None:
+                window[...] = fields[i]
+            else:
+                np.multiply(fields[i], phase, out=window)
+            in_place(fft, work[:nx], -1)
+            in_place(fft, work, -2)
+            if evanescent is not None:
+                clipped += float((np.abs(work[evanescent]) ** 2).sum())
+                total += float((np.abs(work) ** 2).sum())
+            for _ in range(steps):
+                work *= h
+            in_place(ifft, work, -2)
+            in_place(ifft, work[:nx], -1)
+            out[i] = window
+        return clipped, total
+
+    bounds = [n * j // k for j in range(k + 1)]
+    powers = list(pool.map(chunk, bounds[:-1], bounds[1:], buffers))
+    return tuple(sum(p) for p in zip(*powers))
+
+
 def _propagate_array(
     amps: np.ndarray,
     grid: GridSpec,
@@ -302,6 +389,7 @@ def _propagate_array(
     steps: int = 1,
     phase: np.ndarray | None = None,
     overwrite: bool = False,
+    threads=None,
 ) -> np.ndarray:
     """Angular-spectrum propagation of (..., nx, ny) amplitudes.
 
@@ -329,73 +417,42 @@ def _propagate_array(
     multiplying the spectrum by the per-step transfer function once per
     step.  Only the periodic transform (pad_factor 1) composes so: with
     padding, every step crops to the window.
+
+    `threads`, from `_kernel_threads` for the same grid and pad factor,
+    runs the call on a caller's executor and buffers instead of its own.
     """
-    # Imported here so that `import hdqkd` pays for neither scipy nor
-    # the executor.
-    from concurrent.futures import ThreadPoolExecutor
-
-    import scipy.fft
-
-    if pad_factor < 1:
-        raise InvalidConfigError(f"pad_factor must be >= 1, got {pad_factor}")
-    if steps < 1 or (steps > 1 and pad_factor != 1):
-        raise InvalidConfigError(f"cannot compose {steps} steps at pad factor {pad_factor}")
-    _check_sampling(grid, distance, pad_factor)
+    _check_kernel(grid, distance, pad_factor, steps)
     nx, ny = grid.nx, grid.ny
     if np.shape(amps)[-2:] != (nx, ny):
         raise GeometryError(f"amplitudes of shape {np.shape(amps)} do not match the grid")
-    px, py = nx * pad_factor, ny * pad_factor
-    h, evanescent = _transfer_function(px, py, grid.pitch, grid.wavelength, distance)
     fields = np.reshape(amps, (-1, nx, ny))
-    n = len(fields)
-    out = fields if overwrite else np.empty((n, nx, ny), dtype=np.complex128)
-    k = max(min(_fft_workers(), n), 1)
-    workers = _fft_workers() // k
-    fft = functools.partial(scipy.fft.fft, overwrite_x=True, workers=workers)
-    ifft = functools.partial(scipy.fft.ifft, overwrite_x=True, workers=workers)
-
-    def in_place(transform, view, axis):
-        result = transform(view, axis=axis)
-        if not np.may_share_memory(result, view):  # scipy transformed out of place
-            view[...] = result
-
-    def chunk(lo, hi):
-        """Propagates fields lo..hi-1 into `out`; returns the clipped
-        evanescent and the total spectral power."""
-        work = np.empty((px, py), dtype=np.complex128)
-        window = work[:nx, :ny]
-        clipped = total = 0.0
-        for i in range(lo, hi):
-            work[:nx, ny:] = 0.0
-            work[nx:] = 0.0
-            if phase is None:
-                window[...] = fields[i]
-            else:
-                np.multiply(fields[i], phase, out=window)
-            in_place(fft, work[:nx], -1)
-            in_place(fft, work, -2)
-            if evanescent is not None:
-                clipped += float((np.abs(work[evanescent]) ** 2).sum())
-                total += float((np.abs(work) ** 2).sum())
-            for _ in range(steps):
-                work *= h
-            in_place(ifft, work, -2)
-            in_place(ifft, work[:nx], -1)
-            out[i] = window
-        return clipped, total
-
-    bounds = [n * j // k for j in range(k + 1)]
-    with ThreadPoolExecutor(k) as pool:
-        powers = list(pool.map(chunk, bounds[:-1], bounds[1:]))
-    clipped, total = (sum(p) for p in zip(*powers))
-    if total > 0.0 and clipped / total > 1e-12:
-        warnings.warn(
-            f"evanescent components carried {clipped / total:.3e} of the "
-            "spectral power and were suppressed",
-            EvanescentClippingWarning,
-            stacklevel=3,
-        )
+    out = fields if overwrite else np.empty(fields.shape, dtype=np.complex128)
+    # Leaving the executor, here or in the caller that made it, waits for
+    # every thread, so an error never leaves one writing `out`.
+    own = _kernel_threads(grid, pad_factor, len(fields)) if threads is None else None
+    with own or contextlib.nullcontext(threads) as threads:
+        powers = _propagate_into(fields, out, grid, distance, pad_factor, steps, phase, threads)
+    _warn_clipping(*powers)
     return out.reshape(np.shape(amps)[:-2] + (nx, ny))
+
+
+def _propagated_chunks(fields, buffer, grid: GridSpec, distance: float, pad_factor: int, phase,
+                       threads):
+    """Yields (lo, hi, chunk): fields lo..hi-1 of the sequence `fields`,
+    propagated as `_propagate_array` does on `threads`, len(buffer) of
+    them at a time.  Every chunk is written into `buffer`, which the
+    next chunk overwrites.  Warns once, after the last chunk, as
+    `_propagate_array` warns for the whole batch."""
+    _check_kernel(grid, distance, pad_factor, 1)
+    n, k = len(fields), len(buffer)
+    clipped = total = 0.0
+    for lo in range(0, n, k):
+        hi = min(lo + k, n)
+        powers = _propagate_into(fields[lo:hi], buffer[: hi - lo], grid, distance,
+                                 pad_factor, 1, phase, threads)
+        clipped, total = clipped + powers[0], total + powers[1]
+        yield lo, hi, buffer[: hi - lo]
+    _warn_clipping(clipped, total)
 
 
 def propagate(field: OpticalField, distance: float, pad_factor: int = 2) -> OpticalField:
@@ -508,46 +565,76 @@ def _wavefront_sweeps(inputs, targets, planes, plane_spacing, iterations, pad_fa
     _check_orthonormal(targets, "target modes")
 
     masks = np.zeros((planes, grid.nx, grid.ny))
-    overlap = np.empty((grid.nx, grid.ny), dtype=np.complex128)
+    overlap = np.zeros((grid.nx, grid.ny), dtype=np.complex128)
     term = np.empty_like(overlap)
 
-    def back(a, phase=None):
-        return _propagate_array(a, grid, -plane_spacing, pad_factor, phase=phase)
-
-    def set_mask(p, f, b):
-        """masks[p] from the overlap sum_n f[n] * conj(b[n]), summed from
-        +0 in mode order as numpy's add.reduce does, one (nx, ny) term at
-        a time."""
-        overlap[...] = 0.0
+    def fold(f, b):
+        """Adds sum_n f[n] * conj(b[n]) to the overlap one (nx, ny) term
+        at a time, in mode order as numpy's add.reduce does."""
         for fn, bn in zip(f, b):
             np.multiply(fn, np.conjugate(bn, out=term), out=term)
             np.add(overlap, term, out=overlap)
-        masks[p] = _wrap_phase(-np.angle(overlap))
 
-    # Targets carried back from the detection plane to just after the
-    # last mask: the same in every iteration.
-    last = back(back(_mode_matrix(targets)))
-    for _ in range(iterations):
-        f = None  # the previous sweep's batch, not needed in this backward sweep
-        # Backward fields just after each mask, from the current stack.
-        # They are kept until their plane is set, so never overwritten.
-        backward = [None] * planes
-        backward[planes - 1] = last
-        for p in range(planes - 2, -1, -1):
-            backward[p] = back(backward[p + 1], np.exp(-1j * masks[p + 1]))
-        # Forward sweep, updating each plane before passing through it and
-        # dropping each backward batch after its plane.  Plane 1 reads the
-        # inputs as given; the sweep's own batch is stacked only once
-        # backward[0] is gone, and is then propagated in place.
-        f = [m.amplitude for m in inputs]
-        for p in range(planes):
-            set_mask(p, f, backward[p])
-            backward[p] = None
-            if p < planes - 1:
-                f = _propagate_array(
-                    np.asarray(f), grid, plane_spacing, pad_factor,
-                    phase=np.exp(1j * masks[p]), overwrite=True,
-                )
+    def set_mask(p):
+        """masks[p] from the overlap folded since the last plane; the
+        next plane's overlap starts again from +0."""
+        masks[p] = _wrap_phase(-np.angle(overlap))
+        overlap[...] = 0.0
+
+    def back(a, phase=None):
+        return _propagate_array(a, grid, -plane_spacing, pad_factor, phase=phase,
+                                threads=threads)
+
+    # Planes 1 and 2 are streamed through this one chunk of fields.
+    chunk = np.empty((min(len(inputs), _fft_workers()), grid.nx, grid.ny), dtype=np.complex128)
+
+    def chunks(fields, distance, phase):
+        return _propagated_chunks(fields, chunk, grid, distance, pad_factor, phase, threads)
+
+    # Every propagation of the sweeps runs on one executor and one padded
+    # buffer per thread, which costs less than making them for each call.
+    with _kernel_threads(grid, pad_factor, len(inputs)) as threads:
+        # Targets carried back from the detection plane to just after the
+        # last mask: the same in every iteration.
+        last = back(back(_mode_matrix(targets)))
+        amps = [m.amplitude for m in inputs]
+        for _ in range(iterations):
+            f = None  # the previous sweep's batch, not needed in this backward sweep
+            # Backward fields just after masks 2..P, from the current stack.
+            # They are kept until their plane is set.
+            backward = [None] * planes
+            backward[planes - 1] = last
+            for p in range(planes - 2, 0, -1):
+                backward[p] = back(backward[p + 1], np.exp(-1j * masks[p + 1]))
+            # The forward sweep sets each plane before passing through it.
+            # Plane 1 reads the inputs as given.
+            if planes == 1:
+                fold(amps, last)
+                set_mask(0)
+                f = amps
+                continue
+            # Plane 1's backward fields are made from backward[1] one chunk at
+            # a time and folded in mode order; no batch of them is held.
+            for lo, hi, b in chunks(backward[1], -plane_spacing, np.exp(-1j * masks[1])):
+                fold(amps[lo:hi], b)
+            set_mask(0)
+            # Plane 2's forward fields are made from the inputs one chunk at a
+            # time, folded, and written over the backward fields they were
+            # folded with, unless those are `last`, kept for the next iteration.
+            f = backward[1] if planes > 2 else np.empty_like(last)
+            for lo, hi, fwd in chunks(amps, plane_spacing, np.exp(1j * masks[0])):
+                fold(fwd, backward[1][lo:hi])
+                f[lo:hi] = fwd
+            backward[1] = None
+            set_mask(1)
+            # Planes 3..P: the sweep's own batch, propagated in place.
+            for p in range(2, planes):
+                f = _propagate_array(f, grid, plane_spacing, pad_factor,
+                                     phase=np.exp(1j * masks[p - 1]), overwrite=True,
+                                     threads=threads)
+                fold(f, backward[p])
+                backward[p] = None
+                set_mask(p)
     return PhaseMaskStack(grid, masks, plane_spacing), np.asarray(f)
 
 
@@ -566,10 +653,15 @@ def design_converter(
     The last forward sweep has already carried the inputs through masks
     1..P-1, so the score finishes that pass: mask P and two spacings,
     rather than a converter pass of its own.
+
+    `output_modes` may also be a function that returns them.  It is
+    called after the sweeps, so that the design does not hold the modes
+    while it runs, and they are checked to be orthonormal once built.
     """
-    output_modes = list(output_modes)
+    built = None if callable(output_modes) else list(output_modes)
+    if built is not None:
+        _check_orthonormal(built, "output modes")
     targets = list(targets)
-    _check_orthonormal(output_modes, "output modes")
     stack, outs = _wavefront_sweeps(
         inputs, targets, planes, plane_spacing, iterations, pad_factor
     )
@@ -577,9 +669,12 @@ def design_converter(
         outs, stack.grid, plane_spacing, pad_factor, phase=np.exp(1j * stack.masks[-1])
     )
     outs = _propagate_array(outs, stack.grid, plane_spacing, pad_factor)
+    if built is None:
+        built = list(output_modes())
+        _check_orthonormal(built, "output modes")
     return (
         stack,
-        _transfer_from_outputs(outs, output_modes, stack.grid),
+        _transfer_from_outputs(outs, built, stack.grid),
         _objective_from_outputs(outs, targets, stack.grid),
     )
 
@@ -591,8 +686,11 @@ def _transfer_from_outputs(outs: np.ndarray, output_modes, grid: GridSpec) -> np
 
 
 def _check_passive(t: np.ndarray) -> np.ndarray:
-    """t, unless a column captures more than 1 + CAPTURED_POWER_TOL."""
+    """t, unless it holds a non-finite entry or a column captures more
+    than 1 + CAPTURED_POWER_TOL."""
     col_power = (np.abs(t) ** 2).sum(axis=0)
+    if not np.isfinite(col_power).all():
+        raise InvalidInputError("transfer matrix holds non-finite values")
     if col_power.size and col_power.max() > 1.0 + CAPTURED_POWER_TOL:
         raise InvalidInputError(f"transfer column captured power {col_power.max():.9f} exceeds 1")
     return t
@@ -676,8 +774,10 @@ def sorter_metrics(transfer: np.ndarray, intended: np.ndarray | None = None) -> 
     the intended unitary U (identity by default); crosstalk averages the
     off-diagonal share of each column's captured power after composing
     with U^dagger; insertion loss is -10*log10(mean column captured power).
+    A transfer with a non-finite entry is rejected before anything is
+    computed, so the metrics are finite.
     """
-    t = np.asarray(transfer, dtype=np.complex128)
+    t = _check_passive(np.asarray(transfer, dtype=np.complex128))
     d = t.shape[0]
     if t.shape != (d, d):
         raise InvalidInputError(f"transfer matrix must be square, got {t.shape}")

@@ -285,6 +285,46 @@ def test_optics_design_rejects_a_dimension_below_one(tmp_path, capsys, d):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("extra, error", [
+    # detection disks that do not fit the grid
+    (("--aperture-spacing", "1e-3", "--detection", "disks", "--detection-radius", "2e-4"),
+     "does not fit"),
+    # detection disks that touch at a pixel, so they are not orthogonal
+    (("--detection", "disks", "--detection-radius", "1.5e-4"), "not orthonormal"),
+    # a spacing within the sweeps' pad-2 bound (35.5 mm) but past the
+    # 17.8 mm bound of the unpadded mask-free detection pass
+    (("--plane-spacing", "25e-3", "--detection", "propagated"), "anti-aliasing"),
+])
+def test_optics_design_checks_its_detection_modes_before_the_first_sweep(
+    tmp_path, capsys, monkeypatch, extra, error
+):
+    from hdqkd import optics
+
+    def reached(*args, **kwargs):
+        raise AssertionError("the design swept before checking its detection modes")
+
+    monkeypatch.setattr(optics, "_wavefront_sweeps", reached)
+    out = tmp_path / "out"
+    assert run(*optics_args(out), *extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and error in err
+    assert not out.exists()
+
+
+def test_optics_design_with_a_nan_transfer_writes_nothing(tmp_path, capsys, monkeypatch):
+    from hdqkd import optics
+
+    def nan_design(inputs, targets, outputs, planes, spacing, **kwargs):
+        stack = optics.PhaseMaskStack(inputs[0].grid, np.zeros((planes, 96, 64)), spacing)
+        return stack, np.full((2, 2), np.nan + 0j), np.nan
+
+    monkeypatch.setattr(optics, "design_converter", nan_design)
+    out = tmp_path / "out"
+    assert run(*optics_args(out)) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_optics_sampling_error_has_remedy(tmp_path, capsys):
     code = run(
         "optics", "design", "--d", 2, "--arrangement", "line", "--nx", 128,

@@ -464,6 +464,50 @@ def reference_masks(inputs, targets, planes, spacing, iterations):
     return masks
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("count", [3, 4, 5])
+@pytest.mark.parametrize("planes", [1, 2, 3, 5])
+def test_streamed_sweeps_match_the_batch_reference(monkeypatch, planes, count, workers):
+    # planes 1 and 2 are streamed in chunks of `workers` fields, so an odd
+    # count leaves a short last chunk; at P=2 the second iteration reads
+    # `last` again, which the first must not have overwritten
+    monkeypatch.setattr(optics, "_fft_workers", lambda: workers)
+    grid = GridSpec(48, 48, 15e-6, 810e-9)
+    modes = make_aperture_modes(ApertureLayout(count, 20e-6, 60e-6, "line"), grid)
+    dft = np.exp(2j * np.pi * np.outer(range(count), range(count)) / count)
+    targets = [superpose(modes, row / math.sqrt(count)) for row in dft]
+    stack, transfer, objective = design_converter(modes, targets, modes, planes=planes,
+                                                  plane_spacing=5e-3, iterations=2)
+    assert np.array_equal(stack.masks, reference_masks(modes, targets, planes, 5e-3, 2))
+    want_transfer, want_objective = score_converter(stack, modes, modes, targets)
+    assert np.array_equal(transfer, want_transfer) and objective == want_objective
+
+
+def test_design_builds_output_modes_given_as_a_function_after_its_sweeps(monkeypatch):
+    # so that the design does not hold them while it sweeps
+    modes, targets = swap_problem()
+    events = []
+    sweeps = optics._wavefront_sweeps
+
+    def recording(*args, **kwargs):
+        events.append("sweeps")
+        return sweeps(*args, **kwargs)
+
+    def build():
+        events.append("output modes")
+        return modes
+
+    monkeypatch.setattr(optics, "_wavefront_sweeps", recording)
+    got = design_converter(modes, targets, build, planes=2, plane_spacing=5e-3, iterations=2)
+    assert events == ["sweeps", "output modes"]
+    want = design_converter(modes, targets, modes, planes=2, plane_spacing=5e-3, iterations=2)
+    assert np.array_equal(got[0].masks, want[0].masks)
+    assert np.array_equal(got[1], want[1]) and got[2] == want[2]
+    overlapping = [modes[0], superpose([modes[0], modes[1]], [0.8, 0.6])]
+    with pytest.raises(InvalidModeSetError, match="output modes"):
+        design_converter(modes, targets, lambda: overlapping, planes=2, plane_spacing=5e-3)
+
+
 @pytest.mark.parametrize("count, n, kib", [(2, 64, 128), (4, 96, 576)])
 def test_sweep_overlaps_do_not_depend_on_temporary_elision(count, n, kib):
     # numpy elides the temporary of a batch product from 256 KiB on, and
@@ -484,21 +528,23 @@ def test_sweep_overlaps_do_not_depend_on_temporary_elision(count, n, kib):
 def test_design_holds_its_backward_batches_and_little_else(monkeypatch):
     monkeypatch.setattr(optics, "_fft_workers", lambda: 2)
     grid = GridSpec(96, 96, 15e-6, 810e-9)
-    modes = make_aperture_modes(ApertureLayout(4, 100e-6, 300e-6), grid)
-    dft = np.exp(2j * np.pi * np.outer(range(4), range(4)) / 4)
-    targets = [superpose(modes, row / 2) for row in dft]
+    modes = make_aperture_modes(ApertureLayout(16, 100e-6, 300e-6), grid)
+    dft = np.exp(2j * np.pi * np.outer(range(16), range(16)) / 16)
+    targets = [superpose(modes, row / 4) for row in dft]
     field = 96 * 96 * 16  # one complex (nx, ny) field
     # Everything the design may hold at once above what the caller holds,
-    # at its worst case: 8.93 batches.  Forming each overlap as a
-    # (d, nx, ny) product and making a new batch at every propagation
-    # peaks near 11.4 batches.
+    # at its worst case: 5.17 batches of 16 fields (5.09 measured).  A
+    # chunk is an eighth of a batch, so holding a fifth batch reads above
+    # it: 5.91-5.97 with a chunk as large as a batch, 5.96 with the P
+    # batches of the unstreamed sweep.
     model = {
-        "P = 5 backward batches of d = 4 fields": 5 * 4 * field,
+        "P - 1 = 4 backward batches of d = 16 fields": 4 * 16 * field,
+        "one chunk of 2 fields, 2 workers": 2 * field,
         "2 threads' padded buffers, pad 2": 2 * 4 * field,
         "2 threads' ufunc buffers for the phase product": 2 * np.getbufsize() * 16,
         "the masks": 5 * field // 2,
         "the overlap and its term": 2 * field,
-        "one plane's exp(i*mask)": field,
+        "one plane's exp(i*mask) and the product it is made from": 2 * field,
         "small Python objects": 64 * 1024,
     }
 
@@ -577,23 +623,27 @@ TOY_DESIGN = [
 
 
 def test_design_command_propagation_count(tmp_path, monkeypatch):
-    # d=4 modes, P=3 planes, I=2 iterations: 2 hoisted target propagations,
-    # I*(2P-2) in the sweeps, 2 finishing the last sweep for the score,
-    # and one composed pass for the propagated detection modes
+    # d=4 modes, P=3 planes, I=2 iterations, in field propagations: 2*d
+    # hoisted target propagations, I*(2P-2)*d in the sweeps (planes 1 and
+    # 2 in chunks of 2 fields), 2*d finishing the last sweep for the
+    # score, and d in each of two composed passes for the propagated
+    # detection modes: built and checked before the sweeps, and after them
+    monkeypatch.setattr(optics, "_fft_workers", lambda: 2)
     calls = []
-    kernel = optics._propagate_array
+    kernel = optics._propagate_into
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return kernel(*args, **kwargs)
+    def counting(fields, *args, **kwargs):
+        calls.append(len(fields))
+        return kernel(fields, *args, **kwargs)
 
-    monkeypatch.setattr(optics, "_propagate_array", counting)
-    for detection, count in (("propagated", 13), ("disks", 12)):
+    monkeypatch.setattr(optics, "_propagate_into", counting)
+    for detection, count in (("propagated", 56), ("disks", 48)):
         calls.clear()
         code = cli.main(TOY_DESIGN + ["--detection", detection, "--out", str(tmp_path)])
         assert code == 0
-        assert len(calls) == 2 + 2 * (2 * 3 - 2) + 2 + (detection == "propagated") == count
-        assert all(shape == (4, 32, 32) for shape in calls)
+        passes = 2 + 2 * (2 * 3 - 2) + 2 + 2 * (detection == "propagated")
+        assert sum(calls) == passes * 4 == count
+        assert sorted(set(calls)) == [2, 4] and calls.count(2) == 2 * 2 * 2
 
 
 # sha256 of the toy design's stack.mplc, recorded with the batch-wide
