@@ -226,7 +226,7 @@ def _design_targets(args, modes):
     return targets, intended
 
 
-def _detection_modes(args, grid, layout, modes, planes):
+def _detection_modes(args, grid, layout, modes):
     if args.detection == "disks":
         det_layout = optics.ApertureLayout(
             layout.count, args.detection_radius, layout.spacing, layout.arrangement
@@ -234,7 +234,7 @@ def _detection_modes(args, grid, layout, modes, planes):
         return optics.make_aperture_modes(det_layout, grid)
     # Default: input modes carried to the detection plane with the exact
     # periodic transform (mask-free pass), which keeps them orthonormal.
-    return optics.mask_free_passes(modes, planes, args.plane_spacing)
+    return optics.mask_free_passes(modes, args.planes, args.plane_spacing)
 
 
 def cmd_optics(args) -> int:
@@ -242,10 +242,7 @@ def cmd_optics(args) -> int:
     targets, intended = _design_targets(args, modes)
 
     if args.action == "design":
-        # The detection modes only score the design, so they are built and
-        # checked before its sweeps, dropped, and built again after them.
-        outputs = functools.partial(_detection_modes, args, grid, layout, modes, args.planes)
-        optics._check_orthonormal(outputs(), "output modes")
+        outputs = functools.partial(_detection_modes, args, grid, layout, modes)
         stack, transfer, objective = optics.design_converter(
             modes, targets, outputs, args.planes, args.plane_spacing,
             iterations=args.iterations, pad_factor=args.pad_factor,
@@ -263,7 +260,11 @@ def cmd_optics(args) -> int:
                 f"stack plane spacing {stack.plane_spacing!r} m does not match "
                 f"--plane-spacing {args.plane_spacing!r} m"
             )
-        outputs = _detection_modes(args, grid, layout, modes, stack.planes)
+        if stack.planes != args.planes:
+            raise InvalidConfigError(
+                f"stack of {stack.planes} planes does not match --planes {args.planes}"
+            )
+        outputs = _detection_modes(args, grid, layout, modes)
         transfer, objective = optics.score_converter(
             stack, modes, outputs, targets, pad_factor=args.pad_factor
         )

@@ -332,9 +332,11 @@ def _kernel_threads(grid: GridSpec, pad_factor: int, count: int):
 
 
 def _propagate_into(fields, out, grid, distance, pad_factor, steps, phase, threads):
-    """Propagates the checked (nx, ny) fields into `out`, which may be
-    `fields` itself, on `threads` from `_kernel_threads`; returns the
-    clipped evanescent and the total spectral power."""
+    """Propagates the checked (nx, ny) fields into `out` on `threads` from
+    `_kernel_threads`; returns the clipped evanescent and the total
+    spectral power.  `out` may be `fields` itself, a C-contiguous
+    complex128 batch: field i is copied into its thread's buffer before
+    out[i] is written, and no other thread touches either."""
     import scipy.fft
 
     nx, ny = grid.nx, grid.ny
@@ -388,8 +390,6 @@ def _propagate_array(
     pad_factor: int,
     steps: int = 1,
     phase: np.ndarray | None = None,
-    overwrite: bool = False,
-    threads=None,
 ) -> np.ndarray:
     """Angular-spectrum propagation of (..., nx, ny) amplitudes.
 
@@ -398,10 +398,7 @@ def _propagate_array(
     All transforms run in place in one padded buffer: along y over the
     nx nonzero rows only, and the padding rows are dropped before the
     inverse transform along y.  Returns a new C-contiguous array of the
-    window's size.  `overwrite` is for a C-contiguous complex128 batch
-    that the caller drops: the result is written over `amps` instead.
-    That is safe because field i is copied into its thread's buffer
-    before out[i] is written, and no other thread touches either.
+    window's size.
 
     The fields are split into one contiguous chunk per core.  Each
     chunk runs on a thread of its own, which carries its fields one at a
@@ -417,42 +414,19 @@ def _propagate_array(
     multiplying the spectrum by the per-step transfer function once per
     step.  Only the periodic transform (pad_factor 1) composes so: with
     padding, every step crops to the window.
-
-    `threads`, from `_kernel_threads` for the same grid and pad factor,
-    runs the call on a caller's executor and buffers instead of its own.
     """
     _check_kernel(grid, distance, pad_factor, steps)
     nx, ny = grid.nx, grid.ny
     if np.shape(amps)[-2:] != (nx, ny):
         raise GeometryError(f"amplitudes of shape {np.shape(amps)} do not match the grid")
     fields = np.reshape(amps, (-1, nx, ny))
-    out = fields if overwrite else np.empty(fields.shape, dtype=np.complex128)
-    # Leaving the executor, here or in the caller that made it, waits for
-    # every thread, so an error never leaves one writing `out`.
-    own = _kernel_threads(grid, pad_factor, len(fields)) if threads is None else None
-    with own or contextlib.nullcontext(threads) as threads:
+    out = np.empty(fields.shape, dtype=np.complex128)
+    # Leaving the executor waits for every thread, so an error never
+    # leaves one writing `out`.
+    with _kernel_threads(grid, pad_factor, len(fields)) as threads:
         powers = _propagate_into(fields, out, grid, distance, pad_factor, steps, phase, threads)
     _warn_clipping(*powers)
     return out.reshape(np.shape(amps)[:-2] + (nx, ny))
-
-
-def _propagated_chunks(fields, buffer, grid: GridSpec, distance: float, pad_factor: int, phase,
-                       threads):
-    """Yields (lo, hi, chunk): fields lo..hi-1 of the sequence `fields`,
-    propagated as `_propagate_array` does on `threads`, len(buffer) of
-    them at a time.  Every chunk is written into `buffer`, which the
-    next chunk overwrites.  Warns once, after the last chunk, as
-    `_propagate_array` warns for the whole batch."""
-    _check_kernel(grid, distance, pad_factor, 1)
-    n, k = len(fields), len(buffer)
-    clipped = total = 0.0
-    for lo in range(0, n, k):
-        hi = min(lo + k, n)
-        powers = _propagate_into(fields[lo:hi], buffer[: hi - lo], grid, distance,
-                                 pad_factor, 1, phase, threads)
-        clipped, total = clipped + powers[0], total + powers[1]
-        yield lo, hi, buffer[: hi - lo]
-    _warn_clipping(clipped, total)
 
 
 def propagate(field: OpticalField, distance: float, pad_factor: int = 2) -> OpticalField:
@@ -506,7 +480,9 @@ def _mode_matrix(fields, grid: GridSpec | None = None) -> np.ndarray:
     return np.stack([f.amplitude for f in fields])
 
 
-def _check_orthonormal(fields, what: str) -> None:
+def _check_orthonormal(fields, what: str) -> list:
+    """`fields` as a list, checked to be orthonormal."""
+    fields = list(fields)
     mat = _mode_matrix(fields)
     pitch2 = fields[0].grid.pitch ** 2
     flat = mat.reshape(len(fields), -1)
@@ -514,6 +490,7 @@ def _check_orthonormal(fields, what: str) -> None:
     dev = np.abs(gram - np.eye(len(fields))).max()
     if dev > ORTHOGONALITY_TOL:
         raise InvalidModeSetError(f"{what} are not orthonormal (max Gram deviation {dev:.3e})")
+    return fields
 
 
 def wavefront_match(
@@ -563,6 +540,7 @@ def _wavefront_sweeps(inputs, targets, planes, plane_spacing, iterations, pad_fa
             raise GeometryError("all modes must share one grid")
     _check_orthonormal(inputs, "input modes")
     _check_orthonormal(targets, "target modes")
+    _check_kernel(grid, plane_spacing, pad_factor, 1)
 
     masks = np.zeros((planes, grid.nx, grid.ny))
     overlap = np.zeros((grid.nx, grid.ny), dtype=np.complex128)
@@ -582,14 +560,28 @@ def _wavefront_sweeps(inputs, targets, planes, plane_spacing, iterations, pad_fa
         overlap[...] = 0.0
 
     def back(a, phase=None):
-        return _propagate_array(a, grid, -plane_spacing, pad_factor, phase=phase,
-                                threads=threads)
+        """`a` carried back one spacing into a new batch."""
+        out = np.empty(a.shape, dtype=np.complex128)
+        _warn_clipping(*_propagate_into(a, out, grid, -plane_spacing, pad_factor, 1, phase,
+                                        threads))
+        return out
 
     # Planes 1 and 2 are streamed through this one chunk of fields.
     chunk = np.empty((min(len(inputs), _fft_workers()), grid.nx, grid.ny), dtype=np.complex128)
 
     def chunks(fields, distance, phase):
-        return _propagated_chunks(fields, chunk, grid, distance, pad_factor, phase, threads)
+        """Yields (lo, hi, fields lo..hi-1 propagated by `distance`),
+        len(chunk) of them at a time, each written over the last in
+        `chunk`.  Warns once, after the last, as for a whole batch."""
+        n, k = len(fields), len(chunk)
+        clipped = total = 0.0
+        for lo in range(0, n, k):
+            hi = min(lo + k, n)
+            powers = _propagate_into(fields[lo:hi], chunk[: hi - lo], grid, distance,
+                                     pad_factor, 1, phase, threads)
+            clipped, total = clipped + powers[0], total + powers[1]
+            yield lo, hi, chunk[: hi - lo]
+        _warn_clipping(clipped, total)
 
     # Every propagation of the sweeps runs on one executor and one padded
     # buffer per thread, which costs less than making them for each call.
@@ -629,9 +621,8 @@ def _wavefront_sweeps(inputs, targets, planes, plane_spacing, iterations, pad_fa
             set_mask(1)
             # Planes 3..P: the sweep's own batch, propagated in place.
             for p in range(2, planes):
-                f = _propagate_array(f, grid, plane_spacing, pad_factor,
-                                     phase=np.exp(1j * masks[p - 1]), overwrite=True,
-                                     threads=threads)
+                _warn_clipping(*_propagate_into(f, f, grid, plane_spacing, pad_factor, 1,
+                                                np.exp(1j * masks[p - 1]), threads))
                 fold(f, backward[p])
                 backward[p] = None
                 set_mask(p)
@@ -648,19 +639,18 @@ def design_converter(
     pad_factor: int = 2,
 ) -> tuple[PhaseMaskStack, np.ndarray, float]:
     """`wavefront_match(inputs, targets, ...)` and the designed stack's
-    `score_converter(stack, inputs, output_modes, targets)`, bit for bit.
+    `score_converter(stack, inputs, output_modes(), targets)`, bit for bit.
 
     The last forward sweep has already carried the inputs through masks
     1..P-1, so the score finishes that pass: mask P and two spacings,
     rather than a converter pass of its own.
 
-    `output_modes` may also be a function that returns them.  It is
-    called after the sweeps, so that the design does not hold the modes
-    while it runs, and they are checked to be orthonormal once built.
+    `output_modes` is a function that returns the output modes.  They
+    only score the design, so they are built and checked to be
+    orthonormal before the sweeps, dropped while the sweeps run, and
+    built and checked again after them.
     """
-    built = None if callable(output_modes) else list(output_modes)
-    if built is not None:
-        _check_orthonormal(built, "output modes")
+    _check_orthonormal(output_modes(), "output modes")
     targets = list(targets)
     stack, outs = _wavefront_sweeps(
         inputs, targets, planes, plane_spacing, iterations, pad_factor
@@ -669,12 +659,11 @@ def design_converter(
         outs, stack.grid, plane_spacing, pad_factor, phase=np.exp(1j * stack.masks[-1])
     )
     outs = _propagate_array(outs, stack.grid, plane_spacing, pad_factor)
-    if built is None:
-        built = list(output_modes())
-        _check_orthonormal(built, "output modes")
     return (
         stack,
-        _transfer_from_outputs(outs, built, stack.grid),
+        _transfer_from_outputs(
+            outs, _check_orthonormal(output_modes(), "output modes"), stack.grid
+        ),
         _objective_from_outputs(outs, targets, stack.grid),
     )
 
@@ -723,8 +712,7 @@ def transfer_matrix(
     Output modes must be mutually orthonormal so column power measures
     captured power (<= 1 for any passive stack).
     """
-    output_modes = list(output_modes)
-    _check_orthonormal(output_modes, "output modes")
+    output_modes = _check_orthonormal(output_modes, "output modes")
     outs = _converter_pass(stack, inputs, pad_factor)
     return _transfer_from_outputs(outs, output_modes, stack.grid)
 
@@ -734,8 +722,7 @@ def score_converter(
 ) -> tuple[np.ndarray, float]:
     """`transfer_matrix(stack, inputs, output_modes)` and
     `matching_objective(stack, inputs, targets)` from one shared pass."""
-    output_modes = list(output_modes)
-    _check_orthonormal(output_modes, "output modes")
+    output_modes = _check_orthonormal(output_modes, "output modes")
     outs = _converter_pass(stack, inputs, pad_factor)
     return (
         _transfer_from_outputs(outs, output_modes, stack.grid),

@@ -220,14 +220,18 @@ def test_optics_eval_needs_a_stack(tmp_path, capsys):
     assert not (tmp_path / "metrics.json").exists()
 
 
-def test_optics_eval_rejects_another_plane_spacing(tmp_path, capsys):
+@pytest.mark.parametrize("flag, value, stacked", [
+    ("--plane-spacing", "7e-3", "0.005"),
+    ("--planes", "3", "2 planes"),
+], ids=["plane-spacing", "planes"])
+def test_optics_eval_rejects_another_plane_spacing(tmp_path, capsys, flag, value, stacked):
     run(*optics_args(tmp_path))
     argv = list(eval_args(tmp_path / "stack.mplc", tmp_path / "eval"))
-    argv[argv.index("--plane-spacing") + 1] = "7e-3"
+    argv[argv.index(flag) + 1] = value
     assert run(*argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "0.005" in err and "0.007" in err
-    assert not (tmp_path / "eval" / "metrics.json").exists()
+    assert err.startswith("error: ") and stacked in err and f"{flag} {float(value):g}" in err
+    assert not (tmp_path / "eval").exists()
 
 
 def test_optics_eval_rejects_trailing_bytes(tmp_path, capsys):
@@ -819,7 +823,11 @@ def test_config_rejects_what_is_not_a_v1_config_of_the_command(tmp_path, capsys,
     # the report is valid, the rate curve is not: nothing may be written
     (2, ("keyrate", "--d", 25, "--bound", "depolarizing", "--E", 0.1, "--curve", "rate",
          "--errors", "0.97:0.99:3")),
-], ids=["keyrate-d1", "counts-missing", "thresholds-d1", "optics-grid", "mub-d6", "rate-curve"])
+    (2, ("optics", "design", "--d", 2, "--arrangement", "line", "--nx", 32, "--ny", 32,
+         "--aperture-radius", "40e-6", "--aperture-spacing", "120e-6", "--planes", 2,
+         "--plane-spacing", "5e-3", "--iterations", 1, "--pad-factor", -1)),
+], ids=["keyrate-d1", "counts-missing", "thresholds-d1", "optics-grid", "mub-d6", "rate-curve",
+        "optics-pad-factor"])
 def test_a_failing_command_creates_no_out(tmp_path, monkeypatch, code, argv):
     monkeypatch.chdir(tmp_path)
     assert run(*argv, "--out", "out", "--quiet") == code

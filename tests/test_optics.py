@@ -281,10 +281,9 @@ def test_in_place_kernel_is_bit_identical_to_the_fresh_output_kernel(monkeypatch
         for mask in (None, phase):
             want = optics._propagate_array(amps, grid, 1e-3, pad, steps, phase=mask)
             batch = amps.copy()
-            got = optics._propagate_array(batch, grid, 1e-3, pad, steps, phase=mask,
-                                          overwrite=True)
-            assert np.array_equal(got, want)
-            assert np.shares_memory(got, batch) and np.array_equal(batch, want)
+            with optics._kernel_threads(grid, pad, count) as threads:
+                optics._propagate_into(batch, batch, grid, 1e-3, pad, steps, mask, threads)
+            assert np.array_equal(batch, want)
 
 
 def test_kernel_rejects_fields_of_another_shape():
@@ -320,6 +319,21 @@ def test_evanescent_warning_points_at_the_caller(monkeypatch, count):
     with pytest.warns(EvanescentClippingWarning) as record:
         mask_free_passes(fields, 3, 1e-5)
     assert [w.filename for w in record] == [__file__]
+
+
+@pytest.mark.parametrize("planes, iterations", [(1, 1), (2, 1), (3, 2), (4, 1)])
+def test_sweeps_warn_once_per_propagated_batch(monkeypatch, planes, iterations):
+    # planes 1 and 2 propagate their batches in chunks of 2 fields but warn
+    # once for each: 2 hoisted target propagations, then 2P-2 per sweep
+    monkeypatch.setattr(optics, "_fft_workers", lambda: 2)
+    grid = GridSpec(32, 32, 3e-7, 810e-9)
+    modes = make_aperture_modes(ApertureLayout(3, 8e-7, 2.4e-6, "line"), grid)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        wavefront_match(modes, modes[::-1], planes=planes, plane_spacing=2e-6,
+                        iterations=iterations)
+    clipping = [w for w in record if w.category is EvanescentClippingWarning]
+    assert len(clipping) == 2 + iterations * (2 * planes - 2)
 
 
 def test_paper_grid_propagates_without_warnings():
@@ -476,15 +490,17 @@ def test_streamed_sweeps_match_the_batch_reference(monkeypatch, planes, count, w
     modes = make_aperture_modes(ApertureLayout(count, 20e-6, 60e-6, "line"), grid)
     dft = np.exp(2j * np.pi * np.outer(range(count), range(count)) / count)
     targets = [superpose(modes, row / math.sqrt(count)) for row in dft]
-    stack, transfer, objective = design_converter(modes, targets, modes, planes=planes,
-                                                  plane_spacing=5e-3, iterations=2)
+    stack, transfer, objective = design_converter(
+        modes, targets, lambda: modes, planes=planes, plane_spacing=5e-3, iterations=2
+    )
     assert np.array_equal(stack.masks, reference_masks(modes, targets, planes, 5e-3, 2))
     want_transfer, want_objective = score_converter(stack, modes, modes, targets)
     assert np.array_equal(transfer, want_transfer) and objective == want_objective
 
 
 def test_design_builds_output_modes_given_as_a_function_after_its_sweeps(monkeypatch):
-    # so that the design does not hold them while it sweeps
+    # and checks them before, so that a bad set fails before the sweeps,
+    # which do not hold them
     modes, targets = swap_problem()
     events = []
     sweeps = optics._wavefront_sweeps
@@ -499,13 +515,16 @@ def test_design_builds_output_modes_given_as_a_function_after_its_sweeps(monkeyp
 
     monkeypatch.setattr(optics, "_wavefront_sweeps", recording)
     got = design_converter(modes, targets, build, planes=2, plane_spacing=5e-3, iterations=2)
-    assert events == ["sweeps", "output modes"]
-    want = design_converter(modes, targets, modes, planes=2, plane_spacing=5e-3, iterations=2)
-    assert np.array_equal(got[0].masks, want[0].masks)
-    assert np.array_equal(got[1], want[1]) and got[2] == want[2]
+    assert events == ["output modes", "sweeps", "output modes"]
+    want = wavefront_match(modes, targets, planes=2, plane_spacing=5e-3, iterations=2)
+    assert np.array_equal(got[0].masks, want.masks)
+    want_transfer, want_objective = score_converter(want, modes, modes, targets)
+    assert np.array_equal(got[1], want_transfer) and got[2] == want_objective
     overlapping = [modes[0], superpose([modes[0], modes[1]], [0.8, 0.6])]
+    events.clear()
     with pytest.raises(InvalidModeSetError, match="output modes"):
         design_converter(modes, targets, lambda: overlapping, planes=2, plane_spacing=5e-3)
+    assert events == []
 
 
 @pytest.mark.parametrize("count, n, kib", [(2, 64, 128), (4, 96, 576)])
@@ -549,7 +568,7 @@ def test_design_holds_its_backward_batches_and_little_else(monkeypatch):
     }
 
     def design():
-        return design_converter(modes, targets, modes, planes=5, plane_spacing=5e-3,
+        return design_converter(modes, targets, lambda: modes, planes=5, plane_spacing=5e-3,
                                 iterations=2)
 
     design()  # warm: transfer functions cached, FFT plans made
@@ -667,7 +686,7 @@ def rescore(out, detection):
     targets, intended = cli._design_targets(args, modes)
     stack = load_stack(out / "stack.mplc")
     if detection == "disks":
-        outputs = cli._detection_modes(args, grid, layout, modes, stack.planes)
+        outputs = cli._detection_modes(args, grid, layout, modes)
     else:
         zero = PhaseMaskStack(grid, np.zeros((stack.planes, 32, 32)), stack.plane_spacing)
         outputs = [OpticalField(grid, a) for a in optics._converter_pass(zero, modes, 1)]
@@ -722,7 +741,7 @@ def test_each_of_the_six_d5_mubs_gets_a_sorter(tmp_path):
 def test_design_converter_matches_wavefront_match_then_score():
     modes, targets = swap_problem()
     stack, transfer, objective = design_converter(
-        modes, targets, modes, planes=3, plane_spacing=5e-3, iterations=4
+        modes, targets, lambda: modes, planes=3, plane_spacing=5e-3, iterations=4
     )
     want = wavefront_match(modes, targets, planes=3, plane_spacing=5e-3, iterations=4)
     assert np.array_equal(stack.masks, want.masks)
@@ -843,12 +862,12 @@ def test_container_with_a_bad_length_is_rejected(tmp_path, pitch, spacing):
 def test_design_rejects_a_bad_spacing_before_the_first_sweep(monkeypatch):
     modes, targets = swap_problem()
     calls = []
-    monkeypatch.setattr(optics, "_propagate_array", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(optics, "_propagate_into", lambda *a, **k: calls.append(a))
     for spacing in (-5e-3, 0.0):
         with pytest.raises(InvalidInputError, match="plane spacing"):
             wavefront_match(modes, targets, planes=2, plane_spacing=spacing, iterations=1)
         with pytest.raises(InvalidInputError, match="plane spacing"):
-            design_converter(modes, targets, modes, planes=2, plane_spacing=spacing)
+            design_converter(modes, targets, lambda: modes, planes=2, plane_spacing=spacing)
     assert calls == []
 
 
