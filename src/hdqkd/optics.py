@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
 import os
 import struct
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -304,14 +306,18 @@ def _check_kernel(grid: GridSpec, distance: float, pad_factor: int, steps: int) 
 
 
 def _warn_clipping(clipped: float, total: float) -> None:
-    """Warns, at the caller of the kernel's caller, if the suppressed
-    evanescent components carried more than 1e-12 of the spectral power."""
+    """Warns if the suppressed evanescent components carried more than
+    1e-12 of the spectral power, at the first caller outside this module
+    however deep in it the propagation ran."""
     if total > 0.0 and clipped / total > 1e-12:
+        frame, level = sys._getframe(1), 2
+        while frame.f_globals.get("__name__") == __name__:
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"evanescent components carried {clipped / total:.3e} of the "
             "spectral power and were suppressed",
             EvanescentClippingWarning,
-            stacklevel=4,
+            stacklevel=level,
         )
 
 
@@ -389,16 +395,20 @@ def _propagate_array(
     distance: float,
     pad_factor: int,
     steps: int = 1,
-    phase: np.ndarray | None = None,
+    phases=(None,),
 ) -> np.ndarray:
-    """Angular-spectrum propagation of (..., nx, ny) amplitudes.
+    """Angular-spectrum propagation of (..., nx, ny) amplitudes, one
+    spacing of `distance` per entry of `phases`: None, or the (nx, ny)
+    exp(i*mask) of the plane crossed before that spacing.  All spacings
+    run on one set of threads, and each warns if it clipped.  The first
+    writes a new C-contiguous array of the window's size, and the later
+    ones write over it in place.
 
     The field is zero-padded after the window rather than around it,
     which by translation invariance gives the same result to rounding.
     All transforms run in place in one padded buffer: along y over the
     nx nonzero rows only, and the padding rows are dropped before the
-    inverse transform along y.  Returns a new C-contiguous array of the
-    window's size.
+    inverse transform along y.
 
     The fields are split into one contiguous chunk per core.  Each
     chunk runs on a thread of its own, which carries its fields one at a
@@ -406,9 +416,6 @@ def _propagate_array(
     single field gets every core for its transforms.  A field's
     arithmetic does not depend on its chunk, so the result is
     bit-identical to a serial pass.
-
-    `phase` (nx, ny), when given, multiplies every field before it is
-    propagated: the exp(i*mask) of the plane the fields just crossed.
 
     `steps` > 1 propagates `steps` times by `distance` in one transform,
     multiplying the spectrum by the per-step transfer function once per
@@ -424,8 +431,10 @@ def _propagate_array(
     # Leaving the executor waits for every thread, so an error never
     # leaves one writing `out`.
     with _kernel_threads(grid, pad_factor, len(fields)) as threads:
-        powers = _propagate_into(fields, out, grid, distance, pad_factor, steps, phase, threads)
-    _warn_clipping(*powers)
+        for phase in phases:
+            _warn_clipping(*_propagate_into(fields, out, grid, distance, pad_factor, steps,
+                                            phase, threads))
+            fields = out
     return out.reshape(np.shape(amps)[:-2] + (nx, ny))
 
 
@@ -442,23 +451,20 @@ def propagate(field: OpticalField, distance: float, pad_factor: int = 2) -> Opti
     )
 
 
-def _converter_pass(stack: PhaseMaskStack, fields, pad_factor: int) -> np.ndarray:
-    """(count, nx, ny) amplitudes of the fields sent through the converter
-    as one batch: mask p then one plane spacing, for every plane, then
-    one final spacing to the detection plane.  An all-zero stack
-    therefore reduces to free propagation over (planes + 1) spacings."""
-    amps = _mode_matrix(fields, stack.grid)
-    for p in range(stack.planes):
-        amps = _propagate_array(
-            amps, stack.grid, stack.plane_spacing, pad_factor,
-            phase=np.exp(1j * stack.masks[p]),
-        )
-    return _propagate_array(amps, stack.grid, stack.plane_spacing, pad_factor)
+def _converter_pass(stack: PhaseMaskStack, amps, pad_factor: int, first: int = 0) -> np.ndarray:
+    """(count, nx, ny) amplitudes sent through the converter from just
+    before mask `first` (0-based) as one batch: mask p then one plane
+    spacing, for every plane from `first` on, then one final spacing to
+    the detection plane.  An all-zero stack therefore reduces to free
+    propagation over (planes + 1) spacings.  Each exp(i*mask) is made
+    when its plane is reached."""
+    phases = itertools.chain((np.exp(1j * mask) for mask in stack.masks[first:]), [None])
+    return _propagate_array(amps, stack.grid, stack.plane_spacing, pad_factor, phases=phases)
 
 
 def mask_free_passes(fields, planes: int, plane_spacing: float) -> list[OpticalField]:
     """The fields sent through a converter of `planes` all-zero masks with
-    the periodic transform: `_converter_pass(zero_stack, fields, 1)` to
+    the periodic transform: `_converter_pass(zero_stack, amps, 1)` to
     rounding.  The periodic kernel composes, so the planes + 1 spacings
     are one forward transform, the spectrum multiplied once per spacing,
     and one inverse transform."""
@@ -480,17 +486,16 @@ def _mode_matrix(fields, grid: GridSpec | None = None) -> np.ndarray:
     return np.stack([f.amplitude for f in fields])
 
 
-def _check_orthonormal(fields, what: str) -> list:
-    """`fields` as a list, checked to be orthonormal."""
+def _check_orthonormal(fields, what: str, grid: GridSpec | None = None) -> np.ndarray:
+    """`_mode_matrix(fields, grid)`, checked to be orthonormal."""
     fields = list(fields)
-    mat = _mode_matrix(fields)
-    pitch2 = fields[0].grid.pitch ** 2
+    mat = _mode_matrix(fields, grid)
     flat = mat.reshape(len(fields), -1)
-    gram = flat.conj() @ flat.T * pitch2
+    gram = flat.conj() @ flat.T * fields[0].grid.pitch ** 2
     dev = np.abs(gram - np.eye(len(fields))).max()
     if dev > ORTHOGONALITY_TOL:
         raise InvalidModeSetError(f"{what} are not orthonormal (max Gram deviation {dev:.3e})")
-    return fields
+    return mat
 
 
 def wavefront_match(
@@ -539,7 +544,7 @@ def _wavefront_sweeps(inputs, targets, planes, plane_spacing, iterations, pad_fa
         if f.grid != grid:
             raise GeometryError("all modes must share one grid")
     _check_orthonormal(inputs, "input modes")
-    _check_orthonormal(targets, "target modes")
+    last = _check_orthonormal(targets, "target modes")
     _check_kernel(grid, plane_spacing, pad_factor, 1)
 
     masks = np.zeros((planes, grid.nx, grid.ny))
@@ -588,7 +593,7 @@ def _wavefront_sweeps(inputs, targets, planes, plane_spacing, iterations, pad_fa
     with _kernel_threads(grid, pad_factor, len(inputs)) as threads:
         # Targets carried back from the detection plane to just after the
         # last mask: the same in every iteration.
-        last = back(back(_mode_matrix(targets)))
+        last = back(back(last))
         amps = [m.amplitude for m in inputs]
         for _ in range(iterations):
             f = None  # the previous sweep's batch, not needed in this backward sweep
@@ -642,8 +647,8 @@ def design_converter(
     `score_converter(stack, inputs, output_modes(), targets)`, bit for bit.
 
     The last forward sweep has already carried the inputs through masks
-    1..P-1, so the score finishes that pass: mask P and two spacings,
-    rather than a converter pass of its own.
+    1..P-1, so the score finishes that pass from mask P rather than
+    making a converter pass of its own.
 
     `output_modes` is a function that returns the output modes.  They
     only score the design, so they are built and checked to be
@@ -655,22 +660,15 @@ def design_converter(
     stack, outs = _wavefront_sweeps(
         inputs, targets, planes, plane_spacing, iterations, pad_factor
     )
-    outs = _propagate_array(
-        outs, stack.grid, plane_spacing, pad_factor, phase=np.exp(1j * stack.masks[-1])
-    )
-    outs = _propagate_array(outs, stack.grid, plane_spacing, pad_factor)
-    return (
-        stack,
-        _transfer_from_outputs(
-            outs, _check_orthonormal(output_modes(), "output modes"), stack.grid
-        ),
-        _objective_from_outputs(outs, targets, stack.grid),
-    )
+    outs = _converter_pass(stack, outs, pad_factor, first=planes - 1)
+    modes = _check_orthonormal(output_modes(), "output modes", stack.grid)
+    return (stack, _transfer_from_outputs(outs, modes, stack.grid),
+            _objective_from_outputs(outs, targets, stack.grid))
 
 
-def _transfer_from_outputs(outs: np.ndarray, output_modes, grid: GridSpec) -> np.ndarray:
-    """T[i, j] = <output_mode_i | outs[j]>, checked to be passive."""
-    modes_flat = _mode_matrix(output_modes, grid).reshape(len(output_modes), -1)
+def _transfer_from_outputs(outs: np.ndarray, modes: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """T[i, j] = <modes[i] | outs[j]>, checked to be passive."""
+    modes_flat = modes.reshape(len(modes), -1)
     return _check_passive(modes_flat.conj() @ outs.reshape(len(outs), -1).T * grid.pitch**2)
 
 
@@ -700,7 +698,7 @@ def matching_objective(
     stack: PhaseMaskStack, inputs, targets, pad_factor: int = 2
 ) -> float:
     """Mean squared overlap between converter outputs and their targets."""
-    outs = _converter_pass(stack, inputs, pad_factor)
+    outs = _converter_pass(stack, _mode_matrix(inputs, stack.grid), pad_factor)
     return _objective_from_outputs(outs, targets, stack.grid)
 
 
@@ -712,9 +710,9 @@ def transfer_matrix(
     Output modes must be mutually orthonormal so column power measures
     captured power (<= 1 for any passive stack).
     """
-    output_modes = _check_orthonormal(output_modes, "output modes")
-    outs = _converter_pass(stack, inputs, pad_factor)
-    return _transfer_from_outputs(outs, output_modes, stack.grid)
+    modes = _check_orthonormal(output_modes, "output modes", stack.grid)
+    outs = _converter_pass(stack, _mode_matrix(inputs, stack.grid), pad_factor)
+    return _transfer_from_outputs(outs, modes, stack.grid)
 
 
 def score_converter(
@@ -722,10 +720,10 @@ def score_converter(
 ) -> tuple[np.ndarray, float]:
     """`transfer_matrix(stack, inputs, output_modes)` and
     `matching_objective(stack, inputs, targets)` from one shared pass."""
-    output_modes = _check_orthonormal(output_modes, "output modes")
-    outs = _converter_pass(stack, inputs, pad_factor)
+    modes = _check_orthonormal(output_modes, "output modes", stack.grid)
+    outs = _converter_pass(stack, _mode_matrix(inputs, stack.grid), pad_factor)
     return (
-        _transfer_from_outputs(outs, output_modes, stack.grid),
+        _transfer_from_outputs(outs, modes, stack.grid),
         _objective_from_outputs(outs, targets, stack.grid),
     )
 

@@ -49,6 +49,11 @@ DESK_GRID = GridSpec(96, 64, 15e-6, 810e-9)
 DESK_LAYOUT = ApertureLayout(2, 100e-6, 300e-6, "line")
 
 
+def stacked(fields):
+    """(count, nx, ny) amplitudes of the fields, as a converter pass takes them."""
+    return np.stack([f.amplitude for f in fields])
+
+
 # --- grids and layouts --------------------------------------------------------
 
 
@@ -255,7 +260,7 @@ def test_mode_parallel_kernel_is_bit_identical_to_the_batch_kernel(
         assert np.array_equal(out, batch_reference(amps, grid, 1e-3, pad, steps))
         assert out.shape == shape and out.dtype == np.complex128
         assert out.flags.c_contiguous and not np.shares_memory(out, amps)
-        masked = optics._propagate_array(amps, grid, 1e-3, pad, steps, phase=phase)
+        masked = optics._propagate_array(amps, grid, 1e-3, pad, steps, phases=[phase])
         assert np.array_equal(
             masked, optics._propagate_array(amps * phase, grid, 1e-3, pad, steps)
         )
@@ -265,7 +270,7 @@ def test_mode_parallel_kernel_reraises_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(optics, "_fft_workers", lambda: 2)
     grid = GridSpec(24, 20, 10e-6, 810e-9)
     with pytest.raises(ValueError):
-        optics._propagate_array(np.ones((3, 24, 20)), grid, 1e-3, 2, phase=np.ones((3, 3)))
+        optics._propagate_array(np.ones((3, 24, 20)), grid, 1e-3, 2, phases=[np.ones((3, 3))])
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -279,7 +284,7 @@ def test_in_place_kernel_is_bit_identical_to_the_fresh_output_kernel(monkeypatch
     for count in (1, 2, 3, 5):
         amps = rng.normal(size=(count, 24, 20)) + 1j * rng.normal(size=(count, 24, 20))
         for mask in (None, phase):
-            want = optics._propagate_array(amps, grid, 1e-3, pad, steps, phase=mask)
+            want = optics._propagate_array(amps, grid, 1e-3, pad, steps, phases=[mask])
             batch = amps.copy()
             with optics._kernel_threads(grid, pad, count) as threads:
                 optics._propagate_into(batch, batch, grid, 1e-3, pad, steps, mask, threads)
@@ -308,17 +313,64 @@ def test_import_loads_neither_scipy_nor_the_executor():
     assert run.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("count", [1, 2])
-def test_evanescent_warning_points_at_the_caller(monkeypatch, count):
+@pytest.mark.parametrize("entry", ["propagate", "mask_free_passes", "transfer_matrix",
+                                   "matching_objective", "score_converter", "wavefront_match",
+                                   "design_converter"])
+def test_evanescent_warning_points_at_the_caller(monkeypatch, entry):
+    # each warning names this file, however deep in optics it was raised:
+    # in a pass, in the sweeps, or in the generator of their streamed planes
     monkeypatch.setattr(optics, "_fft_workers", lambda: 2)
     grid = GridSpec(32, 32, 3e-7, 810e-9)
-    rng = np.random.default_rng(0)
-    # only the last chunk carries evanescent power
-    dark = [OpticalField(grid, np.zeros((32, 32)))] * (count - 1)
-    fields = dark + [OpticalField(grid, rng.normal(size=(32, 32)) + 0j)]
-    with pytest.warns(EvanescentClippingWarning) as record:
-        mask_free_passes(fields, 3, 1e-5)
-    assert [w.filename for w in record] == [__file__]
+    modes = make_aperture_modes(ApertureLayout(3, 8e-7, 2.4e-6, "line"), grid)
+    stack = PhaseMaskStack(grid, np.zeros((3, 32, 32)), 2e-6)
+    calls = {
+        "propagate": lambda: propagate(modes[0], 2e-6),
+        "mask_free_passes": lambda: mask_free_passes(modes, 3, 2e-6),
+        "transfer_matrix": lambda: transfer_matrix(stack, modes, modes),
+        "matching_objective": lambda: matching_objective(stack, modes, modes[::-1]),
+        "score_converter": lambda: score_converter(stack, modes, modes, modes[::-1]),
+        "wavefront_match": lambda: wavefront_match(modes, modes[::-1], 3, 2e-6, iterations=1),
+        "design_converter": lambda: design_converter(modes, modes[::-1], lambda: modes, 3,
+                                                     2e-6, iterations=1),
+    }
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        calls[entry]()
+    clipping = [w for w in record if w.category is EvanescentClippingWarning]
+    assert clipping and [w.filename for w in clipping] == [__file__] * len(clipping)
+
+
+def test_a_converter_pass_makes_its_threads_once(monkeypatch):
+    # one executor and its padded buffers serve all P + 1 spacings
+    entered = []
+    threads = optics._kernel_threads
+
+    def counting(*args):
+        entered.append(args)
+        return threads(*args)
+
+    monkeypatch.setattr(optics, "_kernel_threads", counting)
+    modes, targets = swap_problem()
+    stack = PhaseMaskStack(DESK_GRID, np.zeros((3, 96, 64)), 5e-3)
+    transfer_matrix(stack, modes, targets)
+    assert len(entered) == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("pad", [1, 2])
+def test_a_pass_is_bit_identical_to_one_call_per_spacing(monkeypatch, workers, pad):
+    # the first spacing writes a new batch, the later ones write over it
+    monkeypatch.setattr(optics, "_fft_workers", lambda: workers)
+    grid = GridSpec(24, 20, 10e-6, 810e-9)
+    rng = np.random.default_rng(workers + pad)
+    phases = [np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=(24, 20))) for _ in range(3)]
+    phases.insert(1, None)
+    amps = rng.normal(size=(5, 24, 20)) + 1j * rng.normal(size=(5, 24, 20))
+    want = amps
+    for phase in phases:
+        want = optics._propagate_array(want, grid, 1e-3, pad, phases=[phase])
+    got = optics._propagate_array(amps, grid, 1e-3, pad, phases=iter(phases))
+    assert np.array_equal(got, want) and not np.shares_memory(got, amps)
 
 
 @pytest.mark.parametrize("planes, iterations", [(1, 1), (2, 1), (3, 2), (4, 1)])
@@ -354,7 +406,7 @@ def one_plane_pass(field, phase, pad_factor=2, spacing=2e-3):
     its free propagation over the same two spacings."""
     stack = PhaseMaskStack(field.grid, np.broadcast_to(phase, (1, *field.amplitude.shape)),
                            spacing)
-    (through,) = optics._converter_pass(stack, [field], pad_factor)
+    (through,) = optics._converter_pass(stack, field.amplitude[None], pad_factor)
     free = propagate(propagate(field, spacing, pad_factor), spacing, pad_factor)
     return through, free.amplitude
 
@@ -374,7 +426,7 @@ def test_mask_from_stack_and_shape_mismatch(smooth_field):
     rng = np.random.default_rng(4)
     masks = np.stack([np.zeros((128, 128)), rng.uniform(0, 2 * np.pi, size=(128, 128))])
     stack = PhaseMaskStack(smooth_field.grid, masks, 1e-3)
-    (through,) = optics._converter_pass(stack, [smooth_field], 1)
+    (through,) = optics._converter_pass(stack, smooth_field.amplitude[None], 1)
     first = propagate(smooth_field, 1e-3, pad_factor=1)
     masked = OpticalField(first.grid, first.amplitude * np.exp(1j * stack.masks[1]))
     want = propagate(masked, 2e-3, pad_factor=1)
@@ -406,7 +458,7 @@ def test_zero_stack_is_free_propagation(smooth_field):
     planes, spacing = 3, 2e-3
     stack = PhaseMaskStack(smooth_field.grid, np.zeros((planes, 128, 128)), spacing)
     for pad in (1, 2):
-        (amp,) = optics._converter_pass(stack, [smooth_field], pad)
+        (amp,) = optics._converter_pass(stack, smooth_field.amplitude[None], pad)
         through = OpticalField(smooth_field.grid, amp)
         direct = propagate(smooth_field, (planes + 1) * spacing, pad_factor=pad)
         assert rel_error(through.amplitude, direct.amplitude) < 1e-8
@@ -417,7 +469,7 @@ def test_single_plane_stack_composes_primitives(smooth_field):
     rng = np.random.default_rng(3)
     phase = rng.uniform(0, 2 * np.pi, size=(128, 128))
     stack = PhaseMaskStack(smooth_field.grid, phase[None], 3e-3)
-    (through,) = optics._converter_pass(stack, [smooth_field], 1)
+    (through,) = optics._converter_pass(stack, smooth_field.amplitude[None], 1)
     masked = OpticalField(smooth_field.grid, smooth_field.amplitude * np.exp(1j * phase))
     direct = propagate(masked, 6e-3, pad_factor=1)
     assert rel_error(through, direct.amplitude) < 1e-10
@@ -460,7 +512,7 @@ def reference_masks(inputs, targets, planes, spacing, iterations):
     grid = inputs[0].grid
 
     def prop(amps, distance, phase=None):
-        return optics._propagate_array(amps, grid, distance, 2, phase=phase)
+        return optics._propagate_array(amps, grid, distance, 2, phases=[phase])
 
     masks = np.zeros((planes, grid.nx, grid.ny))
     last = prop(prop(np.stack([t.amplitude for t in targets]), -spacing), -spacing)
@@ -600,7 +652,7 @@ def test_zero_stack_transfer_is_near_identity():
     modes = make_aperture_modes(DESK_LAYOUT, DESK_GRID)
     planes, spacing = 2, 5e-3
     stack = PhaseMaskStack(DESK_GRID, np.zeros((planes, 96, 64)), spacing)
-    outputs = [OpticalField(DESK_GRID, a) for a in optics._converter_pass(stack, modes, 1)]
+    outputs = [OpticalField(DESK_GRID, a) for a in optics._converter_pass(stack, stacked(modes), 1)]
     t = transfer_matrix(stack, modes, outputs, pad_factor=1)
     assert np.abs(np.abs(np.diag(t)) - 1.0).max() < 1e-6
     assert np.abs(t - np.diag(np.diag(t))).max() < 1e-6
@@ -617,14 +669,14 @@ def test_transfer_is_passive():
 def test_batched_scoring_matches_per_mode_passes():
     modes, targets = swap_problem()
     stack = wavefront_match(modes, targets, planes=3, plane_spacing=5e-3, iterations=4)
-    outs = [optics._converter_pass(stack, [m], 2)[0] for m in modes]
+    outs = [optics._converter_pass(stack, m.amplitude[None], 2)[0] for m in modes]
 
     def inner(bra, ket):
         return np.vdot(bra.amplitude, ket) * DESK_GRID.pitch**2
 
     want_t = np.array([[inner(o, out) for out in outs] for o in targets])
     want_objective = np.mean([abs(inner(t, out)) ** 2 for t, out in zip(targets, outs)])
-    for got, want in zip(optics._converter_pass(stack, modes, 2), outs):
+    for got, want in zip(optics._converter_pass(stack, stacked(modes), 2), outs):
         assert rel_error(got, want) <= 1e-12
     t = transfer_matrix(stack, modes, targets)
     assert np.abs(t - want_t).max() <= 1e-12
@@ -689,7 +741,7 @@ def rescore(out, detection):
         outputs = cli._detection_modes(args, grid, layout, modes)
     else:
         zero = PhaseMaskStack(grid, np.zeros((stack.planes, 32, 32)), stack.plane_spacing)
-        outputs = [OpticalField(grid, a) for a in optics._converter_pass(zero, modes, 1)]
+        outputs = [OpticalField(grid, a) for a in optics._converter_pass(zero, stacked(modes), 1)]
     transfer, objective = score_converter(stack, modes, outputs, targets)
     sorter_metrics(transfer, intended=intended).save_json(out / "rescored.json")
     return (out / "rescored.json").read_text(), objective
@@ -759,7 +811,7 @@ def test_mask_free_passes_match_stepwise_zero_stack(planes):
     assert spacing <= z_max and ((planes + 1) * spacing > z_max) == (planes == 10)
     modes = make_aperture_modes(DESK_LAYOUT, DESK_GRID)
     zero = PhaseMaskStack(DESK_GRID, np.zeros((planes, 96, 64)), spacing)
-    stepwise = optics._converter_pass(zero, modes, 1)
+    stepwise = optics._converter_pass(zero, stacked(modes), 1)
     for got, want in zip(mask_free_passes(modes, planes, spacing), stepwise):
         assert rel_error(got.amplitude, want) <= 1e-12
 
