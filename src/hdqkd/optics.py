@@ -210,6 +210,14 @@ def _wrap_phase(phase: np.ndarray) -> np.ndarray:
     return wrapped
 
 
+def _angle(z: np.ndarray) -> np.ndarray:
+    """np.angle(z), as arctan2 in np.longdouble rounded to float64.
+    numpy's float64 arctan2 has a kernel per SIMD level, and the AVX512
+    one gives other last bits than the AVX2 one; the longdouble one has
+    no SIMD kernel.  Where longdouble is float64 this is np.angle."""
+    return np.arctan2(z.imag.astype(np.longdouble), z.real.astype(np.longdouble)).astype(float)
+
+
 @dataclass(frozen=True)
 class PhaseMaskStack:
     """Ordered phase masks (radians, wrapped to [0, 2pi)) with uniform spacing."""
@@ -561,7 +569,7 @@ def _wavefront_sweeps(inputs, targets, planes, plane_spacing, iterations, pad_fa
     def set_mask(p):
         """masks[p] from the overlap folded since the last plane; the
         next plane's overlap starts again from +0."""
-        masks[p] = _wrap_phase(-np.angle(overlap))
+        masks[p] = _wrap_phase(-_angle(overlap))
         overlap[...] = 0.0
 
     def back(a, phase=None):

@@ -973,13 +973,13 @@ TOY_RUN = [
 # sidecar and reports numpy's Philox poisson stream).
 JSON_SHA256 = {
     "design_d/metrics.json":
-        "f5bcb545459a696bcabaaf6de6eae59dd1d0bcf384eb8277bd6874e44733d1f0",
+        "515ee12135d5cd7e1e2d84ee23478c96711221faaac4551b9d41ab631c5af2bf",
     "design_d/resolved_config.json":
-        "359e7bd6451f17efb78d2a96481a0dff934383289c17fbfd094f7a1ef534c3d1",
+        "77caf83b9373bbe6a97738078e8a0c79d0a9698d1d83b13f3b3c763b003dd5b2",
     "design_p/metrics.json":
-        "331a72b142da4484fbc734f00ce39dbd7a44cb3518be32c299b6c73d33badcac",
+        "97ca7c97ae4fb18040cd9b2f70778c58b764302b386ff92f36281a8efb03bfcf",
     "design_p/resolved_config.json":
-        "9b2f8e14749203c295dfdf260fdddea8ced68eeef638575eba5a67608e48a55f",
+        "a19fc1654aec6ce8b0d564dce056c422c8a3bdf3534244e6d24b0aeb12686107",
     "mubs4/basis_col_dft.json":
         "7ecbf6c923922e36d3ed287fd41c594d9987a43c7b9dc3cd1fdb31530fc7b291",
     "mubs4/basis_row_dft.json":

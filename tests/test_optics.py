@@ -525,7 +525,7 @@ def reference_masks(inputs, targets, planes, spacing, iterations):
             overlap = np.zeros((grid.nx, grid.ny), dtype=complex)
             for fn, bn in zip(f, backward[p]):
                 overlap = np.add(overlap, np.multiply(fn, np.conjugate(bn)))
-            masks[p] = optics._wrap_phase(-np.angle(overlap))
+            masks[p] = optics._wrap_phase(-optics._angle(overlap))
             f = prop(f, spacing, np.exp(1j * masks[p]))
     return masks
 
@@ -717,10 +717,10 @@ def test_design_command_propagation_count(tmp_path, monkeypatch):
         assert sorted(set(calls)) == [2, 4] and calls.count(2) == 2 * 2 * 2
 
 
-# sha256 of the toy design's stack.mplc, recorded with the batch-wide
-# kernel under numpy 2.4 and scipy 1.17 (pocketfft); the masks do not
-# depend on --detection.
-TOY_STACK_SHA256 = "4c4210200a9ba8c7c6a360707f92f31cec7be971f2c31bbcd997ebdddc7a8cfc"
+# sha256 of the toy design's stack.mplc, recorded under numpy 2.4 and
+# scipy 1.17 (pocketfft) with the longdouble mask angle; the same on
+# numpy's AVX512 and AVX2 kernels.  The masks do not depend on --detection.
+TOY_STACK_SHA256 = "8e7b1f18c5345cbe6c46b6a783de92cab92af4a191cbf7a58056e875e9dabdaa"
 
 
 def test_toy_design_stack_is_golden(tmp_path):
