@@ -99,14 +99,23 @@ def computational_basis(d: int) -> Basis:
     return Basis(d, np.eye(d, dtype=np.complex128), "computational")
 
 
+def _quadratic_phase_basis(d: int, r: int) -> np.ndarray:
+    """B[n,k] = w^(s(k-1)(n-1) + (r-2)(n-1)^2) / sqrt(d), w = exp(2*pi*i/m),
+    with m = d and s = 1, except at d = 2, where m = 4 and s = 2 so that
+    the quadratic phase takes the fourth roots of unity.  The exponent is
+    reduced mod m as an integer and indexes one table of the m roots, so
+    every entry is a root to rounding at any d."""
+    m = 4 if d == 2 else d
+    n = np.arange(d)
+    exponent = (np.outer((m // d) * n, n) + (r - 2) * (n * n % m)[:, None]) % m
+    return np.exp(2j * np.pi * np.arange(m) / m)[exponent] / math.sqrt(d)
+
+
 def dft_basis(d: int) -> Basis:
     """Discrete Fourier transform basis: B[n,k] = exp(2*pi*i*(k-1)(n-1)/d)/sqrt(d)."""
     if d < 1:
         raise InvalidDimensionError(f"dimension must be >= 1, got {d}")
-    n = np.arange(d)
-    phase = np.outer(n, n) * (2.0 * np.pi / d)
-    amps = np.exp(1j * phase) / math.sqrt(d)
-    return Basis(d, amps, "DFT")
+    return Basis(d, _quadratic_phase_basis(d, 2), "DFT")
 
 
 def wh_basis(d: int, r: int) -> Basis:
@@ -122,15 +131,8 @@ def wh_basis(d: int, r: int) -> Basis:
         raise InvalidDimensionError(f"quadratic-phase MUBs need prime d, got {d}")
     if not 2 <= r <= d + 1:
         raise InvalidBasisIndexError(f"basis index r={r} outside 2..{d + 1}")
-    n = np.arange(d)
-    fourier = np.outer(n, n) * (2.0 * np.pi / d)
-    if d == 2:
-        quad = (np.pi / 2.0) * (r - 2) * (n**2)
-    else:
-        quad = (2.0 * np.pi / d) * (r - 2) * (n**2)
-    amps = np.exp(1j * (fourier + quad[:, None])) / math.sqrt(d)
     label = "DFT" if r == 2 else f"WH:r={r}"
-    return Basis(d, amps, label)
+    return Basis(d, _quadratic_phase_basis(d, r), label)
 
 
 def full_mub_set(d: int) -> tuple[Basis, ...]:

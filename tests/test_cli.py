@@ -989,15 +989,15 @@ JSON_SHA256 = {
     "mubs5/basis_computational.json":
         "be5caf403d7894000a3c4480d4adb480b794fd36542b1dadba8cdb75e4905f4a",
     "mubs5/basis_dft.json":
-        "d2ac350f38ead5c6dc92fcb752e88ed7195e43840e410b33b9cd3828bf0b6161",
+        "4220cd5296367adc72cf160708c1040feb006e8aa36cfe54b73fe008571c9df6",
     "mubs5/basis_wh_r3.json":
-        "e1819f5984cdb8e2b7885655bbd802f2da00ca59950782debe6d437811b5f595",
+        "05569dca300182f951e1c7e5674b08773c29e4f706d440020455dce65fbce49a",
     "mubs5/basis_wh_r4.json":
-        "5aeb9abcefa8ec920dda9edce44d49358727d5cddb58e5e7c749838d4b4ecd3d",
+        "ac25df3c22be9e7a5ee3e3109ce6ab1306da9dcb60f873d9c70437eaf525b06a",
     "mubs5/basis_wh_r5.json":
-        "633d1a2cb668c86e040640877f1956570f13ee029e430030b562ac549ec4d1da",
+        "d99e2edff7cddf91bc4ac1423f982daa024c1c2e5d6d00da120f2c2c7b646208",
     "mubs5/basis_wh_r6.json":
-        "0c592c606d4162c349b52b25c072fdc48827a18b3b960d6cbaff09c2edf0cb9a",
+        "e9d36380f2b24e64860e164a89480c4aa678ae7d0935a8e5c9e2dbd349b985aa",
     "mubs5/resolved_config.json":
         "d1cc6d00ea86a250e3b82365e9f4b3afd24900a722557757729d34f5113b993e",
     "rate_block/curve.csv.meta.json":

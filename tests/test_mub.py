@@ -82,6 +82,15 @@ def test_wh_is_diagonal_phase_times_dft(d):
         assert np.abs(np.diag(phases) @ dft - wh).max() < 1e-12
 
 
+@pytest.mark.parametrize("d", [127, 131, 251, 257])
+def test_wh_is_exact_at_large_primes(d):
+    # a phase formed in floats reaches ~1e5 rad and failed the basis's own
+    # 1e-12 unitarity check from d = 127 on; with the exponent reduced mod d
+    # every basis passes it
+    for r in range(2, d + 2):
+        assert wh_basis(d, r).dim == d
+
+
 def test_wh_rejects_nonprime_and_bad_index():
     with pytest.raises(InvalidDimensionError):
         wh_basis(4, 2)
