@@ -1,6 +1,10 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -940,6 +944,63 @@ def test_any_noise_argv_exits_0_1_or_2(command, d, rounds, family, bound, noise,
         argv.append(f"--alignments={alignments}")
     with tempfile.TemporaryDirectory() as out:
         assert main(argv + ["--out", out]) in (0, 1, 2)
+
+
+# Each size flag's largest drawn value, so that no draw allocates more than a
+# few MB.  The defaults are larger, so these flags are always drawn.
+_SIZE_CAPS = {"--d": 9, "--nx": 32, "--ny": 32, "--planes": 2, "--iterations": 2,
+              "--rounds": 100, "--pad-factor": 3}
+
+
+def _option_words(action):
+    """A strategy for the argv words of one option, or None to leave it
+    at its default: paths and free text are not drawn."""
+    flag = action.option_strings[-1]
+    if flag in _SIZE_CAPS:
+        return st.integers(-2, _SIZE_CAPS[flag]).map(lambda v: [f"{flag}={v}"])
+    if isinstance(action, argparse._StoreTrueAction):
+        return st.sampled_from([[], [flag]])
+    if action.choices:
+        values = st.sampled_from(list(action.choices))
+    elif action.type is int:
+        values = st.integers(-3, 3)
+    elif action.type is cli.finite:
+        values = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([1e-9, 1e-6, 1e-5, 1e-3]))
+    else:
+        return None
+    return st.one_of(st.just([]), values.map(lambda v: [f"{flag}={v}"]))
+
+
+@st.composite
+def _argvs(draw):
+    """An argv for any command of `build_parser()`: its positional choices
+    and a draw for each option that `_option_words` draws."""
+    (commands,) = [action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    command = draw(st.sampled_from(sorted(commands.choices)))
+    argv = [command]
+    for action in commands.choices[command]._actions:
+        if not action.option_strings:
+            argv += [draw(st.sampled_from(action.choices))] if action.choices else []
+        elif (words := _option_words(action)) is not None:
+            argv += draw(words)
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@example(argv=["optics", "design", "--d=2", "--arrangement=line", "--nx=32", "--ny=32",
+               "--planes=2", "--iterations=2", "--aperture-radius=2e-5",
+               "--aperture-spacing=6e-5", "--plane-spacing=1e-3"])  # a design that runs
+@given(argv=_argvs())
+def test_any_argv_exits_0_1_or_2_with_one_error_line_on_failure(argv):
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings(record=True), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = main(argv + ["--out", out])
+    assert code in (0, 1, 2)
+    errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
+    assert len(errors) == (code != 0), (code, stderr.getvalue())
 
 
 # --- written JSON bytes ------------------------------------------------------------
