@@ -49,11 +49,6 @@ DESK_GRID = GridSpec(96, 64, 15e-6, 810e-9)
 DESK_LAYOUT = ApertureLayout(2, 100e-6, 300e-6, "line")
 
 
-def stacked(fields):
-    """(count, nx, ny) amplitudes of the fields, as a converter pass takes them."""
-    return np.stack([f.amplitude for f in fields])
-
-
 # --- grids and layouts --------------------------------------------------------
 
 
@@ -264,6 +259,10 @@ def test_mode_parallel_kernel_is_bit_identical_to_the_batch_kernel(
         assert np.array_equal(
             masked, optics._propagate_array(amps * phase, grid, 1e-3, pad, steps)
         )
+        # a pass of two spacings: the second runs in place, over the first's output
+        passed = optics._propagate_array(amps, grid, 1e-3, pad, steps,
+                                         phases=iter([phase, None]))
+        assert np.array_equal(passed, optics._propagate_array(masked, grid, 1e-3, pad, steps))
 
 
 def test_mode_parallel_kernel_reraises_on_the_calling_thread(monkeypatch):
@@ -354,23 +353,6 @@ def test_a_converter_pass_makes_its_threads_once(monkeypatch):
     stack = PhaseMaskStack(DESK_GRID, np.zeros((3, 96, 64)), 5e-3)
     transfer_matrix(stack, modes, targets)
     assert len(entered) == 1
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("pad", [1, 2])
-def test_a_pass_is_bit_identical_to_one_call_per_spacing(monkeypatch, workers, pad):
-    # the first spacing writes a new batch, the later ones write over it
-    monkeypatch.setattr(optics, "_fft_workers", lambda: workers)
-    grid = GridSpec(24, 20, 10e-6, 810e-9)
-    rng = np.random.default_rng(workers + pad)
-    phases = [np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=(24, 20))) for _ in range(3)]
-    phases.insert(1, None)
-    amps = rng.normal(size=(5, 24, 20)) + 1j * rng.normal(size=(5, 24, 20))
-    want = amps
-    for phase in phases:
-        want = optics._propagate_array(want, grid, 1e-3, pad, phases=[phase])
-    got = optics._propagate_array(amps, grid, 1e-3, pad, phases=iter(phases))
-    assert np.array_equal(got, want) and not np.shares_memory(got, amps)
 
 
 @pytest.mark.parametrize("planes, iterations", [(1, 1), (2, 1), (3, 2), (4, 1)])
@@ -652,7 +634,8 @@ def test_zero_stack_transfer_is_near_identity():
     modes = make_aperture_modes(DESK_LAYOUT, DESK_GRID)
     planes, spacing = 2, 5e-3
     stack = PhaseMaskStack(DESK_GRID, np.zeros((planes, 96, 64)), spacing)
-    outputs = [OpticalField(DESK_GRID, a) for a in optics._converter_pass(stack, stacked(modes), 1)]
+    outputs = [OpticalField(DESK_GRID, a)
+               for a in optics._converter_pass(stack, optics._mode_matrix(modes), 1)]
     t = transfer_matrix(stack, modes, outputs, pad_factor=1)
     assert np.abs(np.abs(np.diag(t)) - 1.0).max() < 1e-6
     assert np.abs(t - np.diag(np.diag(t))).max() < 1e-6
@@ -676,7 +659,7 @@ def test_batched_scoring_matches_per_mode_passes():
 
     want_t = np.array([[inner(o, out) for out in outs] for o in targets])
     want_objective = np.mean([abs(inner(t, out)) ** 2 for t, out in zip(targets, outs)])
-    for got, want in zip(optics._converter_pass(stack, stacked(modes), 2), outs):
+    for got, want in zip(optics._converter_pass(stack, optics._mode_matrix(modes), 2), outs):
         assert rel_error(got, want) <= 1e-12
     t = transfer_matrix(stack, modes, targets)
     assert np.abs(t - want_t).max() <= 1e-12
@@ -741,7 +724,8 @@ def rescore(out, detection):
         outputs = cli._detection_modes(args, grid, layout, modes)
     else:
         zero = PhaseMaskStack(grid, np.zeros((stack.planes, 32, 32)), stack.plane_spacing)
-        outputs = [OpticalField(grid, a) for a in optics._converter_pass(zero, stacked(modes), 1)]
+        outputs = [OpticalField(grid, a)
+                   for a in optics._converter_pass(zero, optics._mode_matrix(modes), 1)]
     transfer, objective = score_converter(stack, modes, outputs, targets)
     sorter_metrics(transfer, intended=intended).save_json(out / "rescored.json")
     return (out / "rescored.json").read_text(), objective
@@ -811,7 +795,7 @@ def test_mask_free_passes_match_stepwise_zero_stack(planes):
     assert spacing <= z_max and ((planes + 1) * spacing > z_max) == (planes == 10)
     modes = make_aperture_modes(DESK_LAYOUT, DESK_GRID)
     zero = PhaseMaskStack(DESK_GRID, np.zeros((planes, 96, 64)), spacing)
-    stepwise = optics._converter_pass(zero, stacked(modes), 1)
+    stepwise = optics._converter_pass(zero, optics._mode_matrix(modes), 1)
     for got, want in zip(mask_free_passes(modes, planes, spacing), stepwise):
         assert rel_error(got.amplitude, want) <= 1e-12
 
