@@ -312,10 +312,23 @@ def test_import_loads_neither_scipy_nor_the_executor():
     assert run.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("count", [1, 2])
+def test_evanescent_warning_points_at_the_caller(monkeypatch, count):
+    monkeypatch.setattr(optics, "_fft_workers", lambda: 2)
+    grid = GridSpec(32, 32, 3e-7, 810e-9)
+    rng = np.random.default_rng(0)
+    # only the last chunk carries evanescent power
+    dark = [OpticalField(grid, np.zeros((32, 32)))] * (count - 1)
+    fields = dark + [OpticalField(grid, rng.normal(size=(32, 32)) + 0j)]
+    with pytest.warns(EvanescentClippingWarning) as record:
+        mask_free_passes(fields, 3, 1e-5)
+    assert [w.filename for w in record] == [__file__]
+
+
 @pytest.mark.parametrize("entry", ["propagate", "mask_free_passes", "transfer_matrix",
                                    "matching_objective", "score_converter", "wavefront_match",
                                    "design_converter"])
-def test_evanescent_warning_points_at_the_caller(monkeypatch, entry):
+def test_every_optics_entry_warns_at_the_caller(monkeypatch, entry):
     # each warning names this file, however deep in optics it was raised:
     # in a pass, in the sweeps, or in the generator of their streamed planes
     monkeypatch.setattr(optics, "_fft_workers", lambda: 2)
