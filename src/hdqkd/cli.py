@@ -208,7 +208,9 @@ def _design_geometry(args):
     return grid, layout, modes
 
 
-def _design_targets(args, modes):
+def _target_coefficients(args):
+    """The `--target` basis as a (d, d) coefficient matrix, and the
+    unitary the sorter is meant to apply."""
     d = args.d
     if args.target == "swap":
         coeff = np.eye(d, dtype=complex)[::-1]
@@ -219,11 +221,18 @@ def _design_targets(args, modes):
             raise InvalidConfigError(f"--target {args.target}: {family} has {len(bases)} "
                                      f"bases at d={d}")
         coeff = bases[int(index) - 1].amplitudes
+    return coeff, coeff.conj().T
+
+
+def _target_fields(modes, coeff):
     # Sorter convention: incoming basis state m ends up in port m, so
     # input mode n maps to sum_m conj(coeff[n, m]) * port_m.
-    targets = [optics.superpose(modes, coeff[n, :].conj()) for n in range(d)]
-    intended = coeff.conj().T
-    return targets, intended
+    return [optics.superpose(modes, row.conj()) for row in coeff]
+
+
+def _design_targets(args, modes):
+    coeff, intended = _target_coefficients(args)
+    return _target_fields(modes, coeff), intended
 
 
 def _detection_modes(args, grid, layout, modes):
@@ -239,7 +248,9 @@ def _detection_modes(args, grid, layout, modes):
 
 def cmd_optics(args) -> int:
     grid, layout, modes = _design_geometry(args)
-    targets, intended = _design_targets(args, modes)
+    coeff, intended = _target_coefficients(args)
+    # Built on demand: the design drops them while its sweeps run.
+    targets = functools.partial(_target_fields, modes, coeff)
 
     if args.action == "design":
         outputs = functools.partial(_detection_modes, args, grid, layout, modes)
@@ -266,7 +277,7 @@ def cmd_optics(args) -> int:
             )
         outputs = _detection_modes(args, grid, layout, modes)
         transfer, objective = optics.score_converter(
-            stack, modes, outputs, targets, pad_factor=args.pad_factor
+            stack, modes, outputs, targets(), pad_factor=args.pad_factor
         )
     metrics = optics.sorter_metrics(transfer, intended=intended)  # finite, or it raises
     out = _out_dir(args)
@@ -434,6 +445,14 @@ def finite(text: str) -> float:
     return value
 
 
+def seed(text: str) -> int:
+    """`--seed` type: an integer that every sampler takes as a seed."""
+    try:
+        return protocol._check_seed(int(text))
+    except HdqkdError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def target(text: str) -> str:
     """`--target` type: `swap`, an alias, or `family:i` with i >= 1."""
     family, _, index = _TARGET_ALIASES.get(text, text).partition(":")
@@ -449,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--config", help="JSON config file with per-command defaults")
     common.add_argument("--out", help="output directory (default $HDQKD_OUT or .)")
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (>= 0)")
+    common.add_argument("--seed", type=seed, default=0, help="RNG seed (>= 0)")
     common.add_argument("--quiet", action="store_true", help="suppress progress output")
 
     parser = _Parser(

@@ -335,8 +335,7 @@ def _kernel_threads(grid: GridSpec, pad_factor: int, count: int):
     `pad_factor`: an executor of min(cores, count) threads and one padded
     work buffer for each.  A caller that propagates many times keeps them
     across its calls, which costs less than making them per call."""
-    # Imported here so that `import hdqkd` pays for neither scipy nor
-    # the executor.
+    # Imported here so that `import hdqkd` does not pay for the executor.
     from concurrent.futures import ThreadPoolExecutor
 
     k = max(min(_fft_workers(), count), 1)
@@ -351,27 +350,17 @@ def _propagate_into(fields, out, grid, distance, pad_factor, steps, phase, threa
     spectral power.  `out` may be `fields` itself, a C-contiguous
     complex128 batch: field i is copied into its thread's buffer before
     out[i] is written, and no other thread touches either."""
-    import scipy.fft
-
     nx, ny = grid.nx, grid.ny
     px, py = nx * pad_factor, ny * pad_factor
     h, evanescent = _transfer_function(px, py, grid.pitch, grid.wavelength, distance)
     pool, buffers = threads
     n = len(fields)
     k = max(min(len(buffers), n), 1)
-    workers = _fft_workers() // k
-    fft = functools.partial(scipy.fft.fft, overwrite_x=True, workers=workers)
-    ifft = functools.partial(scipy.fft.ifft, overwrite_x=True, workers=workers)
-
-    def in_place(transform, view, axis):
-        result = transform(view, axis=axis)
-        if not np.may_share_memory(result, view):  # scipy transformed out of place
-            view[...] = result
 
     def chunk(lo, hi, work):
         """Propagates fields lo..hi-1 into `out` through the padded
         buffer `work`; returns their clipped and total spectral power."""
-        window = work[:nx, :ny]
+        rows, window = work[:nx], work[:nx, :ny]
         clipped = total = 0.0
         for i in range(lo, hi):
             work[:nx, ny:] = 0.0
@@ -380,15 +369,15 @@ def _propagate_into(fields, out, grid, distance, pad_factor, steps, phase, threa
                 window[...] = fields[i]
             else:
                 np.multiply(fields[i], phase, out=window)
-            in_place(fft, work[:nx], -1)
-            in_place(fft, work, -2)
+            np.fft.fft(rows, axis=-1, out=rows)
+            np.fft.fft(work, axis=-2, out=work)
             if evanescent is not None:
                 clipped += float((np.abs(work[evanescent]) ** 2).sum())
                 total += float((np.abs(work) ** 2).sum())
             for _ in range(steps):
                 work *= h
-            in_place(ifft, work, -2)
-            in_place(ifft, work[:nx], -1)
+            np.fft.ifft(work, axis=-2, out=work)
+            np.fft.ifft(rows, axis=-1, out=rows)
             out[i] = window
         return clipped, total
 
@@ -420,10 +409,10 @@ def _propagate_array(
 
     The fields are split into one contiguous chunk per core.  Each
     chunk runs on a thread of its own, which carries its fields one at a
-    time through a single padded buffer, reused for every field; a
-    single field gets every core for its transforms.  A field's
-    arithmetic does not depend on its chunk, so the result is
-    bit-identical to a serial pass.
+    time through a single padded buffer, reused for every field, with
+    numpy.fft's single-threaded transforms.  A field's arithmetic does
+    not depend on its chunk, so the result is bit-identical to a serial
+    pass.
 
     `steps` > 1 propagates `steps` times by `distance` in one transform,
     multiplying the spectrum by the per-step transfer function once per
@@ -528,31 +517,24 @@ def wavefront_match(
     bit-identical stacks.
     """
     stack, _ = _wavefront_sweeps(
-        inputs, targets, planes, plane_spacing, iterations, pad_factor
+        inputs, lambda: targets, planes, plane_spacing, iterations, pad_factor
     )
     return stack
 
 
 def _wavefront_sweeps(inputs, targets, planes, plane_spacing, iterations, pad_factor):
-    """`wavefront_match`'s stack, and the (count, nx, ny) input fields of
-    its last forward sweep just before the last plane.  The stack holds
-    exactly the masks the sweep applied, so those fields are the
-    converter pass of the stack up to that plane."""
+    """`wavefront_match`'s stack for the target modes that the function
+    `targets` returns, and the (count, nx, ny) input fields of its last
+    forward sweep just before the last plane.  The stack holds exactly
+    the masks the sweep applied, so those fields are the converter pass
+    of the stack up to that plane.  The targets are read once, before
+    the sweeps, and not kept while they run."""
     inputs = list(inputs)
-    targets = list(targets)
     if planes < 1 or iterations < 1:
         raise InvalidConfigError("planes and iterations must both be >= 1")
     _check_positive("plane spacing", plane_spacing)
-    if len(inputs) != len(targets) or not inputs:
-        raise InvalidConfigError(
-            f"need equally many inputs and targets, got {len(inputs)} and {len(targets)}"
-        )
-    grid = inputs[0].grid
-    for f in inputs + targets:
-        if f.grid != grid:
-            raise GeometryError("all modes must share one grid")
     _check_orthonormal(inputs, "input modes")
-    last = _check_orthonormal(targets, "target modes")
+    grid = inputs[0].grid
     _check_kernel(grid, plane_spacing, pad_factor, 1)
 
     masks = np.zeros((planes, grid.nx, grid.ny))
@@ -599,6 +581,14 @@ def _wavefront_sweeps(inputs, targets, planes, plane_spacing, iterations, pad_fa
     # Every propagation of the sweeps runs on one executor and one padded
     # buffer per thread, which costs less than making them for each call.
     with _kernel_threads(grid, pad_factor, len(inputs)) as threads:
+        # The targets are built after every array the sweeps keep, so that
+        # the heap hole they leave when freed is not split by one of those
+        # arrays and the next batch fits in it.
+        last = _check_orthonormal(targets(), "target modes", grid)
+        if len(last) != len(inputs):
+            raise InvalidConfigError(
+                f"need equally many inputs and targets, got {len(inputs)} and {len(last)}"
+            )
         # Targets carried back from the detection plane to just after the
         # last mask: the same in every iteration.
         last = back(back(last))
@@ -651,27 +641,29 @@ def design_converter(
     iterations: int = 30,
     pad_factor: int = 2,
 ) -> tuple[PhaseMaskStack, np.ndarray, float]:
-    """`wavefront_match(inputs, targets, ...)` and the designed stack's
-    `score_converter(stack, inputs, output_modes(), targets)`, bit for bit.
+    """`wavefront_match(inputs, targets(), ...)` and the designed stack's
+    `score_converter(stack, inputs, output_modes(), targets())`, bit for
+    bit.
 
     The last forward sweep has already carried the inputs through masks
     1..P-1, so the score finishes that pass from mask P rather than
     making a converter pass of its own.
 
-    `output_modes` is a function that returns the output modes.  They
-    only score the design, so they are built and checked to be
-    orthonormal before the sweeps, dropped while the sweeps run, and
-    built and checked again after them.
+    `targets` and `output_modes` are functions that return the target
+    and the output modes.  The sweeps read the targets only before they
+    start, and the output modes only score the design.  So each is built
+    and checked before the sweeps, dropped while they run, and built
+    again after them.
     """
     _check_orthonormal(output_modes(), "output modes")
-    targets = list(targets)
     stack, outs = _wavefront_sweeps(
         inputs, targets, planes, plane_spacing, iterations, pad_factor
     )
     outs = _converter_pass(stack, outs, pad_factor, first=planes - 1)
     modes = _check_orthonormal(output_modes(), "output modes", stack.grid)
-    return (stack, _transfer_from_outputs(outs, modes, stack.grid),
-            _objective_from_outputs(outs, targets, stack.grid))
+    transfer = _transfer_from_outputs(outs, modes, stack.grid)
+    del modes  # not held while the targets are built
+    return stack, transfer, _objective_from_outputs(outs, targets(), stack.grid)
 
 
 def _transfer_from_outputs(outs: np.ndarray, modes: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -698,7 +690,8 @@ def _objective_from_outputs(outs: np.ndarray, targets, grid: GridSpec) -> float:
         raise InvalidInputError(
             f"need one target per input, got {len(tgt)} for {len(outs)}"
         )
-    overlaps = np.einsum("nxy,nxy->n", tgt.conj(), outs) * grid.pitch**2
+    # tgt is a new stack, so conjugating it in place costs no second batch
+    overlaps = np.einsum("nxy,nxy->n", np.conjugate(tgt, out=tgt), outs) * grid.pitch**2
     return float(np.mean(np.abs(overlaps) ** 2))
 
 

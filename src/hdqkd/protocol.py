@@ -36,10 +36,14 @@ GENERATOR_ID = "numpy-philox4x64"
 NORMALIZATION_TOL = 1e-9
 
 
-def _rng(seed: int) -> np.random.Generator:
+def _check_seed(seed: int) -> int:
     if seed < 0:
         raise InvalidInputError(f"seed {seed} must be >= 0")
-    return np.random.Generator(np.random.Philox(seed))
+    return seed
+
+
+def _rng(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(_check_seed(seed)))
 
 
 def _alignments(values, n_matched: int, name: str = "alignments") -> tuple:

@@ -447,7 +447,23 @@ def test_keyrate_counts_reads_the_simulated_alignments(tmp_path, capsys):
 def test_negative_seed_exits_2_before_writing(tmp_path, capsys):
     out = tmp_path / "sim"
     assert run("simulate", "--d", 4, "--seed", -1, "--rounds", 10, "--out", out) == 2
-    assert capsys.readouterr().err == "error: seed -1 must be >= 0\n"
+    assert capsys.readouterr().err == "error: argument --seed: seed -1 must be >= 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("mub", "gen", "--d", 2, "--family", "dft", "--seed", -1),
+    ("keyrate", "--d", 4, "--E", 0.1, "--seed", -5),
+    ("optics", "design", "--d", 2, "--arrangement", "line", "--nx", 32, "--ny", 32,
+     "--aperture-radius", "40e-6", "--aperture-spacing", "120e-6", "--planes", 2,
+     "--plane-spacing", "5e-3", "--iterations", 1, "--seed", -1),
+], ids=["mub", "keyrate", "optics"])
+def test_every_command_rejects_a_negative_seed(tmp_path, capsys, argv):
+    # the seed is checked as the flags are parsed, also by commands that draw nothing
+    out = tmp_path / "out"
+    assert run(*argv, "--out", out) == 2
+    seed = argv[-1]
+    assert capsys.readouterr().err == f"error: argument --seed: seed {seed} must be >= 0\n"
     assert not out.exists()
 
 
@@ -962,7 +978,7 @@ def _option_words(action):
         return st.sampled_from([[], [flag]])
     if action.choices:
         values = st.sampled_from(list(action.choices))
-    elif action.type is int:
+    elif action.type in (int, cli.seed):
         values = st.integers(-3, 3)
     elif action.type is cli.finite:
         values = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([1e-9, 1e-6, 1e-5, 1e-3]))
@@ -1030,8 +1046,8 @@ TOY_RUN = [
 ]
 
 # sha256 of every JSON file and sidecar of the toy run, recorded under
-# numpy 2.4 and scipy 1.17 (the metrics pin the optics' FFTs, the counts
-# sidecar and reports numpy's Philox poisson stream).
+# numpy 2.4 (the metrics pin the optics' FFTs, the counts sidecar and
+# reports numpy's Philox poisson stream).
 JSON_SHA256 = {
     "design_d/metrics.json":
         "515ee12135d5cd7e1e2d84ee23478c96711221faaac4551b9d41ab631c5af2bf",

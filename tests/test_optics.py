@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import json
 import math
@@ -218,24 +217,17 @@ def test_evanescent_clipping_is_reported_for_padded_batches():
 def batch_reference(amps, grid, distance, pad_factor, steps=1):
     """The batch-wide kernel the mode-parallel one replaced: every field
     padded into one (..., px, py) buffer and transformed as one batch."""
-    import scipy.fft
-
     nx, ny = grid.nx, grid.ny
     px, py = nx * pad_factor, ny * pad_factor
     h, _ = optics._transfer_function(px, py, grid.pitch, grid.wavelength, distance)
-    workers = optics._fft_workers()
-    fft = functools.partial(scipy.fft.fft, overwrite_x=True, workers=workers)
-    ifft = functools.partial(scipy.fft.ifft, overwrite_x=True, workers=workers)
     work = np.zeros(amps.shape[:-2] + (px, py), dtype=np.complex128)
     work[..., :nx, :ny] = amps
-    rows = fft(work[..., :nx, :], axis=-1)
-    if not np.may_share_memory(rows, work):
-        work[..., :nx, :] = rows
-    work = fft(work, axis=-2)
+    work[..., :nx, :] = np.fft.fft(work[..., :nx, :], axis=-1)
+    work = np.fft.fft(work, axis=-2)
     for _ in range(steps):
         work *= h
-    work = ifft(work, axis=-2)
-    rows = ifft(work[..., :nx, :], axis=-1)
+    work = np.fft.ifft(work, axis=-2)
+    rows = np.fft.ifft(work[..., :nx, :], axis=-1)
     return np.ascontiguousarray(rows[..., :ny])
 
 
@@ -312,6 +304,29 @@ def test_import_loads_neither_scipy_nor_the_executor():
     assert run.stdout.strip() == "[]"
 
 
+def test_no_command_loads_scipy(tmp_path):
+    # the optics run on numpy.fft, so no command pays for importing scipy
+    argvs = [
+        TOY_DESIGN + ["--out", str(tmp_path / "design")],
+        ["optics", "eval", *TOY_DESIGN[2:], "--stack", str(tmp_path / "design" / "stack.mplc"),
+         "--out", str(tmp_path / "eval")],
+        ["mub", "gen", "--d", "4", "--family", "dft", "--out", str(tmp_path / "mub"), "--quiet"],
+        ["simulate", "--d", "4", "--rounds", "10", "--out", str(tmp_path / "sim"), "--quiet"],
+        ["keyrate", "--d", "4", "--E", "0.1", "--out", str(tmp_path / "rate"), "--quiet"],
+    ]
+    code = (
+        "import json, sys; from hdqkd import cli; "
+        "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]; "
+        "print(codes, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    src = str(Path(optics.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[0, 0, 0, 0, 0] []"
+
+
 @pytest.mark.parametrize("count", [1, 2])
 def test_evanescent_warning_points_at_the_caller(monkeypatch, count):
     monkeypatch.setattr(optics, "_fft_workers", lambda: 2)
@@ -342,8 +357,8 @@ def test_every_optics_entry_warns_at_the_caller(monkeypatch, entry):
         "matching_objective": lambda: matching_objective(stack, modes, modes[::-1]),
         "score_converter": lambda: score_converter(stack, modes, modes, modes[::-1]),
         "wavefront_match": lambda: wavefront_match(modes, modes[::-1], 3, 2e-6, iterations=1),
-        "design_converter": lambda: design_converter(modes, modes[::-1], lambda: modes, 3,
-                                                     2e-6, iterations=1),
+        "design_converter": lambda: design_converter(modes, lambda: modes[::-1], lambda: modes,
+                                                     3, 2e-6, iterations=1),
     }
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
@@ -538,7 +553,7 @@ def test_streamed_sweeps_match_the_batch_reference(monkeypatch, planes, count, w
     dft = np.exp(2j * np.pi * np.outer(range(count), range(count)) / count)
     targets = [superpose(modes, row / math.sqrt(count)) for row in dft]
     stack, transfer, objective = design_converter(
-        modes, targets, lambda: modes, planes=planes, plane_spacing=5e-3, iterations=2
+        modes, lambda: targets, lambda: modes, planes=planes, plane_spacing=5e-3, iterations=2
     )
     assert np.array_equal(stack.masks, reference_masks(modes, targets, planes, 5e-3, 2))
     want_transfer, want_objective = score_converter(stack, modes, modes, targets)
@@ -547,7 +562,8 @@ def test_streamed_sweeps_match_the_batch_reference(monkeypatch, planes, count, w
 
 def test_design_builds_output_modes_given_as_a_function_after_its_sweeps(monkeypatch):
     # and checks them before, so that a bad set fails before the sweeps,
-    # which do not hold them
+    # which do not hold them; the targets, also a function, are built as
+    # the sweeps start and again for the score
     modes, targets = swap_problem()
     events = []
     sweeps = optics._wavefront_sweeps
@@ -560,9 +576,14 @@ def test_design_builds_output_modes_given_as_a_function_after_its_sweeps(monkeyp
         events.append("output modes")
         return modes
 
+    def build_targets():
+        events.append("targets")
+        return targets
+
     monkeypatch.setattr(optics, "_wavefront_sweeps", recording)
-    got = design_converter(modes, targets, build, planes=2, plane_spacing=5e-3, iterations=2)
-    assert events == ["output modes", "sweeps", "output modes"]
+    got = design_converter(modes, build_targets, build, planes=2, plane_spacing=5e-3,
+                           iterations=2)
+    assert events == ["output modes", "sweeps", "targets", "output modes", "targets"]
     want = wavefront_match(modes, targets, planes=2, plane_spacing=5e-3, iterations=2)
     assert np.array_equal(got[0].masks, want.masks)
     want_transfer, want_objective = score_converter(want, modes, modes, targets)
@@ -570,7 +591,8 @@ def test_design_builds_output_modes_given_as_a_function_after_its_sweeps(monkeyp
     overlapping = [modes[0], superpose([modes[0], modes[1]], [0.8, 0.6])]
     events.clear()
     with pytest.raises(InvalidModeSetError, match="output modes"):
-        design_converter(modes, targets, lambda: overlapping, planes=2, plane_spacing=5e-3)
+        design_converter(modes, build_targets, lambda: overlapping, planes=2,
+                         plane_spacing=5e-3)
     assert events == []
 
 
@@ -596,13 +618,14 @@ def test_design_holds_its_backward_batches_and_little_else(monkeypatch):
     grid = GridSpec(96, 96, 15e-6, 810e-9)
     modes = make_aperture_modes(ApertureLayout(16, 100e-6, 300e-6), grid)
     dft = np.exp(2j * np.pi * np.outer(range(16), range(16)) / 16)
-    targets = [superpose(modes, row / 4) for row in dft]
     field = 96 * 96 * 16  # one complex (nx, ny) field
     # Everything the design may hold at once above what the caller holds,
-    # at its worst case: 5.17 batches of 16 fields (5.09 measured).  A
-    # chunk is an eighth of a batch, so holding a fifth batch reads above
-    # it: 5.91-5.97 with a chunk as large as a batch, 5.96 with the P
-    # batches of the unstreamed sweep.
+    # the inputs, at its worst case: 5.17 batches of 16 fields (5.10
+    # measured), with no batch of targets.  The design builds them itself,
+    # so holding them through the sweeps reads 6.10.  A chunk is an
+    # eighth of a batch, so holding a fifth batch reads above the model:
+    # 5.98 with a chunk as large as a batch, 6.10 with the P batches of
+    # the unstreamed sweep.
     model = {
         "P - 1 = 4 backward batches of d = 16 fields": 4 * 16 * field,
         "one chunk of 2 fields, 2 workers": 2 * field,
@@ -613,6 +636,9 @@ def test_design_holds_its_backward_batches_and_little_else(monkeypatch):
         "one plane's exp(i*mask) and the product it is made from": 2 * field,
         "small Python objects": 64 * 1024,
     }
+
+    def targets():
+        return [superpose(modes, row / 4) for row in dft]
 
     def design():
         return design_converter(modes, targets, lambda: modes, planes=5, plane_spacing=5e-3,
@@ -713,8 +739,8 @@ def test_design_command_propagation_count(tmp_path, monkeypatch):
         assert sorted(set(calls)) == [2, 4] and calls.count(2) == 2 * 2 * 2
 
 
-# sha256 of the toy design's stack.mplc, recorded under numpy 2.4 and
-# scipy 1.17 (pocketfft) with the longdouble mask angle; the same on
+# sha256 of the toy design's stack.mplc, recorded under numpy 2.4 (its
+# pocketfft) with the longdouble mask angle; the same on
 # numpy's AVX512 and AVX2 kernels.  The masks do not depend on --detection.
 TOY_STACK_SHA256 = "8e7b1f18c5345cbe6c46b6a783de92cab92af4a191cbf7a58056e875e9dabdaa"
 
@@ -790,7 +816,7 @@ def test_each_of_the_six_d5_mubs_gets_a_sorter(tmp_path):
 def test_design_converter_matches_wavefront_match_then_score():
     modes, targets = swap_problem()
     stack, transfer, objective = design_converter(
-        modes, targets, lambda: modes, planes=3, plane_spacing=5e-3, iterations=4
+        modes, lambda: targets, lambda: modes, planes=3, plane_spacing=5e-3, iterations=4
     )
     want = wavefront_match(modes, targets, planes=3, plane_spacing=5e-3, iterations=4)
     assert np.array_equal(stack.masks, want.masks)
@@ -916,7 +942,8 @@ def test_design_rejects_a_bad_spacing_before_the_first_sweep(monkeypatch):
         with pytest.raises(InvalidInputError, match="plane spacing"):
             wavefront_match(modes, targets, planes=2, plane_spacing=spacing, iterations=1)
         with pytest.raises(InvalidInputError, match="plane spacing"):
-            design_converter(modes, targets, lambda: modes, planes=2, plane_spacing=spacing)
+            design_converter(modes, lambda: targets, lambda: modes, planes=2,
+                             plane_spacing=spacing)
     assert calls == []
 
 
