@@ -29,6 +29,7 @@ from .errors import (
     InsufficientDataError,
     InvalidConfigError,
     NoThresholdError,
+    is_count,
     write_json,
 )
 
@@ -166,7 +167,8 @@ def cmd_mub(args) -> int:
         try:
             with open(path) as fh:
                 doc = json.load(fh)
-            d = int(doc["dim"])
+            if not is_count(d := doc["dim"]):
+                raise ValueError(f"dim must be an integer >= 1, got {d!r}")
             amps = mub.amplitude_matrix(
                 d, np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
             )

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its one JSON writer."""
+"""Exception types shared across the package, and its one JSON writer and count rule."""
 
 import json
 
@@ -53,6 +53,11 @@ class NoThresholdError(HdqkdError):
 
 class DegenerateTransferError(HdqkdError):
     """Transfer matrix captures no power at all."""
+
+
+def is_count(n) -> bool:
+    """n is a count >= 1 as JSON gives one: an int, not a bool."""
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 1
 
 
 def write_json(path, doc, message: str, indent: int | None = 2) -> None:

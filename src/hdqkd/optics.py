@@ -17,7 +17,6 @@ y = (iy - ny//2) * pitch, both in meters.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
@@ -117,6 +116,8 @@ class OpticalField:
 def superpose(fields, coefficients) -> OpticalField:
     """Linear combination sum_m c_m * field_m on a common grid."""
     fields = list(fields)
+    if not fields:
+        raise InvalidInputError("need at least one field")
     coefficients = np.asarray(coefficients)
     if len(fields) != len(coefficients):
         raise InvalidInputError("need one coefficient per field")
@@ -329,33 +330,30 @@ def _warn_clipping(clipped: float, total: float) -> None:
         )
 
 
-@contextlib.contextmanager
-def _kernel_threads(grid: GridSpec, pad_factor: int, count: int):
-    """Yields the threads for `_propagate_into` calls on `grid` at
-    `pad_factor`: an executor of min(cores, count) threads and one padded
-    work buffer for each.  A caller that propagates many times keeps them
-    across its calls, which costs less than making them per call."""
+@functools.cache
+def _pool(pid: int):
+    """The process's propagation threads: one executor of `_fft_workers()`
+    threads, made on first use.  A forked child inherits the parent's
+    executor but none of its threads, so the pool is keyed on the pid."""
     # Imported here so that `import hdqkd` does not pay for the executor.
     from concurrent.futures import ThreadPoolExecutor
 
-    k = max(min(_fft_workers(), count), 1)
-    shape = (grid.nx * pad_factor, grid.ny * pad_factor)
-    with ThreadPoolExecutor(k) as pool:
-        yield pool, [np.empty(shape, dtype=np.complex128) for _ in range(k)]
+    return ThreadPoolExecutor(_fft_workers())
 
 
-def _propagate_into(fields, out, grid, distance, pad_factor, steps, phase, threads):
-    """Propagates the checked (nx, ny) fields into `out` on `threads` from
-    `_kernel_threads`; returns the clipped evanescent and the total
-    spectral power.  `out` may be `fields` itself, a C-contiguous
-    complex128 batch: field i is copied into its thread's buffer before
-    out[i] is written, and no other thread touches either."""
+def _propagate_into(fields, out, grid, distance, pad_factor, steps, phase):
+    """Propagates the checked (nx, ny) fields into `out` on the process's
+    pool; returns the clipped evanescent and the total spectral power.
+    `out` may be `fields` itself, a C-contiguous complex128 batch: field
+    i is copied into its chunk's buffer before out[i] is written, and no
+    other thread touches either."""
+    from concurrent.futures import wait
+
     nx, ny = grid.nx, grid.ny
     px, py = nx * pad_factor, ny * pad_factor
     h, evanescent = _transfer_function(px, py, grid.pitch, grid.wavelength, distance)
-    pool, buffers = threads
     n = len(fields)
-    k = max(min(len(buffers), n), 1)
+    k = max(min(_fft_workers(), n), 1)
 
     def chunk(lo, hi, work):
         """Propagates fields lo..hi-1 into `out` through the padded
@@ -382,8 +380,13 @@ def _propagate_into(fields, out, grid, distance, pad_factor, steps, phase, threa
         return clipped, total
 
     bounds = [n * j // k for j in range(k + 1)]
-    powers = list(pool.map(chunk, bounds[:-1], bounds[1:], buffers))
-    return tuple(sum(p) for p in zip(*powers))
+    buffers = [np.empty((px, py), dtype=np.complex128) for _ in range(k)]
+    pool = _pool(os.getpid())
+    jobs = [pool.submit(chunk, lo, hi, work)
+            for lo, hi, work in zip(bounds[:-1], bounds[1:], buffers)]
+    # Every chunk ends before an error is raised, so none is left writing `out`.
+    wait(jobs)
+    return tuple(sum(p) for p in zip(*(job.result() for job in jobs)))
 
 
 def _propagate_array(
@@ -396,10 +399,9 @@ def _propagate_array(
 ) -> np.ndarray:
     """Angular-spectrum propagation of (..., nx, ny) amplitudes, one
     spacing of `distance` per entry of `phases`: None, or the (nx, ny)
-    exp(i*mask) of the plane crossed before that spacing.  All spacings
-    run on one set of threads, and each warns if it clipped.  The first
-    writes a new C-contiguous array of the window's size, and the later
-    ones write over it in place.
+    exp(i*mask) of the plane crossed before that spacing.  Each spacing
+    warns if it clipped.  The first writes a new C-contiguous array of
+    the window's size, and the later ones write over it in place.
 
     The field is zero-padded after the window rather than around it,
     which by translation invariance gives the same result to rounding.
@@ -408,11 +410,11 @@ def _propagate_array(
     inverse transform along y.
 
     The fields are split into one contiguous chunk per core.  Each
-    chunk runs on a thread of its own, which carries its fields one at a
-    time through a single padded buffer, reused for every field, with
-    numpy.fft's single-threaded transforms.  A field's arithmetic does
-    not depend on its chunk, so the result is bit-identical to a serial
-    pass.
+    chunk runs on a thread of the process's pool and carries its fields
+    one at a time through a padded buffer of its own, made for the call
+    and reused for every field, with numpy.fft's single-threaded
+    transforms.  A field's arithmetic does not depend on its chunk, so
+    the result is bit-identical to a serial pass.
 
     `steps` > 1 propagates `steps` times by `distance` in one transform,
     multiplying the spectrum by the per-step transfer function once per
@@ -425,13 +427,9 @@ def _propagate_array(
         raise GeometryError(f"amplitudes of shape {np.shape(amps)} do not match the grid")
     fields = np.reshape(amps, (-1, nx, ny))
     out = np.empty(fields.shape, dtype=np.complex128)
-    # Leaving the executor waits for every thread, so an error never
-    # leaves one writing `out`.
-    with _kernel_threads(grid, pad_factor, len(fields)) as threads:
-        for phase in phases:
-            _warn_clipping(*_propagate_into(fields, out, grid, distance, pad_factor, steps,
-                                            phase, threads))
-            fields = out
+    for phase in phases:
+        _warn_clipping(*_propagate_into(fields, out, grid, distance, pad_factor, steps, phase))
+        fields = out
     return out.reshape(np.shape(amps)[:-2] + (nx, ny))
 
 
@@ -554,13 +552,6 @@ def _wavefront_sweeps(inputs, targets, planes, plane_spacing, iterations, pad_fa
         masks[p] = _wrap_phase(-_angle(overlap))
         overlap[...] = 0.0
 
-    def back(a, phase=None):
-        """`a` carried back one spacing into a new batch."""
-        out = np.empty(a.shape, dtype=np.complex128)
-        _warn_clipping(*_propagate_into(a, out, grid, -plane_spacing, pad_factor, 1, phase,
-                                        threads))
-        return out
-
     # Planes 1 and 2 are streamed through this one chunk of fields.
     chunk = np.empty((min(len(inputs), _fft_workers()), grid.nx, grid.ny), dtype=np.complex128)
 
@@ -573,62 +564,60 @@ def _wavefront_sweeps(inputs, targets, planes, plane_spacing, iterations, pad_fa
         for lo in range(0, n, k):
             hi = min(lo + k, n)
             powers = _propagate_into(fields[lo:hi], chunk[: hi - lo], grid, distance,
-                                     pad_factor, 1, phase, threads)
+                                     pad_factor, 1, phase)
             clipped, total = clipped + powers[0], total + powers[1]
             yield lo, hi, chunk[: hi - lo]
         _warn_clipping(clipped, total)
 
-    # Every propagation of the sweeps runs on one executor and one padded
-    # buffer per thread, which costs less than making them for each call.
-    with _kernel_threads(grid, pad_factor, len(inputs)) as threads:
-        # The targets are built after every array the sweeps keep, so that
-        # the heap hole they leave when freed is not split by one of those
-        # arrays and the next batch fits in it.
-        last = _check_orthonormal(targets(), "target modes", grid)
-        if len(last) != len(inputs):
-            raise InvalidConfigError(
-                f"need equally many inputs and targets, got {len(inputs)} and {len(last)}"
-            )
-        # Targets carried back from the detection plane to just after the
-        # last mask: the same in every iteration.
-        last = back(back(last))
-        amps = [m.amplitude for m in inputs]
-        for _ in range(iterations):
-            f = None  # the previous sweep's batch, not needed in this backward sweep
-            # Backward fields just after masks 2..P, from the current stack.
-            # They are kept until their plane is set.
-            backward = [None] * planes
-            backward[planes - 1] = last
-            for p in range(planes - 2, 0, -1):
-                backward[p] = back(backward[p + 1], np.exp(-1j * masks[p + 1]))
-            # The forward sweep sets each plane before passing through it.
-            # Plane 1 reads the inputs as given.
-            if planes == 1:
-                fold(amps, last)
-                set_mask(0)
-                f = amps
-                continue
-            # Plane 1's backward fields are made from backward[1] one chunk at
-            # a time and folded in mode order; no batch of them is held.
-            for lo, hi, b in chunks(backward[1], -plane_spacing, np.exp(-1j * masks[1])):
-                fold(amps[lo:hi], b)
+    # The targets are built after every array the sweeps keep, so that
+    # the heap hole they leave when freed is not split by one of those
+    # arrays and the next batch fits in it.
+    last = _check_orthonormal(targets(), "target modes", grid)
+    if len(last) != len(inputs):
+        raise InvalidConfigError(
+            f"need equally many inputs and targets, got {len(inputs)} and {len(last)}"
+        )
+    # Targets carried back from the detection plane to just after the
+    # last mask: the same in every iteration.
+    last = _propagate_array(last, grid, -plane_spacing, pad_factor, phases=[None, None])
+    amps = [m.amplitude for m in inputs]
+    for _ in range(iterations):
+        f = None  # the previous sweep's batch, not needed in this backward sweep
+        # Backward fields just after masks 2..P, from the current stack.
+        # They are kept until their plane is set.
+        backward = [None] * planes
+        backward[planes - 1] = last
+        for p in range(planes - 2, 0, -1):
+            backward[p] = _propagate_array(backward[p + 1], grid, -plane_spacing, pad_factor,
+                                           phases=[np.exp(-1j * masks[p + 1])])
+        # The forward sweep sets each plane before passing through it.
+        # Plane 1 reads the inputs as given.
+        if planes == 1:
+            fold(amps, last)
             set_mask(0)
-            # Plane 2's forward fields are made from the inputs one chunk at a
-            # time, folded, and written over the backward fields they were
-            # folded with, unless those are `last`, kept for the next iteration.
-            f = backward[1] if planes > 2 else np.empty_like(last)
-            for lo, hi, fwd in chunks(amps, plane_spacing, np.exp(1j * masks[0])):
-                fold(fwd, backward[1][lo:hi])
-                f[lo:hi] = fwd
-            backward[1] = None
-            set_mask(1)
-            # Planes 3..P: the sweep's own batch, propagated in place.
-            for p in range(2, planes):
-                _warn_clipping(*_propagate_into(f, f, grid, plane_spacing, pad_factor, 1,
-                                                np.exp(1j * masks[p - 1]), threads))
-                fold(f, backward[p])
-                backward[p] = None
-                set_mask(p)
+            f = amps
+            continue
+        # Plane 1's backward fields are made from backward[1] one chunk at
+        # a time and folded in mode order; no batch of them is held.
+        for lo, hi, b in chunks(backward[1], -plane_spacing, np.exp(-1j * masks[1])):
+            fold(amps[lo:hi], b)
+        set_mask(0)
+        # Plane 2's forward fields are made from the inputs one chunk at a
+        # time, folded, and written over the backward fields they were
+        # folded with, unless those are `last`, kept for the next iteration.
+        f = backward[1] if planes > 2 else np.empty_like(last)
+        for lo, hi, fwd in chunks(amps, plane_spacing, np.exp(1j * masks[0])):
+            fold(fwd, backward[1][lo:hi])
+            f[lo:hi] = fwd
+        backward[1] = None
+        set_mask(1)
+        # Planes 3..P: the sweep's own batch, propagated in place.
+        for p in range(2, planes):
+            _warn_clipping(*_propagate_into(f, f, grid, plane_spacing, pad_factor, 1,
+                                            np.exp(1j * masks[p - 1])))
+            fold(f, backward[p])
+            backward[p] = None
+            set_mask(p)
     return PhaseMaskStack(grid, masks, plane_spacing), np.asarray(f)
 
 

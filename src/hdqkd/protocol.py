@@ -25,6 +25,7 @@ from .errors import (
     InvalidConfigError,
     InvalidInputError,
     InvalidNoiseError,
+    is_count,
     write_json,
 )
 from .mub import grid_side
@@ -619,7 +620,7 @@ def _read_sidecar(path, *keys: str) -> tuple[dict, tuple]:
         raise InvalidInputError(f"cannot read the sidecar of {path}: {exc!r}") from None
     if missing:
         raise InvalidInputError(f"{path}.meta.json lacks {', '.join(missing)}")
-    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in shape):
+    if not all(map(is_count, shape)):
         raise InvalidInputError(
             f"{path}.meta.json: dim, bases_alice and bases_bob must be integers >= 1"
         )

@@ -88,6 +88,18 @@ def test_mub_check_rejects_non_finite_amplitudes(tmp_path, capsys, part):
     assert err.startswith("error: ") and "finite" in err
 
 
+@pytest.mark.parametrize("dim", [2.5, True, "2", 0])
+def test_mub_check_rejects_a_dim_that_is_not_a_count(tmp_path, capsys, dim):
+    run("mub", "gen", "--d", 2, "--family", "dft", "--out", tmp_path, "--quiet")
+    path = tmp_path / "basis_dft.json"
+    doc = json.loads(path.read_text())
+    doc["dim"] = dim
+    path.write_text(json.dumps(doc))
+    assert run("mub", "check", path, "--quiet") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+
+
 def test_non_finite_flag_is_not_recorded(tmp_path, capsys):
     assert run("mub", "gen", "--d", 2, "--family", "dft", "--unitarity-tol", "nan",
                "--out", tmp_path, "--quiet") == 2

@@ -110,6 +110,11 @@ def test_aperture_modes_orthonormal_d25():
             assert abs(ov - want) < 1e-12
 
 
+def test_superpose_needs_at_least_one_field():
+    with pytest.raises(InvalidInputError, match="need at least one field"):
+        superpose([], [])
+
+
 def test_grid_arrangement_order_matches_mode_grid():
     grid = GridSpec(96, 96, 15e-6, 810e-9)
     layout = ApertureLayout(4, 1e-4, 3e-4, "grid")
@@ -277,8 +282,7 @@ def test_in_place_kernel_is_bit_identical_to_the_fresh_output_kernel(monkeypatch
         for mask in (None, phase):
             want = optics._propagate_array(amps, grid, 1e-3, pad, steps, phases=[mask])
             batch = amps.copy()
-            with optics._kernel_threads(grid, pad, count) as threads:
-                optics._propagate_into(batch, batch, grid, 1e-3, pad, steps, mask, threads)
+            optics._propagate_into(batch, batch, grid, 1e-3, pad, steps, mask)
             assert np.array_equal(batch, want)
 
 
@@ -367,20 +371,43 @@ def test_every_optics_entry_warns_at_the_caller(monkeypatch, entry):
     assert clipping and [w.filename for w in clipping] == [__file__] * len(clipping)
 
 
-def test_a_converter_pass_makes_its_threads_once(monkeypatch):
-    # one executor and its padded buffers serve all P + 1 spacings
-    entered = []
-    threads = optics._kernel_threads
+POOL_CHECK = """
+import gc, os, threading, time
+from concurrent.futures import ThreadPoolExecutor
+import numpy as np
+from hdqkd import optics
 
-    def counting(*args):
-        entered.append(args)
-        return threads(*args)
+grid = optics.GridSpec(96, 64, 15e-6, 810e-9)
+modes = optics.make_aperture_modes(optics.ApertureLayout(3, 1e-4, 3e-4, "line"), grid)
+stack = optics.wavefront_match(modes, modes[::-1], planes=3, plane_spacing=5e-3, iterations=2)
+optics.transfer_matrix(stack, modes, modes[::-1])
+want = optics._converter_pass(stack, optics._mode_matrix(modes), 2)
+optics.propagate(modes[0], 5e-3)
+pools = [o for o in gc.get_objects() if isinstance(o, ThreadPoolExecutor)]
+print(len(pools), threading.active_count() - 1 <= optics._fft_workers())
+pid = os.fork()
+if pid == 0:
+    got = optics._converter_pass(stack, optics._mode_matrix(modes), 2)
+    os._exit(0 if np.array_equal(got, want) else 1)
+deadline = time.monotonic() + 60
+while not (done := os.waitpid(pid, os.WNOHANG))[0] and time.monotonic() < deadline:
+    time.sleep(0.05)
+if not done[0]:
+    os.kill(pid, 9)
+    os.waitpid(pid, 0)
+print(os.waitstatus_to_exitcode(done[1]) if done[0] else "hung")
+"""
 
-    monkeypatch.setattr(optics, "_kernel_threads", counting)
-    modes, targets = swap_problem()
-    stack = PhaseMaskStack(DESK_GRID, np.zeros((3, 96, 64)), 5e-3)
-    transfer_matrix(stack, modes, targets)
-    assert len(entered) == 1
+
+def test_one_pool_serves_the_process_and_a_forked_child():
+    # a design, a pass and a propagation share one executor of at most one
+    # thread per core; a forked child makes its own and gets the same bits
+    src = str(Path(optics.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", POOL_CHECK], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["1", "True", "0"]
 
 
 @pytest.mark.parametrize("planes, iterations", [(1, 1), (2, 1), (3, 2), (4, 1)])
