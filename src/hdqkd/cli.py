@@ -29,7 +29,6 @@ from .errors import (
     InsufficientDataError,
     InvalidConfigError,
     NoThresholdError,
-    is_count,
     write_json,
 )
 
@@ -162,19 +161,7 @@ def cmd_mub(args) -> int:
     # check
     if not args.files:
         raise InvalidConfigError("mub check needs at least one basis file")
-    loaded = []
-    for path in args.files:
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-            if not is_count(d := doc["dim"]):
-                raise ValueError(f"dim must be an integer >= 1, got {d!r}")
-            amps = mub.amplitude_matrix(
-                d, np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
-            )
-            loaded.append((path, d, str(doc.get("label", "")), amps))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise InvalidConfigError(f"cannot read basis file {path}: {exc}")
+    loaded = [(path, *mub.load_basis_json(path)) for path in args.files]
     failed = False
     for path, d, label, amps in loaded:
         dev = mub.unitarity_deviation(amps)
@@ -375,7 +362,7 @@ def cmd_keyrate(args) -> int:
         header = ["d", "block_fraction", "threshold"]
         keyrate.save_curve_csv(
             out / "thresholds.csv", header, [[row[key] for key in header] for row in rows],
-            {"bound": "two_mub", "d_range": args.d_range, "root_tol": keyrate.ROOT_TOL},
+            {"bound": "two_mub", "d_range": args.d_range},
         )
         _echo(args, f"wrote {out / 'thresholds.csv'} ({len(rows)} rows)")
         _snapshot(args, out)
@@ -383,8 +370,8 @@ def cmd_keyrate(args) -> int:
 
     errors = _parse_range(args.errors, "--errors") if args.curve == "rate" else None
     if args.counts:
-        if any(flag is not None for flag in (args.E, args.Eu, args.Eb)):
-            raise InvalidConfigError("--counts supplies the errors; drop --E, --Eu and --Eb")
+        if any(flag is not None for flag in (args.d, args.E, args.Eu, args.Eb)):
+            raise InvalidConfigError("--counts supplies d and the errors: drop --d/--E/--Eu/--Eb")
         d, e_u, e_b = _errors_from_counts(args)
         if e_b < 0:
             _echo(args, f"block error {e_b:.3g} < 0 folded into the uniform error")
@@ -416,8 +403,7 @@ def cmd_keyrate(args) -> int:
     if rows is not None:
         keyrate.save_curve_csv(
             out / "curve.csv", ["E", "rate"], rows.tolist(),
-            {"bound": report.bound, "d": d, "block_fraction": frac,
-             "root_tol": keyrate.ROOT_TOL},
+            {"bound": report.bound, "d": d, "block_fraction": frac},
         )
         _echo(args, f"wrote {out / 'curve.csv'} ({len(rows)} rows)")
     _snapshot(args, out)
@@ -430,10 +416,23 @@ def cmd_keyrate(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Rejects what it cannot parse with InvalidConfigError instead of
-    exiting, and takes long options only when spelled in full."""
+    exiting, and takes long options only when spelled in full.  An
+    `intermixed` one takes its positionals between its options too: else
+    a nargs="*" positional gets nothing once an option follows the one
+    before it (`mub check --quiet a.json`)."""
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args, intermixed: bool = False, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
+        self._intermixed = intermixed
+
+    def parse_known_args(self, args=None, namespace=None):
+        if not self._intermixed:
+            return super().parse_known_args(args, namespace)
+        self._intermixed = False  # parse_known_intermixed_args calls back in here
+        try:
+            return self.parse_known_intermixed_args(args, namespace)
+        finally:
+            self._intermixed = True
 
     def error(self, message):
         raise InvalidConfigError(message)
@@ -480,7 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"hdqkd {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_mub = sub.add_parser("mub", parents=[common], help="generate or check MUB files")
+    p_mub = sub.add_parser("mub", parents=[common], intermixed=True,
+                           help="generate or check MUB files")
     p_mub.add_argument("action", choices=["gen", "check"])
     p_mub.add_argument("files", nargs="*", default=[], help="basis JSON files (check)")
     p_mub.add_argument("--d", type=int, default=5, help="dimension")

@@ -466,19 +466,17 @@ def save_report_csv(report: KeyRateReport, path) -> None:
         header, row = ["E_u", "E_b", "rate"], [report.inputs["E_u"], report.inputs["E_b"]]
     else:
         header, row = ["E", "rate"], [report.inputs.get("E", 0.0)]
-    save_curve_csv(path, header, [row + [report.rate]], {
-        "bound": report.bound,
-        "d": report.dim,
-        "threshold": report.threshold,
-        "root_tol": ROOT_TOL,
-    })
+    save_curve_csv(path, header, [row + [report.rate]],
+                   {"bound": report.bound, "d": report.dim, "threshold": report.threshold})
 
 
 def save_curve_csv(path, header, rows, sidecar: dict) -> None:
     """Write rows under a header as CSV, each value as its repr() and every
-    line ended by \\r\\n, plus a JSON sidecar describing them."""
+    line ended by \\r\\n, plus a JSON sidecar: sidecar with the threshold
+    search's ROOT_TOL appended."""
     path = str(path)
-    write_json(path + ".meta.json", sidecar, "key-rate CSV sidecar holds non-finite values")
+    write_json(path + ".meta.json", {**sidecar, "root_tol": ROOT_TOL},
+               "key-rate CSV sidecar holds non-finite values")
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)

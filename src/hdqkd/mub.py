@@ -14,12 +14,14 @@ matrices store state j in column j, expressed in the computational basis.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidBasisIndexError, InvalidDimensionError, InvalidInputError, write_json
+from .errors import (InvalidBasisIndexError, InvalidDimensionError, InvalidInputError, is_count,
+                     write_json)
 
 UNITARITY_TOL = 1e-12
 UNBIASED_TOL = 1e-10
@@ -87,10 +89,25 @@ class Basis:
         return Basis(self.dim, self.amplitudes.conj(), self.label + "*")
 
     def save_json(self, path) -> None:
-        """The basis file `mub gen` writes and `mub check` reads."""
+        """The basis file `mub gen` writes and load_basis_json reads."""
         doc = {"dim": self.dim, "label": self.label, "re": self.amplitudes.real.tolist(),
                "im": self.amplitudes.imag.tolist()}
         write_json(path, doc, f"basis {self.label} holds non-finite amplitudes", indent=None)
+
+
+def load_basis_json(path) -> tuple[int, str, np.ndarray]:
+    """The dim, label and amplitude matrix of a file Basis.save_json wrote.
+    Anything else raises InvalidInputError naming path.  Unitarity is not
+    checked, so that `mub check` can report a file that is not unitary."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if not is_count(d := doc["dim"]):
+            raise ValueError(f"dim must be an integer >= 1, got {d!r}")
+        amps = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
+        return d, str(doc.get("label", "")), amplitude_matrix(d, amps)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"cannot read basis file {path}: {exc}") from None
 
 
 def computational_basis(d: int) -> Basis:

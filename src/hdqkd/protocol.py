@@ -60,6 +60,15 @@ def _alignments(values, n_matched: int, name: str = "alignments") -> tuple:
     return tuple(values)
 
 
+def _check_table(values: np.ndarray, dim: int, what: str) -> None:
+    """Raise InvalidInputError unless values is a (dim, dim, K, L) table of
+    finite entries >= 0."""
+    if values.ndim != 4 or values.shape[:2] != (dim, dim):
+        raise InvalidInputError(f"{what} must be (d, d, K, L) with d={dim}, got {values.shape}")
+    if not (np.isfinite(values).all() and values.min() >= 0):
+        raise InvalidInputError(f"{what} must be finite and >= 0")
+
+
 @dataclass(frozen=True)
 class ProbabilityTable:
     """Joint outcome probabilities p(a,b|k,l), shape (d, d, K, L).
@@ -73,12 +82,7 @@ class ProbabilityTable:
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != 4 or probs.shape[0] != self.dim or probs.shape[1] != self.dim:
-            raise InvalidInputError(
-                f"probs must be (d, d, K, L) with d={self.dim}, got {probs.shape}"
-            )
-        if not (np.isfinite(probs).all() and probs.min() >= 0.0):
-            raise InvalidInputError("probabilities must be finite and >= 0")
+        _check_table(probs, self.dim, "probabilities")
         sums = probs.sum(axis=(0, 1))
         if np.abs(sums - 1.0).max() > NORMALIZATION_TOL:
             raise InvalidInputError(
@@ -111,14 +115,9 @@ class CountTable:
 
     def __post_init__(self):
         counts = np.asarray(self.counts)
-        if counts.ndim != 4 or counts.shape[0] != self.dim or counts.shape[1] != self.dim:
-            raise InvalidInputError(
-                f"counts must be (d, d, K, L) with d={self.dim}, got {counts.shape}"
-            )
         if counts.dtype.kind not in "biuf":
             raise InvalidInputError(f"counts must be real numbers, got {counts.dtype}")
-        if not (np.isfinite(counts).all() and counts.min() >= 0):
-            raise InvalidInputError("counts must be finite and >= 0")
+        _check_table(counts, self.dim, "counts")
         # The int64 cast would truncate a fraction and wrap a count of
         # 2^63 or more.
         top = counts.max()
@@ -469,6 +468,9 @@ _BLOCK_BYTES = 1 << 20  # bytes per read block, extended to a line end
 _FLAGS = np.array([b"false", b"true"]).view(np.uint8).reshape(2, -1)
 _SESSION_KEYS = (b'{"round": ', b', "k": ', b', "l": ', b', "alice": ', b', "bob": ')
 _CSV_HEADER = b"a,b,k,l,value\r\n"
+# The CountTable fields a counts CSV's sidecar holds after dim, bases_alice
+# and bases_bob, in the order save_counts_csv writes them.
+_SIDECAR_FIELDS = ("integration_time", "coincidence_window", "seed", "generator", "alignments")
 
 
 def _render(cells) -> bytearray:
@@ -601,23 +603,18 @@ def _line_text(block: bytes, index: int) -> str:
     return repr(block.split(b"\n", index + 1)[index][:120])
 
 
-def _write_table_csv(path, array: np.ndarray) -> None:
-    values = array.transpose(2, 3, 0, 1).ravel()
-    _write_text(path, _CSV_HEADER, (values,),
-                lambda start, block: _table_text(_table_index(array.shape, start, len(block)),
-                                                 block))
-
-
-def _read_sidecar(path, *keys: str) -> tuple[dict, tuple]:
-    """The sidecar of a table CSV, which must hold `keys`, and the
-    (d, d, K, L) shape it declares."""
+def _read_sidecar(path) -> tuple[dict, tuple]:
+    """The sidecar of a counts CSV, which must hold every _SIDECAR_FIELDS
+    key, and the (d, d, K, L) shape it declares."""
     try:
         with open(path + ".meta.json") as fh:
             meta = json.load(fh)
         shape = tuple(meta[key] for key in ("dim", "dim", "bases_alice", "bases_bob"))
-        missing = [key for key in keys if key not in meta]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise InvalidInputError(f"cannot read the sidecar of {path}: {exc!r}") from None
+        missing = [key for key in _SIDECAR_FIELDS if key not in meta]
+    except (ValueError, KeyError, TypeError) as exc:  # bad JSON or bytes that are not text
+        # Not repr(exc): a UnicodeDecodeError's holds every byte of the file.
+        raise InvalidInputError(f"cannot read the sidecar of {path}: "
+                                f"{type(exc).__name__}: {exc}") from None
     if missing:
         raise InvalidInputError(f"{path}.meta.json lacks {', '.join(missing)}")
     if not all(map(is_count, shape)):
@@ -628,7 +625,7 @@ def _read_sidecar(path, *keys: str) -> tuple[dict, tuple]:
 
 
 def _read_table_csv(path, shape) -> np.ndarray:
-    """The (d, d, K, L) counts a _write_table_csv file of that shape holds.
+    """The (d, d, K, L) counts a save_counts_csv file of that shape holds.
     Anything but exactly those rows in that layout raises
     InvalidInputError naming the first bad line."""
     n = math.prod(shape)
@@ -670,31 +667,17 @@ def _expected_row(shape, row: int) -> str:
 
 def save_counts_csv(counts: CountTable, path) -> None:
     path = str(path)
-    sidecar = {
-        "dim": counts.dim,
-        "bases_alice": counts.counts.shape[2],
-        "bases_bob": counts.counts.shape[3],
-        "integration_time": counts.integration_time,
-        "coincidence_window": counts.coincidence_window,
-        "seed": counts.seed,
-        "generator": counts.generator,
-        "alignments": counts.alignments,
-    }
+    _, _, nk, nl = counts.counts.shape
+    sidecar = {"dim": counts.dim, "bases_alice": nk, "bases_bob": nl,
+               **{key: getattr(counts, key) for key in _SIDECAR_FIELDS}}
     write_json(path + ".meta.json", sidecar, "counts sidecar holds non-finite values")
-    _write_table_csv(path, counts.counts)
+    values = counts.counts.transpose(2, 3, 0, 1).ravel()
+    _write_text(path, _CSV_HEADER, (values,), lambda start, block: _table_text(
+        _table_index(counts.counts.shape, start, len(block)), block))
 
 
 def load_counts_csv(path) -> CountTable:
     path = str(path)
-    meta, shape = _read_sidecar(path, "integration_time", "coincidence_window", "seed",
-                                "generator", "alignments")
-    array = _read_table_csv(path, shape)
-    return CountTable(
-        meta["dim"],
-        array,
-        integration_time=meta["integration_time"],
-        coincidence_window=meta["coincidence_window"],
-        seed=meta["seed"],
-        generator=meta["generator"],
-        alignments=meta["alignments"],
-    )
+    meta, shape = _read_sidecar(path)
+    return CountTable(meta["dim"], _read_table_csv(path, shape),
+                      **{key: meta[key] for key in _SIDECAR_FIELDS})

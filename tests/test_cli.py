@@ -1,10 +1,14 @@
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
+import math
+import re
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +45,17 @@ def test_mub_check_passes_on_generated_files(tmp_path):
     run("mub", "gen", "--d", 5, "--family", "wh-all", "--out", tmp_path, "--quiet")
     files = sorted(tmp_path.glob("basis_*.json"))
     assert run("mub", "check", *files, "--quiet") == 0
+
+
+@pytest.mark.parametrize("where", ["before", "between", "after"])
+def test_mub_check_takes_its_options_anywhere(tmp_path, capsys, where):
+    run("mub", "gen", "--d", 5, "--family", "wh-all", "--out", tmp_path, "--quiet")
+    first, *rest = sorted(map(str, tmp_path.glob("basis_*.json")))
+    options = ["--quiet", "--unitarity-tol", "1e-12"]
+    argv = {"before": [*options, first, *rest], "between": [first, *options, *rest],
+            "after": [first, *rest, *options]}[where]
+    assert run("mub", "check", *argv) == 0
+    assert capsys.readouterr() == ("", "")
 
 
 def test_mub_check_creates_no_out_directory(tmp_path):
@@ -890,13 +905,15 @@ def test_conflicting_or_ignored_noise_flags_exit_2(tmp_path, capsys, argv):
 
 
 def test_keyrate_counts_rejects_noise_flags(tmp_path, capsys):
+    # The counts supply d as well as the errors: a typed d would be ignored.
     run("simulate", "--d", 4, "--family", "sqrt-pair", "--rounds", 10, "--out", tmp_path,
         "--quiet")
-    code = run("keyrate", "--counts", tmp_path / "counts.csv", "--Eu", 0.1,
-               "--out", tmp_path / "r", "--quiet")
-    assert code == 2
-    assert "--counts" in capsys.readouterr().err
-    assert not (tmp_path / "r" / "report.json").exists()
+    for flag, value in (("--Eu", 0.1), ("--d", 9)):
+        code = run("keyrate", "--counts", tmp_path / "counts.csv", flag, value,
+                   "--out", tmp_path / "r", "--quiet")
+        assert code == 2
+        assert "--counts" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
 
 def test_simulate_names_the_negative_component(tmp_path, capsys):
@@ -1029,6 +1046,77 @@ def test_any_argv_exits_0_1_or_2_with_one_error_line_on_failure(argv):
     assert code in (0, 1, 2)
     errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
     assert len(errors) == (code != 0), (code, stderr.getvalue())
+
+
+# --- any counts file ---------------------------------------------------------------
+
+
+@functools.cache
+def _d4_counts() -> dict:
+    """The bytes of counts.csv and its sidecar from a d=4 simulate run."""
+    with tempfile.TemporaryDirectory() as out:
+        assert main(["simulate", "--d", "4", "--family", "sqrt-pair", "--rounds", "10",
+                     "--pair-rate", "100", "--time", "1", "--seed", "5", "--out", out,
+                     "--quiet"]) == 0
+        return {name: (Path(out) / name).read_bytes()
+                for name in ("counts.csv", "counts.csv.meta.json")}
+
+
+@st.composite
+def _edited_counts(draw):
+    """(name, bytes): one of _d4_counts()'s files with one edit: truncated,
+    appended to, one bit flipped, bytes overwritten, or a number replaced
+    by a NaN or infinity token."""
+    name = draw(st.sampled_from(sorted(_d4_counts())))
+    data = _d4_counts()[name]
+    edit = draw(st.sampled_from(["truncate", "append", "flip", "overwrite", "token"]))
+    if edit == "truncate":
+        return name, data[:draw(st.integers(0, len(data) - 1))]
+    if edit == "append":
+        return name, data + draw(st.binary(min_size=1, max_size=16))
+    if edit == "token":
+        number = draw(st.sampled_from(list(re.finditer(rb"-?[0-9][0-9.e+-]*", data))))
+        token = draw(st.sampled_from([b"NaN", b"Infinity", b"-Infinity", b"nan", b"inf"]))
+        return name, data[:number.start()] + token + data[number.end():]
+    at = draw(st.integers(0, len(data) - 1))
+    if edit == "flip":
+        return name, data[:at] + bytes([data[at] ^ 1 << draw(st.integers(0, 7))]) + data[at + 1:]
+    new = draw(st.binary(min_size=1, max_size=8))
+    return name, data[:at] + new + data[at + len(new):]
+
+
+def _finite_file(path: Path) -> bool:
+    """No NaN or infinity in a written JSON file, nor in any value of a CSV."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        tokens = []
+        json.loads(text, parse_constant=tokens.append)
+        return not tokens
+    return all(math.isfinite(float(cell))
+               for row in text.splitlines()[1:] for cell in row.split(","))
+
+
+@settings(max_examples=80, deadline=None)
+@example(edit=("counts.csv.meta.json", b"\xff\xfe{"))  # a sidecar that is not UTF-8
+@given(edit=_edited_counts())
+def test_any_edit_of_a_counts_file_exits_0_1_or_2_and_writes_no_nan(edit):
+    name, data = edit
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        tmp = Path(tmp)
+        for file, original in _d4_counts().items():
+            (tmp / file).write_bytes(data if file == name else original)
+        out = tmp / "out"
+        code = main(["keyrate", "--counts", str(tmp / "counts.csv"), "--curve", "rate",
+                     "--errors", "0:0.5:6", "--out", str(out), "--quiet"])
+        assert code in (0, 1, 2)
+        assert code == 0 or not out.exists()
+        assert all(_finite_file(path) for path in out.glob("*")), code
+    errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
+    assert len(errors) == (code != 0), (code, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue() and len(stderr.getvalue()) < 1000
 
 
 # --- written JSON bytes ------------------------------------------------------------

@@ -771,6 +771,10 @@ MALFORMED_COUNTS = {
     "sidecar alignments": (lambda p: _edit_sidecar(p, alignments=None), "lacks alignments"),
     "sidecar alignment value": (lambda p: _edit_sidecar(p, alignments=["row", "diag"]),
                                 "alignments needs one alignment per matched setting"),
+    # The message names the bad byte, not every byte of the file.
+    "sidecar not UTF-8": (lambda p: p.with_name(p.name + ".meta.json").write_bytes(
+        b" " * 10**5 + b"\xff{"), "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff "
+                                  "in position 100000: invalid start byte\n"),
 }
 
 
