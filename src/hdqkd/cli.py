@@ -214,9 +214,21 @@ def _target_coefficients(args):
 
 
 def _target_fields(modes, coeff):
+    """`[optics.superpose(modes, row.conj()) for row in coeff]`, bit for bit,
+    built in one array and only on each mode's support.  superpose's sum
+    starts at +0 and so never holds -0: the c * 0 terms (+0 or -0) that it
+    adds off a mode's support change nothing.  On it, the terms are added
+    in mode order, as superpose adds them where two supports share a pixel."""
     # Sorter convention: incoming basis state m ends up in port m, so
     # input mode n maps to sum_m conj(coeff[n, m]) * port_m.
-    return [optics.superpose(modes, row.conj()) for row in coeff]
+    grid = modes[0].grid
+    conj = np.conj(coeff)
+    amps = np.zeros((len(coeff), grid.nx * grid.ny), dtype=np.complex128)
+    for m, mode in enumerate(modes):
+        flat = mode.amplitude.ravel()
+        support = np.flatnonzero(flat)
+        amps[:, support] += conj[:, m, None] * flat[support]
+    return [optics.OpticalField(grid, amp) for amp in amps.reshape(len(coeff), grid.nx, grid.ny)]
 
 
 def _design_targets(args, modes):

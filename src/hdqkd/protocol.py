@@ -56,7 +56,7 @@ def _alignments(values, n_matched: int, name: str = "alignments") -> tuple:
     if not (isinstance(values, (list, tuple)) and len(values) == n_matched
             and all(value in ("row", "col") for value in values)):
         raise InvalidInputError(f"{name} needs one alignment per matched setting "
-                                f"({n_matched}), each row or col, got {values!r}")
+                                f"({n_matched}), each row or col, got {values!r:.120}")
     return tuple(values)
 
 
@@ -103,7 +103,9 @@ class ProbabilityTable:
 @dataclass(frozen=True)
 class CountTable:
     """Coincidence counts c(a,b|k,l) with the acquisition metadata and the
-    block orientation of each matched setting (by default apply_noise's)."""
+    block orientation of each matched setting (by default apply_noise's).
+    The metadata are JSON values: finite times > 0, a seed that is None or
+    an int >= 0, and a generator name."""
 
     dim: int
     counts: np.ndarray
@@ -126,6 +128,16 @@ class CountTable:
                 raise InvalidInputError("counts must be integers below 2^63")
         elif top > np.iinfo(np.int64).max:
             raise InvalidInputError("counts must be integers below 2^63")
+        for name in ("integration_time", "coincidence_window"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+                    and 0.0 < value < math.inf):
+                raise InvalidInputError(f"{name} must be finite and > 0, got {value!r:.120}")
+        seed = self.seed
+        if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool) or seed < 0):
+            raise InvalidInputError(f"seed must be None or an integer >= 0, got {seed!r:.120}")
+        if not isinstance(self.generator, str):
+            raise InvalidInputError(f"generator must be a string, got {self.generator!r:.120}")
         object.__setattr__(self, "counts", counts.astype(np.int64))
         object.__setattr__(self, "alignments", _alignments(self.alignments, min(counts.shape[2:])))
 

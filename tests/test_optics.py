@@ -115,6 +115,37 @@ def test_superpose_needs_at_least_one_field():
         superpose([], [])
 
 
+def signed_zero_coefficients(rng, d):
+    """A random complex (d, d) matrix with about a third of its real and
+    of its imaginary parts set to -0.0."""
+    coeff = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    coeff.real[rng.random((d, d)) < 0.3] = -0.0
+    coeff.imag[rng.random((d, d)) < 0.3] = -0.0
+    return coeff
+
+
+@pytest.mark.parametrize("grid, layout", [
+    (GridSpec(192, 192, 15e-6, 810e-9), ApertureLayout(25, 100e-6, 300e-6, "grid")),
+    (GridSpec(48, 48, 15e-6, 810e-9), ApertureLayout(5, 20e-6, 60e-6, "line")),
+    # touching disks: spacing = 2 * radius, so pairs of modes share pixels
+    (GridSpec(48, 48, 15e-6, 810e-9), ApertureLayout(4, 30e-6, 60e-6, "grid")),
+], ids=["d25-grid", "d5-line", "d4-touching"])
+def test_target_fields_are_superpose_bit_for_bit(grid, layout):
+    modes = make_aperture_modes(layout, grid)
+    d = len(modes)
+    if layout.spacing == 2 * layout.radius:
+        assert (sum(m.amplitude != 0 for m in modes) > 1).any()
+    rng = np.random.default_rng(28)
+    dft = np.fft.fft(np.eye(d)) / math.sqrt(d)
+    for coeff in [dft, -dft, *(signed_zero_coefficients(rng, d) for _ in range(3))]:
+        got = cli._target_fields(modes, coeff)
+        want = [superpose(modes, row.conj()) for row in coeff]
+        assert len(got) == d
+        for g, w in zip(got, want):
+            assert g.grid == w.grid
+            assert g.amplitude.tobytes() == w.amplitude.tobytes()
+
+
 def test_grid_arrangement_order_matches_mode_grid():
     grid = GridSpec(96, 96, 15e-6, 810e-9)
     layout = ApertureLayout(4, 1e-4, 3e-4, "grid")

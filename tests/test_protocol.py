@@ -428,10 +428,32 @@ def test_counts_csv_round_trip(tmp_path):
 
 
 def test_counts_csv_rejects_a_non_finite_sidecar(tmp_path):
-    counts = CountTable(2, np.zeros((2, 2, 1, 1), dtype=np.int64), math.inf)
+    counts = CountTable(2, np.zeros((2, 2, 1, 1), dtype=np.int64), 1.0)
+    object.__setattr__(counts, "integration_time", math.inf)  # after the table checked it
     with pytest.raises(InvalidInputError, match="non-finite"):
         save_counts_csv(counts, tmp_path / "counts.csv")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("field, value", [
+    ("integration_time", math.inf), ("integration_time", math.nan), ("integration_time", 0.0),
+    ("integration_time", -5), ("integration_time", "abc"), ("integration_time", True),
+    ("coincidence_window", [1]), ("coincidence_window", -1e-9), ("coincidence_window", None),
+    ("seed", -1), ("seed", "x"), ("seed", 1.0), ("seed", True),
+    ("generator", 7), ("generator", None),
+])
+def test_count_table_checks_its_metadata(field, value):
+    metadata = {"integration_time": 1.0, field: value}
+    with pytest.raises(InvalidInputError, match=f"^{field} "):
+        CountTable(2, np.ones((2, 2, 1, 1), dtype=np.int64), **metadata)
+
+
+def test_count_table_takes_json_metadata():
+    counts = CountTable(2, np.ones((2, 2, 1, 1), dtype=np.int64), 2, 1e-9, seed=0,
+                        generator="other")
+    assert (counts.integration_time, counts.coincidence_window) == (2, 1e-9)
+    assert (counts.seed, counts.generator) == (0, "other")
+    assert CountTable(2, counts.counts, np.float64(0.5)).seed is None
 
 
 def test_session_jsonl_round_trip(tmp_path):
@@ -771,7 +793,20 @@ MALFORMED_COUNTS = {
     "sidecar alignments": (lambda p: _edit_sidecar(p, alignments=None), "lacks alignments"),
     "sidecar alignment value": (lambda p: _edit_sidecar(p, alignments=["row", "diag"]),
                                 "alignments needs one alignment per matched setting"),
-    # The message names the bad byte, not every byte of the file.
+    "sidecar time text": (lambda p: _edit_sidecar(p, integration_time="abc"),
+                          "integration_time must be finite and > 0, got 'abc'"),
+    "sidecar time negative": (lambda p: _edit_sidecar(p, integration_time=-5),
+                              "integration_time must be finite and > 0, got -5"),
+    "sidecar window list": (lambda p: _edit_sidecar(p, coincidence_window=[1]),
+                            "coincidence_window must be finite and > 0, got [1]"),
+    "sidecar seed text": (lambda p: _edit_sidecar(p, seed="x"),
+                          "seed must be None or an integer >= 0, got 'x'"),
+    "sidecar generator number": (lambda p: _edit_sidecar(p, generator=7),
+                                 "generator must be a string, got 7"),
+    # The messages cut the rejected value, and name the bad byte, not
+    # every byte of the file.
+    "sidecar alignments long": (lambda p: _edit_sidecar(p, alignments=["row"] * 10**5),
+                                "got ['row', 'row',"),
     "sidecar not UTF-8": (lambda p: p.with_name(p.name + ".meta.json").write_bytes(
         b" " * 10**5 + b"\xff{"), "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff "
                                   "in position 100000: invalid start byte\n"),
@@ -789,6 +824,7 @@ def test_keyrate_rejects_malformed_counts(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+    assert err.count("\n") == 1 and len(err) < 400
     assert where in err
     assert not (tmp_path / "r" / "report.json").exists()
 
