@@ -625,7 +625,7 @@ def _read_sidecar(path) -> tuple[dict, tuple]:
         missing = [key for key in _SIDECAR_FIELDS if key not in meta]
     except (ValueError, KeyError, TypeError) as exc:  # bad JSON or bytes that are not text
         # Not repr(exc): a UnicodeDecodeError's holds every byte of the file.
-        raise InvalidInputError(f"cannot read the sidecar of {path}: "
+        raise InvalidInputError(f"cannot read {path}.meta.json: "
                                 f"{type(exc).__name__}: {exc}") from None
     if missing:
         raise InvalidInputError(f"{path}.meta.json lacks {', '.join(missing)}")
@@ -691,5 +691,8 @@ def save_counts_csv(counts: CountTable, path) -> None:
 def load_counts_csv(path) -> CountTable:
     path = str(path)
     meta, shape = _read_sidecar(path)
-    return CountTable(meta["dim"], _read_table_csv(path, shape),
-                      **{key: meta[key] for key in _SIDECAR_FIELDS})
+    counts = _read_table_csv(path, shape)
+    try:  # the rows are checked, so what CountTable rejects is in the sidecar
+        return CountTable(meta["dim"], counts, **{key: meta[key] for key in _SIDECAR_FIELDS})
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}.meta.json: {exc}") from None

@@ -881,6 +881,65 @@ def test_a_failing_command_creates_no_out(tmp_path, monkeypatch, code, argv):
     assert not (tmp_path / "out").exists()
 
 
+def _tree(root: Path) -> dict:
+    """Every path under root, with the bytes of each file (None for a directory)."""
+    return {path.relative_to(root).as_posix(): path.read_bytes() if path.is_file() else None
+            for path in sorted(root.rglob("*"))}
+
+
+SIM = ("simulate", "--d", 4, "--family", "sqrt-pair", "--rounds", 10, "--quiet")
+
+
+def test_a_write_error_leaves_out_as_it_was(tmp_path, monkeypatch, capsys):
+    from hdqkd import protocol
+
+    def fail(*_):
+        raise OSError("disk full")
+    old = tmp_path / "old"
+    assert run(*SIM, "--seed", 1, "--out", old) == 0
+    before = _tree(tmp_path)
+    monkeypatch.setattr(protocol.SessionRecord, "save_jsonl", fail)  # after counts.csv
+    for out in (tmp_path / "new" / "sub", old):
+        assert run(*SIM, "--seed", 2, "--out", out) == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert _tree(tmp_path) == before
+
+
+def test_a_new_out_is_made_as_mkdir_makes_it(tmp_path):
+    assert run("keyrate", "--d", 5, "--E", 0.05, "--out", tmp_path / "a" / "b", "--quiet") == 0
+    (tmp_path / "c").mkdir()
+    assert (tmp_path / "a" / "b").stat().st_mode == (tmp_path / "c").stat().st_mode
+    assert sorted(path.name for path in tmp_path.rglob("*")) == [
+        "a", "b", "c", "report.csv", "report.csv.meta.json", "report.json",
+        "resolved_config.json"]
+
+
+def test_a_failed_commit_leaves_no_snapshot_of_another_run(tmp_path, capsys):
+    out = tmp_path / "r"
+    assert run("keyrate", "--d", 5, "--E", 0.05, "--out", out, "--quiet") == 0
+    (out / "report.csv").unlink()
+    (out / "report.csv").mkdir()
+    assert run("keyrate", "--d", 5, "--E", 0.07, "--out", out, "--quiet") == 1
+    assert "report.csv" in capsys.readouterr().err
+    assert not (out / "resolved_config.json").exists()
+    assert not list(tmp_path.rglob(".hdqkd-*"))
+
+
+def test_a_rerun_replaces_the_files_and_keeps_the_others(tmp_path, capsys):
+    out = tmp_path / "r"
+    (out / "curves").mkdir(parents=True)
+    (out / "notes.txt").write_text("kept\n")
+    assert run("keyrate", "--d", 5, "--E", 0.05, "--curve", "rate", "--out", out) == 0
+    assert run("keyrate", "--d", 5, "--E", 0.07, "--out", out) == 0
+    stdout = capsys.readouterr().out
+    assert f"wrote {out / 'curve.csv'} (101 rows)" in stdout and ".hdqkd-" not in stdout
+    assert sorted(_tree(out)) == ["curve.csv", "curve.csv.meta.json", "curves", "notes.txt",
+                                  "report.csv", "report.csv.meta.json", "report.json",
+                                  "resolved_config.json"]
+    assert json.loads((out / "report.json").read_text())["inputs"] == {"E": 0.07}
+    assert json.loads((out / "resolved_config.json").read_text())["keyrate"]["E"] == 0.07
+
+
 def test_out_dir_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("HDQKD_OUT", str(tmp_path / "envout"))
     assert run("keyrate", "--d", 2, "--E", 0.05, "--quiet") == 0
@@ -1032,59 +1091,6 @@ def _argvs(draw):
     return argv
 
 
-@settings(max_examples=150, deadline=None)
-@example(argv=["optics", "design", "--d=2", "--arrangement=line", "--nx=32", "--ny=32",
-               "--planes=2", "--iterations=2", "--aperture-radius=2e-5",
-               "--aperture-spacing=6e-5", "--plane-spacing=1e-3"])  # a design that runs
-@given(argv=_argvs())
-def test_any_argv_exits_0_1_or_2_with_one_error_line_on_failure(argv):
-    stderr = io.StringIO()
-    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings(record=True), \
-            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-        warnings.simplefilter("always")
-        code = main(argv + ["--out", out])
-    assert code in (0, 1, 2)
-    errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
-    assert len(errors) == (code != 0), (code, stderr.getvalue())
-
-
-# --- any counts file ---------------------------------------------------------------
-
-
-@functools.cache
-def _d4_counts() -> dict:
-    """The bytes of counts.csv and its sidecar from a d=4 simulate run."""
-    with tempfile.TemporaryDirectory() as out:
-        assert main(["simulate", "--d", "4", "--family", "sqrt-pair", "--rounds", "10",
-                     "--pair-rate", "100", "--time", "1", "--seed", "5", "--out", out,
-                     "--quiet"]) == 0
-        return {name: (Path(out) / name).read_bytes()
-                for name in ("counts.csv", "counts.csv.meta.json")}
-
-
-@st.composite
-def _edited_counts(draw):
-    """(name, bytes): one of _d4_counts()'s files with one edit: truncated,
-    appended to, one bit flipped, bytes overwritten, or a number replaced
-    by a NaN or infinity token."""
-    name = draw(st.sampled_from(sorted(_d4_counts())))
-    data = _d4_counts()[name]
-    edit = draw(st.sampled_from(["truncate", "append", "flip", "overwrite", "token"]))
-    if edit == "truncate":
-        return name, data[:draw(st.integers(0, len(data) - 1))]
-    if edit == "append":
-        return name, data + draw(st.binary(min_size=1, max_size=16))
-    if edit == "token":
-        number = draw(st.sampled_from(list(re.finditer(rb"-?[0-9][0-9.e+-]*", data))))
-        token = draw(st.sampled_from([b"NaN", b"Infinity", b"-Infinity", b"nan", b"inf"]))
-        return name, data[:number.start()] + token + data[number.end():]
-    at = draw(st.integers(0, len(data) - 1))
-    if edit == "flip":
-        return name, data[:at] + bytes([data[at] ^ 1 << draw(st.integers(0, 7))]) + data[at + 1:]
-    new = draw(st.binary(min_size=1, max_size=8))
-    return name, data[:at] + new + data[at + len(new):]
-
-
 def _finite_file(path: Path) -> bool:
     """No NaN or infinity in a written JSON file, nor in any value of a CSV."""
     text = path.read_text()
@@ -1096,27 +1102,139 @@ def _finite_file(path: Path) -> bool:
                for row in text.splitlines()[1:] for cell in row.split(","))
 
 
-@settings(max_examples=80, deadline=None)
-@example(edit=("counts.csv.meta.json", b"\xff\xfe{"))  # a sidecar that is not UTF-8
-@given(edit=_edited_counts())
-def test_any_edit_of_a_counts_file_exits_0_1_or_2_and_writes_no_nan(edit):
-    name, data = edit
+def _run_into_a_filled_out(argv, tmp: Path) -> tuple[int, str]:
+    """Run `argv --out <tmp/out>`, an out that already holds a file, and
+    check what every run must do: exit 0, 1 or 2, with one `error:` line
+    and no traceback on failure; leave out as it was on failure; leave no
+    stage behind; and write no NaN or infinity.  Returns (code, stderr)."""
+    out = tmp / "out"
+    out.mkdir()
+    (out / "sentinel.txt").write_bytes(b"from an earlier run\n")
+    before = _tree(out)
     stderr = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True), \
-            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+    with warnings.catch_warnings(record=True), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(stderr):
         warnings.simplefilter("always")
-        tmp = Path(tmp)
-        for file, original in _d4_counts().items():
-            (tmp / file).write_bytes(data if file == name else original)
-        out = tmp / "out"
-        code = main(["keyrate", "--counts", str(tmp / "counts.csv"), "--curve", "rate",
-                     "--errors", "0:0.5:6", "--out", str(out), "--quiet"])
-        assert code in (0, 1, 2)
-        assert code == 0 or not out.exists()
-        assert all(_finite_file(path) for path in out.glob("*")), code
+        code = main(argv + ["--out", str(out)])
+    assert code in (0, 1, 2)
     errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
     assert len(errors) == (code != 0), (code, stderr.getvalue())
-    assert "Traceback" not in stderr.getvalue() and len(stderr.getvalue()) < 1000
+    assert "Traceback" not in stderr.getvalue()
+    assert code == 0 or _tree(out) == before
+    assert not list(tmp.rglob(".hdqkd-*"))
+    assert all(_finite_file(path) for path in out.glob("*") if path.suffix in (".json", ".csv"))
+    return code, stderr.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@example(argv=["optics", "design", "--d=2", "--arrangement=line", "--nx=32", "--ny=32",
+               "--planes=2", "--iterations=2", "--aperture-radius=2e-5",
+               "--aperture-spacing=6e-5", "--plane-spacing=1e-3"])  # a design that runs
+@given(argv=_argvs())
+def test_any_argv_exits_0_1_or_2_with_one_error_line_on_failure(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        _run_into_a_filled_out(argv, Path(tmp))
+
+
+# --- any input file ----------------------------------------------------------------
+
+
+def _outputs(*argv) -> dict:
+    """The bytes of every file that a successful `argv --out <dir>` writes."""
+    with tempfile.TemporaryDirectory() as out:
+        assert main([str(a) for a in argv] + ["--out", out, "--quiet"]) == 0
+        return {path.name: path.read_bytes() for path in Path(out).iterdir()}
+
+
+@functools.cache
+def _d4_counts() -> dict:
+    """The bytes of counts.csv and its sidecar from a d=4 simulate run."""
+    files = _outputs("simulate", "--d", 4, "--family", "sqrt-pair", "--rounds", 10,
+                     "--pair-rate", 100, "--time", 1, "--seed", 5)
+    return {name: files[name] for name in ("counts.csv", "counts.csv.meta.json")}
+
+
+TOY_STACK = ("--d=2", "--arrangement=line", "--nx=32", "--ny=32", "--planes=2",
+             "--aperture-radius=2e-5", "--aperture-spacing=6e-5", "--plane-spacing=1e-3")
+
+
+@functools.cache
+def _toy_stack() -> dict:
+    """The bytes of a 2-plane, 32x32 toy design's stack."""
+    return {"stack.mplc": _outputs("optics", "design", *TOY_STACK, "--iterations=2")[
+        "stack.mplc"]}
+
+
+@functools.cache
+def _d3_bases() -> dict:
+    """The bytes of the four basis files of `mub gen --d 3 --family wh-all`."""
+    files = _outputs("mub", "gen", "--d", 3, "--family", "wh-all")
+    return {name: data for name, data in files.items() if name.startswith("basis_")}
+
+
+@st.composite
+def _edited(draw, files: dict):
+    """(name, bytes): one of `files` (name -> bytes) with one edit: truncated,
+    appended to, one bit flipped, bytes overwritten, a number replaced by
+    a NaN or infinity token, or the 8 bytes at a multiple of 8 from the end
+    replaced by a non-finite little-endian double (a field of a binary file)."""
+    name = draw(st.sampled_from(sorted(files)))
+    data = files[name]
+    numbers = list(re.finditer(rb"-?[0-9][0-9.e+-]*", data))
+    edit = draw(st.sampled_from(["truncate", "append", "flip", "overwrite", "double"]
+                                + ["token"] * bool(numbers)))
+    if edit == "truncate":
+        return name, data[:draw(st.integers(0, len(data) - 1))]
+    if edit == "append":
+        return name, data + draw(st.binary(min_size=1, max_size=16))
+    if edit == "token":
+        number = draw(st.sampled_from(numbers))
+        token = draw(st.sampled_from([b"NaN", b"Infinity", b"-Infinity", b"nan", b"inf"]))
+        return name, data[:number.start()] + token + data[number.end():]
+    if edit == "double":
+        at = len(data) % 8 + 8 * draw(st.integers(0, len(data) // 8 - 1))
+        new = np.array([draw(st.sampled_from([np.nan, np.inf, -np.inf]))], "<f8").tobytes()
+        return name, data[:at] + new + data[at + 8:]
+    at = draw(st.integers(0, len(data) - 1))
+    if edit == "flip":
+        return name, data[:at] + bytes([data[at] ^ 1 << draw(st.integers(0, 7))]) + data[at + 1:]
+    new = draw(st.binary(min_size=1, max_size=8))
+    return name, data[:at] + new + data[at + len(new):]
+
+
+def _run_on_edited(files: dict, edit, argv) -> tuple[int, str]:
+    """Write `files`, one of them edited as `edit` says, into a fresh
+    directory tmp, then `_run_into_a_filled_out(argv(tmp), tmp)`."""
+    name, data = edit
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for file, original in files.items():
+            (tmp / file).write_bytes(data if file == name else original)
+        return _run_into_a_filled_out(argv(tmp), tmp)
+
+
+@settings(max_examples=80, deadline=None)
+@example(edit=("counts.csv.meta.json", b"\xff\xfe{"))  # a sidecar that is not UTF-8
+@given(edit=st.deferred(lambda: _edited(_d4_counts())))
+def test_any_edit_of_a_counts_file_exits_0_1_or_2_and_writes_no_nan(edit):
+    _, stderr = _run_on_edited(_d4_counts(), edit, lambda tmp: [
+        "keyrate", "--counts", str(tmp / "counts.csv"), "--curve", "rate",
+        "--errors", "0:0.5:6", "--quiet"])
+    assert len(stderr) < 1000
+
+
+@settings(max_examples=80, deadline=None)
+@given(edit=st.deferred(lambda: _edited(_toy_stack())))
+def test_any_edit_of_a_stack_exits_0_1_or_2_and_writes_no_nan(edit):
+    _run_on_edited(_toy_stack(), edit, lambda tmp: [
+        "optics", "eval", "--stack", str(tmp / "stack.mplc"), *TOY_STACK, "--quiet"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(edit=st.deferred(lambda: _edited(_d3_bases())))
+def test_any_edit_of_a_basis_file_exits_0_1_or_2(edit):
+    _run_on_edited(_d3_bases(), edit, lambda tmp: [
+        "mub", "check", *sorted(map(str, tmp.glob("basis_*.json"))), "--quiet"])
 
 
 # --- written JSON bytes ------------------------------------------------------------

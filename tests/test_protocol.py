@@ -826,6 +826,8 @@ def test_keyrate_rejects_malformed_counts(tmp_path, capsys, case):
     assert err.startswith("error: ") and "Traceback" not in err
     assert err.count("\n") == 1 and len(err) < 400
     assert where in err
+    if case.startswith("sidecar"):  # an error in the metadata names its file
+        assert f"{path}.meta.json" in err
     assert not (tmp_path / "r" / "report.json").exists()
 
 
