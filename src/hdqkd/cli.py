@@ -71,6 +71,15 @@ def _commit(stage: Path, out: Path) -> None:
         stage.replace(out)  # takes the empty out's place
 
 
+def _name_in_out(exc: OSError, stage: Path, out: Path) -> None:
+    """Name each path of exc that lies in stage, which is gone when exc is
+    printed, at its place in out."""
+    for attr in ("filename", "filename2"):
+        name = getattr(exc, attr)
+        if isinstance(name, (str, os.PathLike)) and Path(name).is_relative_to(stage):
+            setattr(exc, attr, str(out / Path(name).relative_to(stage)))
+
+
 def _snapshot(args, out: Path, extra: dict | None = None) -> None:
     """Record the run as a v1 config: `hdqkd <command> [action] --config
     <snapshot>` replays it."""
@@ -98,27 +107,28 @@ def _config_argv(path: str, command: str) -> list[str]:
         raise InvalidConfigError(f"config {path} must hold a JSON object")
     version = doc.get("version", CONFIG_VERSION)
     if type(version) is not int or version != CONFIG_VERSION:
-        raise InvalidConfigError(f"config {path}: version must be 1, got {version!r}")
+        raise InvalidConfigError(f"config {path}: version must be 1, got {version!r:.120}")
     for key in doc:
         if key not in _CONFIG_KEYS:
-            raise InvalidConfigError(f"config {path}: unknown top-level key '{key}'")
+            raise InvalidConfigError(f"config {path}: unknown top-level key {key!r:.120}")
     recorded = doc.get("command", [command])
     if not isinstance(recorded, list) or recorded[:1] != [command]:
-        raise InvalidConfigError(f"config {path} records command {recorded!r}, not '{command}'")
+        raise InvalidConfigError(f"config {path} records command {recorded!r:.120}, "
+                                 f"not '{command}'")
     section = doc.get(command, {})
     if not isinstance(section, dict):
-        raise InvalidConfigError(f"config section '{command}' must be an object")
-    argv = []
+        raise InvalidConfigError(f"config {path}: section '{command}' must be an object")
+    argv, where = [], f"config {path}, section {command}"
     for key, value in section.items():
         if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_-]*", key):
-            raise InvalidConfigError(f"config {command}: {key!r} is not an option name")
+            raise InvalidConfigError(f"{where}: {key!r:.120} is not an option name")
         flag = "--" + key.replace("_", "-")
         if value is True:
             argv.append(flag)
         elif type(value) in (str, int, float):
             argv.append(f"{flag}={value}")
         elif value is not False:
-            raise InvalidConfigError(f"config {command}: {key} cannot be {value!r}")
+            raise InvalidConfigError(f"{where}: {key:.120} cannot be {value!r:.120}")
     return argv
 
 
@@ -217,8 +227,8 @@ def _design_geometry(args):
 
 
 def _target_coefficients(args):
-    """The `--target` basis as a (d, d) coefficient matrix, and the
-    unitary the sorter is meant to apply."""
+    """The rows that superpose the input modes into the `--target` sorter's
+    targets, and the unitary the sorter is meant to apply."""
     d = args.d
     if args.target == "swap":
         coeff = np.eye(d, dtype=complex)[::-1]
@@ -229,30 +239,14 @@ def _target_coefficients(args):
             raise InvalidConfigError(f"--target {args.target}: {family} has {len(bases)} "
                                      f"bases at d={d}")
         coeff = bases[int(index) - 1].amplitudes
-    return coeff, coeff.conj().T
-
-
-def _target_fields(modes, coeff):
-    """`[optics.superpose(modes, row.conj()) for row in coeff]`, bit for bit,
-    built in one array and only on each mode's support.  superpose's sum
-    starts at +0 and so never holds -0: the c * 0 terms (+0 or -0) that it
-    adds off a mode's support change nothing.  On it, the terms are added
-    in mode order, as superpose adds them where two supports share a pixel."""
     # Sorter convention: incoming basis state m ends up in port m, so
     # input mode n maps to sum_m conj(coeff[n, m]) * port_m.
-    grid = modes[0].grid
-    conj = np.conj(coeff)
-    amps = np.zeros((len(coeff), grid.nx * grid.ny), dtype=np.complex128)
-    for m, mode in enumerate(modes):
-        flat = mode.amplitude.ravel()
-        support = np.flatnonzero(flat)
-        amps[:, support] += conj[:, m, None] * flat[support]
-    return [optics.OpticalField(grid, amp) for amp in amps.reshape(len(coeff), grid.nx, grid.ny)]
+    return coeff.conj(), coeff.conj().T
 
 
 def _design_targets(args, modes):
-    coeff, intended = _target_coefficients(args)
-    return _target_fields(modes, coeff), intended
+    rows, intended = _target_coefficients(args)
+    return optics.superpose_rows(modes, rows), intended
 
 
 def _detection_modes(args, grid, layout, modes):
@@ -268,9 +262,9 @@ def _detection_modes(args, grid, layout, modes):
 
 def cmd_optics(args) -> int:
     grid, layout, modes = _design_geometry(args)
-    coeff, intended = _target_coefficients(args)
+    rows, intended = _target_coefficients(args)
     # Built on demand: the design drops them while its sweeps run.
-    targets = functools.partial(_target_fields, modes, coeff)
+    targets = functools.partial(optics.superpose_rows, modes, rows)
 
     if args.action == "design":
         outputs = functools.partial(_detection_modes, args, grid, layout, modes)
@@ -334,8 +328,7 @@ def _noise_from_args(args) -> tuple[float, float]:
         if args.block_fraction is not None:
             raise InvalidConfigError("--block-fraction needs --Et")
         return 0.0, 0.0
-    fraction = args.block_fraction or 0.0
-    return args.Et * (1.0 - fraction), args.Et * fraction
+    return protocol.split_error(args.Et, args.block_fraction or 0.0)
 
 
 def cmd_simulate(args) -> int:
@@ -430,7 +423,7 @@ def cmd_keyrate(args) -> int:
     report.save_json(stage / "report.json")
     keyrate.save_report_csv(report, stage / "report.csv")
     if errors is not None:
-        frac = e_b / (e_u + e_b) if e_u + e_b > 0 else 0.0
+        frac = protocol.block_fraction_of(e_u, e_b)
         rows = keyrate.rate_curve(report.bound, d, errors, frac)
         keyrate.save_curve_csv(
             stage / "curve.csv", ["E", "rate"], rows.tolist(),
@@ -594,6 +587,8 @@ def main(argv=None) -> int:
             _commit(*_out_dir(args))
         return code
     except (HdqkdError, OSError) as exc:
+        if isinstance(exc, OSError) and getattr(args, "stage", None):
+            _name_in_out(exc, *_out_dir(args))
         print(f"error: {exc}", file=sys.stderr)
         # Failed validation of flags, config, inputs, geometry or noise exits 2.
         failed = isinstance(exc, (InsufficientDataError, NoThresholdError, OSError))

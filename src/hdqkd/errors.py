@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and its one JSON writer and count rule."""
+"""Exception types shared across the package, and its one JSON writer, count
+rule and positive-number rule."""
 
 import json
+import math
 
 
 class HdqkdError(ValueError):
@@ -58,6 +60,16 @@ class DegenerateTransferError(HdqkdError):
 def is_count(n) -> bool:
     """n is a count >= 1 as JSON gives one: an int, not a bool."""
     return isinstance(n, int) and not isinstance(n, bool) and n >= 1
+
+
+def check_positive(what: str, *values) -> None:
+    """Raise InvalidInputError, naming what and the first bad value, unless
+    every value is a number as JSON gives one (an int or a float, not a
+    bool), finite and > 0."""
+    for value in values:
+        real = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (real and 0.0 < value < math.inf):  # NaN too
+            raise InvalidInputError(f"{what} must be finite and > 0, got {value!r:.120}")
 
 
 def write_json(path, doc, message: str, indent: int | None = 2) -> None:

@@ -25,7 +25,7 @@ from .errors import (
     write_json,
 )
 from .mub import grid_side, square_side
-from .protocol import total_error
+from .protocol import ProbabilityTable, block_fraction_of, split_error, total_error
 
 BOUNDS = ("depolarizing_all_mubs", "two_mub_uniform", "two_mub_block")
 
@@ -47,11 +47,6 @@ def _xlog2(x, scale=1):
 def _check_dim(d: int) -> None:
     if d < 2:
         raise InvalidDimensionError(f"need d >= 2, got {d}")
-
-
-def _check_error_rate(x: float) -> None:
-    if not 0.0 <= x < 1.0:
-        raise DomainError(f"error rate {x} outside [0, 1)")
 
 
 def _hd(x, d):
@@ -81,7 +76,7 @@ def shannon_hd(x: float, d: int) -> float:
     x/(d-1) on each of the d-1 wrong ones.
     """
     _check_dim(d)
-    _check_error_rate(x)
+    total_error(x, 0.0)
     return _hd(x, d)
 
 
@@ -139,11 +134,10 @@ def _rate_depolarizing_value(d: int, e: float) -> float:
 
 def _rate_two_mub_value(d: int, side: int, uniform_error: float, block_error: float) -> float:
     # side = sqrt(d) is read only when block_error != 0.
+    total_error(uniform_error, block_error)
     if block_error == 0.0:
-        _check_error_rate(uniform_error)
         h = _hd(uniform_error, d)
     else:
-        total_error(uniform_error, block_error)
         h = _h_block(d, side, uniform_error, block_error)
     return math.log2(d) - 2.0 * h
 
@@ -167,25 +161,20 @@ def rate_two_mub(d: int, uniform_error: float, block_error: float = 0.0) -> KeyR
     computed along the profile with the same block fraction as the inputs.
     """
     _check_dim(d)
-    side = 0 if block_error == 0.0 else grid_side(d)
-    total = uniform_error + block_error
+    uniform = block_error == 0.0
+    side = 0 if uniform else grid_side(d)
     rate = _rate_two_mub_value(d, side, uniform_error, block_error)
-    if block_error == 0.0:
-        bound = "two_mub_uniform"
-        thr = threshold(bound, d)
-        inputs = {"E": uniform_error}
-    else:
-        bound = "two_mub_block"
-        thr = threshold(bound, d, block_fraction=block_error / total)
-        inputs = {"E_u": uniform_error, "E_b": block_error}
+    bound = "two_mub_uniform" if uniform else "two_mub_block"
+    inputs = {"E": uniform_error} if uniform else {"E_u": uniform_error, "E_b": block_error}
+    thr = threshold(bound, d, block_fraction_of(uniform_error, block_error))
     return KeyRateReport(bound, d, inputs, rate, thr)
 
 
 def _profile_rate(bound: str, d: int, block_fraction: float):
     """The bound's rate as a function of the total error E_t, split as
-    (1-f)*E_t uniform + f*E_t block.  The bound, d and f are checked here,
-    once per profile (two_mub_uniform takes only f = 0); each E_t only
-    against the bound's domain (DomainError)."""
+    (1-f)*E_t uniform + f*E_t block (protocol.split_error).  The bound, d
+    and f are checked here, once per profile (two_mub_uniform takes only
+    f = 0); each E_t only against the bound's domain (DomainError)."""
     if bound not in BOUNDS:
         raise InvalidInputError(f"unknown bound '{bound}'")
     _check_dim(d)
@@ -199,7 +188,7 @@ def _profile_rate(bound: str, d: int, block_fraction: float):
             raise InvalidInputError(f"two_mub_uniform has no block error, got block_fraction {f}")
         return lambda e: _rate_two_mub_value(d, 0, e, 0.0)
     side = grid_side(d) if f > 0.0 else 0
-    return lambda e: _rate_two_mub_value(d, side, (1.0 - f) * e, f * e)
+    return lambda e: _rate_two_mub_value(d, side, *split_error(e, f))
 
 
 def rate_on_profile(bound: str, d: int, total_error: float, block_fraction: float = 0.0) -> float:
@@ -289,8 +278,7 @@ def _lane_rates(e, d, side, f, log2_d):
     if n:
         h[..., :n] = _hd(e[..., :n], d[:n])
     if n < f.size:
-        e, f = e[..., n:], f[n:]
-        h[..., n:] = _h_block(d[n:], side[n:], (1.0 - f) * e, f * e)
+        h[..., n:] = _h_block(d[n:], side[n:], *split_error(e[..., n:], f[n:]))
     return log2_d - 2.0 * h
 
 
@@ -399,12 +387,9 @@ def subset_stats(table) -> SubsetStats:
     min(K, L) settings; E is their arithmetic mean and equals
     1 - (1/K) * sum_k sum_a p(a,a|k,k).
     """
-    probs = np.asarray(table.probs, dtype=float)
-    d = table.dim
+    table = ProbabilityTable(table.dim, table.probs)  # checks it again: arrays are mutable
+    probs = table.probs
     n_matched = min(table.bases_alice, table.bases_bob)
-    sums = probs.sum(axis=(0, 1))
-    if np.abs(sums - 1.0).max() > 1e-9 or probs.min() < 0.0:
-        raise InvalidInputError("probability table is not normalized")
     diag_outcomes = np.einsum("aakl->kl", probs)  # sum_a p(a,a|k,l)
     e_kl = 1.0 - diag_outcomes
     e_k = np.array([e_kl[k, k] for k in range(n_matched)])

@@ -183,6 +183,13 @@ def grid_side(d: int) -> int:
     return side
 
 
+def mode_grid(side: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 0-based grid row and column of each flat mode 0..side^2-1 on a
+    side-by-side grid: flat = row*side + col.  The one map of the mode grid
+    that the MUB pair, the grid apertures and block noise share."""
+    return np.divmod(np.arange(side * side), side)
+
+
 def sqrt_mub_pair(d: int) -> tuple[Basis, Basis]:
     """Two MUBs whose states mix only sqrt(d) modes each.
 
@@ -198,17 +205,11 @@ def sqrt_mub_pair(d: int) -> tuple[Basis, Basis]:
     numerically at construction.
     """
     side = grid_side(d)
-    dft = np.exp(2j * np.pi * np.outer(np.arange(side), np.arange(side)) / side)
-    scale = d ** -0.25
-    mub1 = np.zeros((d, d), dtype=np.complex128)
-    mub2 = np.zeros((d, d), dtype=np.complex128)
-    for a in range(side):
-        for b in range(side):
-            col = a * side + b
-            # row a of the grid: flat modes a*side + l
-            mub1[a * side : (a + 1) * side, col] = scale * dft[b, :]
-            # column b of the grid: flat modes k*side + b
-            mub2[b::side, col] = scale * dft[a, :]
+    scaled = d ** -0.25 * np.exp(2j * np.pi * np.outer(np.arange(side), np.arange(side)) / side)
+    # Entry [mode, state] on the grid (row, col) of each; scaled is symmetric.
+    row, col = mode_grid(side)
+    mub1 = np.where(row[:, None] == row, scaled[col[:, None], col], 0)
+    mub2 = np.where(col[:, None] == col, scaled[row[:, None], row], 0)
     b1 = Basis(d, mub1, "row-DFT")
     b2 = Basis(d, mub2, "col-DFT")
     ok, dev = check_mub_pair(b1, b2, UNBIASED_TOL)

@@ -35,8 +35,10 @@ from .errors import (
     InvalidInputError,
     InvalidModeSetError,
     SamplingError,
+    check_positive,
     write_json,
 )
+from .mub import mode_grid
 
 TWO_PI = 2.0 * np.pi
 
@@ -54,11 +56,6 @@ class EvanescentClippingWarning(UserWarning):
     """Emitted when suppressed evanescent components carried real power."""
 
 
-def _check_positive(what: str, *values: float) -> None:
-    if not all(0.0 < v < math.inf for v in values):  # NaN too
-        raise InvalidInputError(f"{what} must be finite and > 0")
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Sampling grid: pixel counts, pixel pitch and wavelength in meters."""
@@ -73,7 +70,7 @@ class GridSpec:
             raise InvalidInputError(
                 f"grid must be at least 8x8 whole pixels, got {self.nx}x{self.ny}"
             )
-        _check_positive("pitch and wavelength", self.pitch, self.wavelength)
+        check_positive("pitch and wavelength", self.pitch, self.wavelength)
 
     @property
     def x(self) -> np.ndarray:
@@ -129,6 +126,22 @@ def superpose(fields, coefficients) -> OpticalField:
     return OpticalField(fields[0].grid, amp)
 
 
+def superpose_rows(fields, coefficients) -> list[OpticalField]:
+    """`[superpose(fields, row) for row in coefficients]` for fields on one
+    grid and a (K, len(fields)) coefficient array, bit for bit, built in
+    one array and only on each field's support.  superpose's sum
+    starts at +0 and so never holds -0: the c * 0 terms (+0 or -0) that it
+    adds off a field's support change nothing.  On it, the terms are added
+    in field order, as superpose adds them where two supports share a pixel."""
+    grid = fields[0].grid
+    amps = np.zeros((len(coefficients), grid.nx * grid.ny), dtype=np.complex128)
+    for m, field in enumerate(fields):
+        flat = field.amplitude.ravel()
+        support = np.flatnonzero(flat)
+        amps[:, support] += coefficients[:, m, None] * flat[support]
+    return [OpticalField(grid, amp) for amp in amps.reshape(-1, grid.nx, grid.ny)]
+
+
 @dataclass(frozen=True)
 class ApertureLayout:
     """Non-overlapping circular apertures on a square grid or a line.
@@ -147,7 +160,7 @@ class ApertureLayout:
     def __post_init__(self):
         if self.count < 1:
             raise InvalidInputError(f"need at least one aperture, got {self.count}")
-        _check_positive("radius and spacing", self.radius, self.spacing)
+        check_positive("radius and spacing", self.radius, self.spacing)
         if self.spacing < 2.0 * self.radius:
             raise GeometryError(
                 f"apertures overlap: spacing {self.spacing} < 2*radius {2 * self.radius}"
@@ -165,7 +178,7 @@ class ApertureLayout:
             offs = (np.arange(self.count) - (self.count - 1) / 2.0) * self.spacing
             return np.stack([offs, np.zeros(self.count)], axis=1)
         side = math.isqrt(self.count)
-        rows, cols = np.divmod(np.arange(self.count), side)
+        rows, cols = mode_grid(side)
         x = (cols - (side - 1) / 2.0) * self.spacing
         y = (rows - (side - 1) / 2.0) * self.spacing
         return np.stack([x, y], axis=1)
@@ -238,7 +251,7 @@ class PhaseMaskStack:
             )
         if not np.isfinite(masks).all():
             raise InvalidInputError("masks contain non-finite phases")
-        _check_positive("plane spacing", self.plane_spacing)
+        check_positive("plane spacing", self.plane_spacing)
         object.__setattr__(self, "masks", _wrap_phase(masks))
 
     @property
@@ -530,7 +543,7 @@ def _wavefront_sweeps(inputs, targets, planes, plane_spacing, iterations, pad_fa
     inputs = list(inputs)
     if planes < 1 or iterations < 1:
         raise InvalidConfigError("planes and iterations must both be >= 1")
-    _check_positive("plane spacing", plane_spacing)
+    check_positive("plane spacing", plane_spacing)
     _check_orthonormal(inputs, "input modes")
     grid = inputs[0].grid
     _check_kernel(grid, plane_spacing, pad_factor, 1)
@@ -803,9 +816,11 @@ def load_stack(path) -> PhaseMaskStack:
         raise InvalidInputError(
             f"{path}: payload of {len(raw)} bytes, header implies {8 * planes * nx * ny}"
         )
-    grid = GridSpec(nx, ny, pitch, wavelength)
     masks = np.frombuffer(raw, dtype="<f8").reshape(planes, nx, ny).copy()
-    return PhaseMaskStack(grid, masks, spacing)
+    try:  # the payload has the header's length, so what these reject is in the file
+        return PhaseMaskStack(GridSpec(nx, ny, pitch, wavelength), masks, spacing)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
 
 
 def save_mask_pgm(stack: PhaseMaskStack, plane: int, path) -> None:

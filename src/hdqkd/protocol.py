@@ -25,10 +25,11 @@ from .errors import (
     InvalidConfigError,
     InvalidInputError,
     InvalidNoiseError,
+    check_positive,
     is_count,
     write_json,
 )
-from .mub import grid_side
+from .mub import grid_side, mode_grid
 
 # Counter-based generator used for every stochastic operation, recorded in
 # outputs so any run can be replayed from its seed.
@@ -129,10 +130,7 @@ class CountTable:
         elif top > np.iinfo(np.int64).max:
             raise InvalidInputError("counts must be integers below 2^63")
         for name in ("integration_time", "coincidence_window"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and not isinstance(value, bool)
-                    and 0.0 < value < math.inf):
-                raise InvalidInputError(f"{name} must be finite and > 0, got {value!r:.120}")
+            check_positive(name, getattr(self, name))
         seed = self.seed
         if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool) or seed < 0):
             raise InvalidInputError(f"seed must be None or an integer >= 0, got {seed!r:.120}")
@@ -163,9 +161,8 @@ class NoiseDecomposition:
 
 def _block_mask(d: int, alignment: str) -> np.ndarray:
     """Boolean (a, b) table: outcome a shares sent state b's grid block."""
-    side = grid_side(d)
-    flat = np.arange(d)
-    group = flat // side if alignment == "row" else flat % side
+    row, col = mode_grid(grid_side(d))
+    group = row if alignment == "row" else col
     return group[:, None] == group[None, :]
 
 
@@ -210,6 +207,18 @@ def total_error(uniform_error: float, block_error: float) -> float:
     if not total < 1.0:
         raise InvalidNoiseError(f"total error {total} outside [0, 1)")
     return total
+
+
+def split_error(total, block_fraction):
+    """(E_u, E_b) = ((1-f)*E_t, f*E_t): a total error E_t with the share f
+    inside a block, as floats or numpy arrays.  total_error checks the parts."""
+    return (1.0 - block_fraction) * total, block_fraction * total
+
+
+def block_fraction_of(uniform_error: float, block_error: float) -> float:
+    """f = E_b / (E_u + E_b), the share of the error inside a block; 0 without error."""
+    total = uniform_error + block_error
+    return block_error / total if total > 0 else 0.0
 
 
 def apply_noise(
@@ -264,8 +273,7 @@ def sample_counts(
     for name, rate in (("pair rate", pair_rate), ("accidental rate", accidental_rate)):
         if not 0.0 <= rate < math.inf:  # NaN too
             raise InvalidInputError(f"{name} {rate} must be finite and >= 0")
-    if not 0.0 < time < math.inf:
-        raise InvalidInputError(f"integration time {time} must be finite and > 0")
+    check_positive("integration time", time)
     d = table.dim
     mean = time * (pair_rate * table.probs + accidental_rate / d**2)
     try:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import functools
 import hashlib
 import io
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hdqkd import cli
+from hdqkd import cli, optics
 from hdqkd.cli import main
 from hdqkd.keyrate import rate_two_mub
 from hdqkd.optics import load_stack
@@ -283,6 +284,27 @@ def test_optics_eval_rejects_a_nan_phase(tmp_path, capsys):
     assert run(*eval_args(path, tmp_path / "eval")) == 2
     assert "non-finite" in capsys.readouterr().err
     assert not (tmp_path / "eval" / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("nx, pitch, wavelength, phase, spacing", [
+    (4, 15e-6, 810e-9, 0.0, 5e-3),
+    (96, math.nan, 810e-9, 0.0, 5e-3),
+    (96, 15e-6, math.inf, 0.0, 5e-3),
+    (96, 15e-6, 810e-9, math.nan, 5e-3),
+    (96, 15e-6, 810e-9, 0.0, 0.0),
+    (96, 15e-6, 810e-9, 0.0, -5e-3),
+], ids=["grid-under-8x8", "nan-pitch", "infinite-wavelength", "nan-phase", "zero-spacing",
+        "negative-spacing"])
+def test_optics_eval_names_the_stack_in_what_its_grid_or_masks_reject(
+        tmp_path, capsys, nx, pitch, wavelength, phase, spacing):
+    path = tmp_path / "bad.mplc"
+    header = optics._HEADER.pack(optics.MAGIC, optics.FORMAT_STACK, nx, 64, 2, pitch,
+                                 wavelength, spacing)
+    path.write_bytes(header + np.full(2 * nx * 64, phase, dtype="<f8").tobytes())
+    assert run(*eval_args(path, tmp_path / "eval")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert not (tmp_path / "eval").exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -738,6 +760,19 @@ def test_config_values_must_pass_their_flags(tmp_path, capsys, doc):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("doc", [
+    {"simulate": {"d=" + "3" * 10**5: 1}},
+    {"simulate": {"d": list(range(10**5))}},
+    {"simulate": [1]},
+], ids=["bad-key", "long-list-value", "section-not-an-object"])
+def test_config_section_errors_name_the_file_in_one_short_line(tmp_path, capsys, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run("simulate", "--config", cfg, "--out", tmp_path / "sim") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {cfg}") and err.count("\n") == 1 and len(err) < 400
+
+
 def test_config_takes_numbers_and_strings_its_flags_convert(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"simulate": {"d": "9", "rounds": 10, "Eu": 0, "Eb": "0.1",
@@ -893,15 +928,18 @@ SIM = ("simulate", "--d", 4, "--family", "sqrt-pair", "--rounds", 10, "--quiet")
 def test_a_write_error_leaves_out_as_it_was(tmp_path, monkeypatch, capsys):
     from hdqkd import protocol
 
-    def fail(*_):
-        raise OSError("disk full")
+    def fail(record, path):  # a full disk names the staged path it was given
+        raise OSError(errno.ENOSPC, "No space left on device", str(path))
     old = tmp_path / "old"
     assert run(*SIM, "--seed", 1, "--out", old) == 0
     before = _tree(tmp_path)
     monkeypatch.setattr(protocol.SessionRecord, "save_jsonl", fail)  # after counts.csv
     for out in (tmp_path / "new" / "sub", old):
         assert run(*SIM, "--seed", 2, "--out", out) == 1
-        assert capsys.readouterr().err == "error: disk full\n"
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno {errno.ENOSPC}] No space left on device: " \
+                      f"'{out / 'session.jsonl'}'\n"
+        assert ".hdqkd-" not in err
         assert _tree(tmp_path) == before
 
 
@@ -920,7 +958,8 @@ def test_a_failed_commit_leaves_no_snapshot_of_another_run(tmp_path, capsys):
     (out / "report.csv").unlink()
     (out / "report.csv").mkdir()
     assert run("keyrate", "--d", 5, "--E", 0.07, "--out", out, "--quiet") == 1
-    assert "report.csv" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(out / "report.csv") in err and ".hdqkd-" not in err
     assert not (out / "resolved_config.json").exists()
     assert not list(tmp_path.rglob(".hdqkd-*"))
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hdqkd import mub
+from hdqkd import mub, protocol
 from hdqkd.errors import (
     InvalidBasisIndexError,
     InvalidDimensionError,
@@ -23,6 +23,7 @@ from hdqkd.mub import (
     unitarity_deviation,
     wh_basis,
 )
+from hdqkd.optics import ApertureLayout
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -178,6 +179,35 @@ def test_sqrt_pair_vs_computational_support_structure():
     close_to = np.minimum(np.abs(table), np.abs(table - 0.2))
     assert close_to.max() < 1e-12  # entries are exactly 0 or 1/5
     assert np.all((table > 1e-12).sum(axis=0) == 5)
+
+
+def loop_built_sqrt_pair(d):
+    """sqrt_mub_pair's amplitudes as a double loop over the states built them."""
+    side = math.isqrt(d)
+    dft = np.exp(2j * np.pi * np.outer(np.arange(side), np.arange(side)) / side)
+    scale = d ** -0.25
+    mub1 = np.zeros((d, d), dtype=np.complex128)
+    mub2 = np.zeros((d, d), dtype=np.complex128)
+    for a in range(side):
+        for b in range(side):
+            col = a * side + b
+            mub1[a * side : (a + 1) * side, col] = scale * dft[b, :]  # row a: modes a*side + l
+            mub2[b::side, col] = scale * dft[a, :]  # column b: modes k*side + b
+    return mub1, mub2
+
+
+@pytest.mark.parametrize("d", [4, 9, 16, 25, 49, 121])
+def test_the_mode_grid_gives_the_arrays_each_stage_built_on_its_own(d):
+    side = math.isqrt(d)
+    for basis, want in zip(sqrt_mub_pair(d), loop_built_sqrt_pair(d)):
+        assert basis.amplitudes.tobytes() == want.tobytes()
+    flat = np.arange(d)
+    for alignment, group in (("row", flat // side), ("col", flat % side)):
+        want = group[:, None] == group[None, :]
+        assert np.array_equal(protocol._block_mask(d, alignment), want)
+    rows, cols = np.divmod(flat, side)
+    want = np.stack([(cols - (side - 1) / 2.0) * 3e-4, (rows - (side - 1) / 2.0) * 3e-4], axis=1)
+    assert ApertureLayout(d, 1e-4, 3e-4, "grid").centers().tobytes() == want.tobytes()
 
 
 def test_sqrt_pair_rejects_bad_dimension():
