@@ -96,8 +96,9 @@ def _snapshot(args, out: Path, extra: dict | None = None) -> None:
 
 def _config_argv(path: str, command: str) -> list[str]:
     """The config file's section for `command` as flags: `--key=value`,
-    `--key` for true and nothing for false.  The parser then checks them
-    exactly as it checks typed flags."""
+    `--key` for true and nothing for false.  A key must name one of the
+    command's options, and the parser then checks the values exactly as
+    it checks typed flags."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -119,10 +120,13 @@ def _config_argv(path: str, command: str) -> list[str]:
     if not isinstance(section, dict):
         raise InvalidConfigError(f"config {path}: section '{command}' must be an object")
     argv, where = [], f"config {path}, section {command}"
+    flags = build_parser().commands[command].flags()
     for key, value in section.items():
         if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_-]*", key):
             raise InvalidConfigError(f"{where}: {key!r:.120} is not an option name")
         flag = "--" + key.replace("_", "-")
+        if flag not in flags:
+            raise InvalidConfigError(f"{where}: {key!r:.120} names no option of {command}")
         if value is True:
             argv.append(flag)
         elif type(value) in (str, int, float):
@@ -215,15 +219,19 @@ def cmd_mub(args) -> int:
 # optics
 
 
-def _design_geometry(args):
+def _design_layout(args):
     grid = optics.GridSpec(args.nx, args.ny, args.pitch, args.wavelength)
     arrangement = args.arrangement
     if arrangement == "auto":
         arrangement = "grid" if mub.square_side(args.d) else "line"
     layout = optics.ApertureLayout(args.d, args.aperture_radius, args.aperture_spacing,
                                    arrangement)
-    modes = optics.make_aperture_modes(layout, grid)
-    return grid, layout, modes
+    return grid, layout
+
+
+def _design_geometry(args):
+    grid, layout = _design_layout(args)
+    return grid, layout, optics.make_aperture_modes(layout, grid)
 
 
 def _target_coefficients(args):
@@ -261,16 +269,19 @@ def _detection_modes(args, grid, layout, modes):
 
 
 def cmd_optics(args) -> int:
-    grid, layout, modes = _design_geometry(args)
+    if args.action == "design":  # the design builds its input modes itself
+        grid, layout = _design_layout(args)
+    else:
+        grid, layout, modes = _design_geometry(args)
     rows, intended = _target_coefficients(args)
     # Built on demand: the design drops them while its sweeps run.
-    targets = functools.partial(optics.superpose_rows, modes, rows)
+    targets = functools.partial(optics.superpose_rows, coefficients=rows)
 
     if args.action == "design":
-        outputs = functools.partial(_detection_modes, args, grid, layout, modes)
         stack, transfer, objective = optics.design_converter(
-            modes, targets, outputs, args.planes, args.plane_spacing,
-            iterations=args.iterations, pad_factor=args.pad_factor,
+            functools.partial(optics.make_aperture_modes, layout, grid), targets,
+            functools.partial(_detection_modes, args, grid, layout), args.planes,
+            args.plane_spacing, iterations=args.iterations, pad_factor=args.pad_factor,
         )
     else:  # eval
         if args.stack is None:
@@ -291,7 +302,7 @@ def cmd_optics(args) -> int:
             )
         outputs = _detection_modes(args, grid, layout, modes)
         transfer, objective = optics.score_converter(
-            stack, modes, outputs, targets(), pad_factor=args.pad_factor
+            stack, modes, outputs, targets(modes), pad_factor=args.pad_factor
         )
     metrics = optics.sorter_metrics(transfer, intended=intended)  # finite, or it raises
     stage, out = _out_dir(args)
@@ -448,6 +459,12 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, intermixed: bool = False, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
         self._intermixed = intermixed
+        self.commands = {}  # the parser of each subcommand, by name
+
+    def flags(self) -> frozenset:
+        """The long options this parser takes, `--help` aside."""
+        return frozenset(flag for action in self._actions for flag in action.option_strings
+                         if flag.startswith("--") and action.dest != "help")
 
     def parse_known_args(self, args=None, namespace=None):
         if not self._intermixed:
@@ -568,6 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kr.add_argument("--errors", default="0:0.5:101", help="lo:hi:n grid for --curve rate")
     p_kr.add_argument("--d-range", default="2:32", help="lo:hi for --curve thresholds")
     p_kr.set_defaults(func=cmd_keyrate)
+    parser.commands = sub.choices
     return parser
 
 

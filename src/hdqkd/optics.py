@@ -494,6 +494,30 @@ def _mode_matrix(fields, grid: GridSpec | None = None) -> np.ndarray:
     return np.stack([f.amplitude for f in fields])
 
 
+def _on_supports(amps) -> list:
+    """Each (nx, ny) field of `amps` as (box, entries): the pair of slices
+    that bounds its entries whose bits are not +0.0, and the field on it.
+    A box that covers the whole grid keeps the field itself, uncopied."""
+    held = []
+    for amp in amps:
+        live = (amp != 0) | np.signbit(amp.real) | np.signbit(amp.imag)
+        rows, cols = np.flatnonzero(live.any(axis=1)), np.flatnonzero(live.any(axis=0))
+        box = (slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
+               ) if rows.size else (slice(0, 0), slice(0, 0))
+        entries = amp[box]
+        held.append((box, amp if entries.shape == amp.shape else entries.copy()))
+    return held
+
+
+def _write_dense(held, out):
+    """Writes the fields that `_on_supports` holds into the (nx, ny) arrays
+    of `out`, one each, bit for bit: +0.0 off each box.  Returns out."""
+    for (box, entries), field in zip(held, out):
+        field[...] = 0.0
+        field[box] = entries
+    return out
+
+
 def _check_orthonormal(fields, what: str, grid: GridSpec | None = None) -> np.ndarray:
     """`_mode_matrix(fields, grid)`, checked to be orthonormal."""
     fields = list(fields)
@@ -527,30 +551,46 @@ def wavefront_match(
     pointwise.  The procedure is deterministic: identical inputs produce
     bit-identical stacks.
     """
-    stack, _ = _wavefront_sweeps(
-        inputs, lambda: targets, planes, plane_spacing, iterations, pad_factor
+    stack, _, _ = _wavefront_sweeps(
+        list(inputs), lambda _: targets, planes, plane_spacing, iterations, pad_factor
     )
     return stack
 
 
-def _wavefront_sweeps(inputs, targets, planes, plane_spacing, iterations, pad_factor):
-    """`wavefront_match`'s stack for the target modes that the function
-    `targets` returns, and the (count, nx, ny) input fields of its last
-    forward sweep just before the last plane.  The stack holds exactly
-    the masks the sweep applied, so those fields are the converter pass
-    of the stack up to that plane.  The targets are read once, before
-    the sweeps, and not kept while they run."""
-    inputs = list(inputs)
+def _wavefront_sweeps(inputs: list, targets, planes, plane_spacing, iterations, pad_factor):
+    """`wavefront_match`'s stack for the input modes `inputs` and the target
+    modes that `targets(inputs)` returns, the (count, nx, ny) input fields
+    of its last forward sweep just before the last plane, and the inputs
+    as `_on_supports` holds them.  The stack holds exactly the masks the
+    sweep applied, so those fields are the converter pass of the stack
+    up to that plane.  The targets are read once, before the sweeps, and
+    not kept while they run.  Nor are the inputs: once the targets are
+    built, the list `inputs` is emptied, and the sweeps write each input
+    back dense only where they read it, at planes 1 and 2."""
     if planes < 1 or iterations < 1:
         raise InvalidConfigError("planes and iterations must both be >= 1")
     check_positive("plane spacing", plane_spacing)
     _check_orthonormal(inputs, "input modes")
     grid = inputs[0].grid
     _check_kernel(grid, plane_spacing, pad_factor, 1)
+    last = _check_orthonormal(targets(inputs), "target modes", grid)
+    if len(last) != len(inputs):
+        raise InvalidConfigError(
+            f"need equally many inputs and targets, got {len(inputs)} and {len(last)}"
+        )
+    held = _on_supports([m.amplitude for m in inputs])
+    inputs.clear()
 
+    # The arrays the sweeps keep are made here: after the dense inputs are
+    # freed and before the first batch.  Of the orders measured for the
+    # paper's d=25 sorter, this one peaks lowest without each design
+    # handing the batches' pages back at its end, for the next design in
+    # the process to fault in again.
     masks = np.zeros((planes, grid.nx, grid.ny))
     overlap = np.zeros((grid.nx, grid.ny), dtype=np.complex128)
     term = np.empty_like(overlap)
+    # Planes 1 and 2 are streamed through this one chunk of fields.
+    chunk = np.empty((min(len(held), _fft_workers()), grid.nx, grid.ny), dtype=np.complex128)
 
     def fold(f, b):
         """Adds sum_n f[n] * conj(b[n]) to the overlap one (nx, ny) term
@@ -565,35 +605,28 @@ def _wavefront_sweeps(inputs, targets, planes, plane_spacing, iterations, pad_fa
         masks[p] = _wrap_phase(-_angle(overlap))
         overlap[...] = 0.0
 
-    # Planes 1 and 2 are streamed through this one chunk of fields.
-    chunk = np.empty((min(len(inputs), _fft_workers()), grid.nx, grid.ny), dtype=np.complex128)
-
     def chunks(fields, distance, phase):
         """Yields (lo, hi, fields lo..hi-1 propagated by `distance`),
         len(chunk) of them at a time, each written over the last in
-        `chunk`.  Warns once, after the last, as for a whole batch."""
+        `chunk`.  `fields` is a batch, or the held inputs, which are
+        written dense into `chunk` and propagated in place.  Warns once,
+        after the last, as for a whole batch."""
         n, k = len(fields), len(chunk)
         clipped = total = 0.0
         for lo in range(0, n, k):
             hi = min(lo + k, n)
-            powers = _propagate_into(fields[lo:hi], chunk[: hi - lo], grid, distance,
-                                     pad_factor, 1, phase)
+            out = chunk[: hi - lo]
+            source = fields[lo:hi]
+            if not isinstance(fields, np.ndarray):
+                source = _write_dense(source, out)
+            powers = _propagate_into(source, out, grid, distance, pad_factor, 1, phase)
             clipped, total = clipped + powers[0], total + powers[1]
-            yield lo, hi, chunk[: hi - lo]
+            yield lo, hi, out
         _warn_clipping(clipped, total)
 
-    # The targets are built after every array the sweeps keep, so that
-    # the heap hole they leave when freed is not split by one of those
-    # arrays and the next batch fits in it.
-    last = _check_orthonormal(targets(), "target modes", grid)
-    if len(last) != len(inputs):
-        raise InvalidConfigError(
-            f"need equally many inputs and targets, got {len(inputs)} and {len(last)}"
-        )
     # Targets carried back from the detection plane to just after the
     # last mask: the same in every iteration.
     last = _propagate_array(last, grid, -plane_spacing, pad_factor, phases=[None, None])
-    amps = [m.amplitude for m in inputs]
     for _ in range(iterations):
         f = None  # the previous sweep's batch, not needed in this backward sweep
         # Backward fields just after masks 2..P, from the current stack.
@@ -604,22 +637,27 @@ def _wavefront_sweeps(inputs, targets, planes, plane_spacing, iterations, pad_fa
             backward[p] = _propagate_array(backward[p + 1], grid, -plane_spacing, pad_factor,
                                            phases=[np.exp(-1j * masks[p + 1])])
         # The forward sweep sets each plane before passing through it.
-        # Plane 1 reads the inputs as given.
+        # Plane 1 reads the inputs, written back dense.
         if planes == 1:
-            fold(amps, last)
+            f = _write_dense(held, np.empty_like(last))
+            fold(f, last)
             set_mask(0)
-            f = amps
             continue
         # Plane 1's backward fields are made from backward[1] one chunk at
-        # a time and folded in mode order; no batch of them is held.
+        # a time and folded in mode order; no batch of them is held.  Each
+        # input is written into `term`, and each chunk, dropped after its
+        # fold, is conjugated in place.
         for lo, hi, b in chunks(backward[1], -plane_spacing, np.exp(-1j * masks[1])):
-            fold(amps[lo:hi], b)
+            for mode, bn in zip(held[lo:hi], b):
+                _write_dense([mode], [term])
+                np.multiply(term, np.conjugate(bn, out=bn), out=term)
+                np.add(overlap, term, out=overlap)
         set_mask(0)
         # Plane 2's forward fields are made from the inputs one chunk at a
         # time, folded, and written over the backward fields they were
         # folded with, unless those are `last`, kept for the next iteration.
         f = backward[1] if planes > 2 else np.empty_like(last)
-        for lo, hi, fwd in chunks(amps, plane_spacing, np.exp(1j * masks[0])):
+        for lo, hi, fwd in chunks(held, plane_spacing, np.exp(1j * masks[0])):
             fold(fwd, backward[1][lo:hi])
             f[lo:hi] = fwd
         backward[1] = None
@@ -631,7 +669,7 @@ def _wavefront_sweeps(inputs, targets, planes, plane_spacing, iterations, pad_fa
             fold(f, backward[p])
             backward[p] = None
             set_mask(p)
-    return PhaseMaskStack(grid, masks, plane_spacing), np.asarray(f)
+    return PhaseMaskStack(grid, masks, plane_spacing), f, held
 
 
 def design_converter(
@@ -643,29 +681,37 @@ def design_converter(
     iterations: int = 30,
     pad_factor: int = 2,
 ) -> tuple[PhaseMaskStack, np.ndarray, float]:
-    """`wavefront_match(inputs, targets(), ...)` and the designed stack's
-    `score_converter(stack, inputs, output_modes(), targets())`, bit for
-    bit.
+    """`wavefront_match(modes, targets(modes), ...)` and the designed
+    stack's `score_converter(stack, modes, output_modes(modes),
+    targets(modes))` for modes = inputs(), bit for bit.
 
     The last forward sweep has already carried the inputs through masks
     1..P-1, so the score finishes that pass from mask P rather than
     making a converter pass of its own.
 
-    `targets` and `output_modes` are functions that return the target
-    and the output modes.  The sweeps read the targets only before they
-    start, and the output modes only score the design.  So each is built
+    `inputs`, `targets` and `output_modes` are functions: inputs()
+    builds the input modes, once, and the other two build the target and
+    the output modes from them.  The sweeps hold the inputs on their
+    supports (`_on_supports`) and write them back dense where they read
+    them, and they are written back once more after the sweeps for the
+    other two.  The sweeps read the targets only before they start, and
+    the output modes only score the design.  So each of those is built
     and checked before the sweeps, dropped while they run, and built
     again after them.
     """
-    _check_orthonormal(output_modes(), "output modes")
-    stack, outs = _wavefront_sweeps(
-        inputs, targets, planes, plane_spacing, iterations, pad_factor
+    modes = list(inputs())
+    _check_orthonormal(output_modes(modes), "output modes")
+    stack, outs, held = _wavefront_sweeps(
+        modes, targets, planes, plane_spacing, iterations, pad_factor
     )
     outs = _converter_pass(stack, outs, pad_factor, first=planes - 1)
-    modes = _check_orthonormal(output_modes(), "output modes", stack.grid)
-    transfer = _transfer_from_outputs(outs, modes, stack.grid)
-    del modes  # not held while the targets are built
-    return stack, transfer, _objective_from_outputs(outs, targets(), stack.grid)
+    grid = stack.grid
+    dense = _write_dense(held, np.empty((len(held), grid.nx, grid.ny), dtype=np.complex128))
+    modes = [OpticalField(grid, amp) for amp in dense]
+    detection = _check_orthonormal(output_modes(modes), "output modes", grid)
+    transfer = _transfer_from_outputs(outs, detection, grid)
+    del detection  # not held while the targets are built
+    return stack, transfer, _objective_from_outputs(outs, targets(modes), grid)
 
 
 def _transfer_from_outputs(outs: np.ndarray, modes: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -200,13 +200,13 @@ def ideal_prob_table(alice_bases, bob_bases) -> ProbabilityTable:
 def total_error(uniform_error: float, block_error: float) -> float:
     """E_t = E_u + E_b.  Raises InvalidNoiseError, naming the bad one,
     unless both components are >= 0 and their total is below 1."""
+    total = uniform_error + block_error
+    if uniform_error >= 0.0 and block_error >= 0.0 and total < 1.0:
+        return total
     for name, value in (("uniform", uniform_error), ("block", block_error)):
         if not value >= 0.0:  # NaN too
             raise InvalidNoiseError(f"{name} error {value} must be >= 0")
-    total = uniform_error + block_error
-    if not total < 1.0:
-        raise InvalidNoiseError(f"total error {total} outside [0, 1)")
-    return total
+    raise InvalidNoiseError(f"total error {total} outside [0, 1)")
 
 
 def split_error(total, block_fraction):

@@ -16,8 +16,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hdqkd import cli, optics
+from hdqkd import cli, optics, protocol
 from hdqkd.cli import main
+from hdqkd.errors import InvalidInputError
 from hdqkd.keyrate import rate_two_mub
 from hdqkd.optics import load_stack
 from hdqkd.protocol import decompose_errors, load_counts_csv, normalize_counts
@@ -372,7 +373,7 @@ def test_optics_design_with_a_nan_transfer_writes_nothing(tmp_path, capsys, monk
     from hdqkd import optics
 
     def nan_design(inputs, targets, outputs, planes, spacing, **kwargs):
-        stack = optics.PhaseMaskStack(inputs[0].grid, np.zeros((planes, 96, 64)), spacing)
+        stack = optics.PhaseMaskStack(inputs()[0].grid, np.zeros((planes, 96, 64)), spacing)
         return stack, np.full((2, 2), np.nan + 0j), np.nan
 
     monkeypatch.setattr(optics, "design_converter", nan_design)
@@ -762,9 +763,10 @@ def test_config_values_must_pass_their_flags(tmp_path, capsys, doc):
 
 @pytest.mark.parametrize("doc", [
     {"simulate": {"d=" + "3" * 10**5: 1}},
+    {"simulate": {"x" * 10**5: 1}},
     {"simulate": {"d": list(range(10**5))}},
     {"simulate": [1]},
-], ids=["bad-key", "long-list-value", "section-not-an-object"])
+], ids=["bad-key", "long-unknown-key", "long-list-value", "section-not-an-object"])
 def test_config_section_errors_name_the_file_in_one_short_line(tmp_path, capsys, doc):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
@@ -811,6 +813,29 @@ def _replays_bit_exactly(tmp_path, *argv):
 ])
 def test_run_replays_bit_exactly_from_its_snapshot(tmp_path, argv):
     _replays_bit_exactly(tmp_path, *argv)
+
+
+@pytest.mark.parametrize("key", ["help", "version", "func", "action", "files", "Eu"])
+def test_config_keys_must_name_an_option_of_the_command(tmp_path, capsys, key):
+    # mub takes no --Eu; the others are no option of any command's section
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mub": {key: True}}))
+    assert run("mub", "gen", "--config", cfg, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err == f"error: config {cfg}, section mub: {key!r} names no option of mub\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_optics_eval_replays_bit_exactly_from_its_snapshot(tmp_path):
+    # its snapshot spells options as their `_` names: plane_spacing, pad_factor, ...
+    assert run(*optics_args(tmp_path / "design")) == 0
+    argv = optics_args(tmp_path / "unused")
+    at = argv.index("--out")
+    argv = ("optics", "eval", "--stack", tmp_path / "design" / "stack.mplc",
+            *argv[2:at], *argv[at + 2:])
+    _replays_bit_exactly(tmp_path / "eval", *argv)
+    snapshot = json.loads((tmp_path / "eval" / "first" / "resolved_config.json").read_text())
+    assert {"plane_spacing", "pad_factor", "detection_radius"} <= set(snapshot["optics"])
 
 
 def test_one_parser_serves_a_sequence_of_calls(tmp_path, capsys):
@@ -1186,11 +1211,22 @@ def _outputs(*argv) -> dict:
 
 
 @functools.cache
+def _d4_run() -> dict:
+    """The bytes of every file of a 10-round d=4 simulate run."""
+    return _outputs("simulate", "--d", 4, "--family", "sqrt-pair", "--rounds", 10,
+                    "--pair-rate", 100, "--time", 1, "--seed", 5)
+
+
+@functools.cache
 def _d4_counts() -> dict:
-    """The bytes of counts.csv and its sidecar from a d=4 simulate run."""
-    files = _outputs("simulate", "--d", 4, "--family", "sqrt-pair", "--rounds", 10,
-                     "--pair-rate", 100, "--time", 1, "--seed", 5)
-    return {name: files[name] for name in ("counts.csv", "counts.csv.meta.json")}
+    """The bytes of counts.csv and its sidecar from the d=4 simulate run."""
+    return {name: _d4_run()[name] for name in ("counts.csv", "counts.csv.meta.json")}
+
+
+@functools.cache
+def _d4_session() -> dict:
+    """The bytes of session.jsonl from the d=4 simulate run."""
+    return {"session.jsonl": _d4_run()["session.jsonl"]}
 
 
 TOY_STACK = ("--d=2", "--arrangement=line", "--nx=32", "--ny=32", "--planes=2",
@@ -1274,6 +1310,24 @@ def test_any_edit_of_a_stack_exits_0_1_or_2_and_writes_no_nan(edit):
 def test_any_edit_of_a_basis_file_exits_0_1_or_2(edit):
     _run_on_edited(_d3_bases(), edit, lambda tmp: [
         "mub", "check", *sorted(map(str, tmp.glob("basis_*.json"))), "--quiet"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(edit=st.deferred(lambda: _edited(_d4_session())))
+def test_any_edit_of_a_session_is_rejected_at_a_line_or_written_back_as_read(edit):
+    # no command reads session JSONL, so the reader is called directly
+    _, data = edit
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "session.jsonl"
+        path.write_bytes(data)
+        try:
+            record = protocol.SessionRecord.load_jsonl(path, 4)
+        except InvalidInputError as exc:
+            assert re.match(rf"{re.escape(str(path))} line [0-9]+: ", str(exc)), exc
+            return
+        again = Path(tmp) / "again.jsonl"
+        record.save_jsonl(again)
+        assert again.read_bytes() == data
 
 
 # --- written JSON bytes ------------------------------------------------------------
