@@ -41,6 +41,7 @@ from .optics import (  # noqa: F401
     make_aperture_modes,
     propagate,
     sorter_metrics,
+    sorter_problem,
     transfer_matrix,
     wavefront_match,
 )

@@ -219,69 +219,49 @@ def cmd_mub(args) -> int:
 # optics
 
 
-def _design_layout(args):
+def _sorter(args):
+    """The sorter of `optics design` and `optics eval` from their flags, as
+    (grid, layout, optics.sorter_problem(...)).  The `auto` arrangement is
+    a grid for a square d, else a line, and the detection radius is passed
+    only for `--detection disks`."""
     grid = optics.GridSpec(args.nx, args.ny, args.pitch, args.wavelength)
     arrangement = args.arrangement
     if arrangement == "auto":
         arrangement = "grid" if mub.square_side(args.d) else "line"
     layout = optics.ApertureLayout(args.d, args.aperture_radius, args.aperture_spacing,
                                    arrangement)
-    return grid, layout
-
-
-def _design_geometry(args):
-    grid, layout = _design_layout(args)
-    return grid, layout, optics.make_aperture_modes(layout, grid)
-
-
-def _target_coefficients(args):
-    """The rows that superpose the input modes into the `--target` sorter's
-    targets, and the unitary the sorter is meant to apply."""
-    d = args.d
     if args.target == "swap":
-        coeff = np.eye(d, dtype=complex)[::-1]
+        unitary = np.eye(args.d, dtype=complex)[::-1]
     else:  # family:i or an alias of one, as `target` admits
         family, _, index = _TARGET_ALIASES.get(args.target, args.target).partition(":")
-        bases = _FAMILIES[family](d)
+        bases = _FAMILIES[family](args.d)
         if int(index) > len(bases):
             raise InvalidConfigError(f"--target {args.target}: {family} has {len(bases)} "
-                                     f"bases at d={d}")
-        coeff = bases[int(index) - 1].amplitudes
-    # Sorter convention: incoming basis state m ends up in port m, so
-    # input mode n maps to sum_m conj(coeff[n, m]) * port_m.
-    return coeff.conj(), coeff.conj().T
+                                     f"bases at d={args.d}")
+        unitary = bases[int(index) - 1].amplitudes
+    radius = args.detection_radius if args.detection == "disks" else None
+    return grid, layout, optics.sorter_problem(grid, layout, unitary, args.planes,
+                                               args.plane_spacing, radius)
+
+
+# The benchmark's entry points (perfbench/workloads.py): views over _sorter,
+# kept until the benchmark builds its design through optics.sorter_problem.
+def _design_geometry(args):
+    grid, layout, (inputs, *_) = _sorter(args)
+    return grid, layout, inputs()
 
 
 def _design_targets(args, modes):
-    rows, intended = _target_coefficients(args)
-    return optics.superpose_rows(modes, rows), intended
-
-
-def _detection_modes(args, grid, layout, modes):
-    if args.detection == "disks":
-        det_layout = optics.ApertureLayout(
-            layout.count, args.detection_radius, layout.spacing, layout.arrangement
-        )
-        return optics.make_aperture_modes(det_layout, grid)
-    # Default: input modes carried to the detection plane with the exact
-    # periodic transform (mask-free pass), which keeps them orthonormal.
-    return optics.mask_free_passes(modes, args.planes, args.plane_spacing)
+    _, _, (_, targets, _, intended) = _sorter(args)
+    return targets(modes), intended
 
 
 def cmd_optics(args) -> int:
-    if args.action == "design":  # the design builds its input modes itself
-        grid, layout = _design_layout(args)
-    else:
-        grid, layout, modes = _design_geometry(args)
-    rows, intended = _target_coefficients(args)
-    # Built on demand: the design drops them while its sweeps run.
-    targets = functools.partial(optics.superpose_rows, coefficients=rows)
-
+    grid, _, (inputs, targets, detection, intended) = _sorter(args)
     if args.action == "design":
         stack, transfer, objective = optics.design_converter(
-            functools.partial(optics.make_aperture_modes, layout, grid), targets,
-            functools.partial(_detection_modes, args, grid, layout), args.planes,
-            args.plane_spacing, iterations=args.iterations, pad_factor=args.pad_factor,
+            inputs, targets, detection, args.planes, args.plane_spacing,
+            iterations=args.iterations, pad_factor=args.pad_factor,
         )
     else:  # eval
         if args.stack is None:
@@ -300,9 +280,9 @@ def cmd_optics(args) -> int:
             raise InvalidConfigError(
                 f"stack of {stack.planes} planes does not match --planes {args.planes}"
             )
-        outputs = _detection_modes(args, grid, layout, modes)
+        modes = inputs()
         transfer, objective = optics.score_converter(
-            stack, modes, outputs, targets(modes), pad_factor=args.pad_factor
+            stack, modes, detection(modes), targets(modes), pad_factor=args.pad_factor
         )
     metrics = optics.sorter_metrics(transfer, intended=intended)  # finite, or it raises
     stage, out = _out_dir(args)

@@ -24,7 +24,7 @@ import os
 import struct
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -525,7 +525,7 @@ def _check_orthonormal(fields, what: str, grid: GridSpec | None = None) -> np.nd
     flat = mat.reshape(len(fields), -1)
     gram = flat.conj() @ flat.T * fields[0].grid.pitch ** 2
     dev = np.abs(gram - np.eye(len(fields))).max()
-    if dev > ORTHOGONALITY_TOL:
+    if not dev <= ORTHOGONALITY_TOL:  # an overflowed Gram matrix gives NaN
         raise InvalidModeSetError(f"{what} are not orthonormal (max Gram deviation {dev:.3e})")
     return mat
 
@@ -670,6 +670,29 @@ def _wavefront_sweeps(inputs: list, targets, planes, plane_spacing, iterations, 
             backward[p] = None
             set_mask(p)
     return PhaseMaskStack(grid, masks, plane_spacing), f, held
+
+
+def sorter_problem(grid: GridSpec, layout: ApertureLayout, unitary, planes: int,
+                   plane_spacing: float, detection_radius: float | None = None):
+    """The sorter of the basis whose states are the columns of `unitary` U,
+    as (inputs, targets, detection, intended): the functions that
+    `design_converter` takes, and the unitary the sorter is meant to apply.
+
+    inputs() builds the aperture modes of `layout` on `grid`.
+    targets(modes) sends input mode n to sum_m conj(U[n, m]) * port_m, port
+    m being input mode m, so that basis state m ends up in port m; so
+    intended is U^H.  detection(modes) builds the detection modes: disks of
+    `detection_radius` on the apertures' centres, or without a radius the
+    modes carried mask-free through the `planes` planes."""
+    rows = np.conj(unitary)
+
+    def detection(modes):
+        if detection_radius is None:
+            return mask_free_passes(modes, planes, plane_spacing)
+        return make_aperture_modes(replace(layout, radius=detection_radius), grid)
+
+    return (functools.partial(make_aperture_modes, layout, grid),
+            functools.partial(superpose_rows, coefficients=rows), detection, rows.T)
 
 
 def design_converter(

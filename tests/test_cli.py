@@ -1312,6 +1312,26 @@ def test_any_edit_of_a_basis_file_exits_0_1_or_2(edit):
         "mub", "check", *sorted(map(str, tmp.glob("basis_*.json"))), "--quiet"])
 
 
+@functools.cache
+def _configs() -> dict:
+    """The resolved_config.json bytes of one small run of each command, by command."""
+    runs = {"mub": ("mub", "gen", "--d", 3, "--family", "wh-all"),
+            "optics": ("optics", "design", *TOY_STACK, "--iterations=2"),
+            "keyrate": ("keyrate", "--d", 5, "--E", 0.11, "--curve", "rate",
+                        "--errors", "0:0.5:6")}
+    configs = {command: _outputs(*argv)["resolved_config.json"] for command, argv in runs.items()}
+    return {**configs, "simulate": _d4_run()["resolved_config.json"]}
+
+
+@settings(max_examples=120, deadline=None)
+@given(edit=st.deferred(lambda: _edited(_configs())))
+def test_any_edit_of_a_config_file_exits_0_1_or_2(edit):
+    command = edit[0]
+    action = {"mub": ["gen"], "optics": ["design"]}.get(command, [])
+    _run_on_edited(_configs(), edit, lambda tmp: [
+        command, *action, "--config", str(tmp / command), "--quiet"])
+
+
 @settings(max_examples=150, deadline=None)
 @given(edit=st.deferred(lambda: _edited(_d4_session())))
 def test_any_edit_of_a_session_is_rejected_at_a_line_or_written_back_as_read(edit):

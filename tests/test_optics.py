@@ -39,10 +39,12 @@ from hdqkd.optics import (
     save_stack,
     score_converter,
     sorter_metrics,
+    sorter_problem,
     superpose,
     transfer_matrix,
     wavefront_match,
 )
+from hdqkd.mub import full_mub_set, sqrt_mub_pair
 
 DESK_GRID = GridSpec(96, 64, 15e-6, 810e-9)
 DESK_LAYOUT = ApertureLayout(2, 100e-6, 300e-6, "line")
@@ -779,6 +781,19 @@ def test_wavefront_match_validates_inputs():
         wavefront_match(overlapping, targets, planes=2, plane_spacing=1e-3)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow in the Gram matrix
+def test_modes_whose_gram_matrix_overflows_are_not_orthonormal():
+    # Finite fields whose overlaps overflow: the Gram matrix holds inf and
+    # inf - inf = NaN, a deviation no tolerance admits.
+    grid = GridSpec(8, 8, 1.0, 810e-9)
+    amps = np.zeros((2, 8, 8), dtype=complex)
+    amps[:, 3, 3:5] = [[1e200, 1e200], [1e200, -1e200]]
+    fields = [OpticalField(grid, amp) for amp in amps]
+    stack = PhaseMaskStack(grid, np.zeros((1, 8, 8)), 1e-3)
+    with pytest.raises(InvalidModeSetError, match="not orthonormal"):
+        transfer_matrix(stack, fields, fields)
+
+
 # --- transfer matrices --------------------------------------------------------------
 
 
@@ -864,21 +879,61 @@ def test_toy_design_stack_is_golden(tmp_path):
     assert digest == TOY_STACK_SHA256
 
 
+TOY_GRID = GridSpec(32, 32, 15e-6, 810e-9)  # TOY_DESIGN's geometry, the flags' defaults
+TOY_LAYOUT = ApertureLayout(4, 40e-6, 120e-6, "grid")
+
+
+def toy_problem(detection):
+    """TOY_DESIGN's sorter problem with `--detection detection`, built by
+    the library: (inputs, targets, detection, intended)."""
+    radius = 50e-6 if detection == "disks" else None
+    return sorter_problem(TOY_GRID, TOY_LAYOUT, sqrt_mub_pair(4)[0].amplitudes, 3, 5e-3, radius)
+
+
+def same_fields(got, want):
+    return [f.grid for f in got] == [f.grid for f in want] and all(
+        a.amplitude.tobytes() == b.amplitude.tobytes() for a, b in zip(got, want, strict=True))
+
+
+def test_the_cli_views_return_what_the_sorter_problem_builds():
+    # The benchmark builds its design's modes and targets through these two.
+    args = cli.build_parser().parse_args(TOY_DESIGN)
+    grid, layout, modes = cli._design_geometry(args)
+    targets, intended = cli._design_targets(args, modes)
+    inputs, build_targets, _, want_intended = toy_problem("propagated")
+    assert (grid, layout) == (TOY_GRID, TOY_LAYOUT)
+    assert same_fields(modes, inputs())
+    assert same_fields(targets, build_targets(modes))
+    assert intended.tobytes() == want_intended.tobytes()
+
+
+def test_the_sorter_problem_sorts_its_basis_states_into_their_ports():
+    # swap as a unitary: input mode n goes to port d-1-n
+    inputs, targets, detection, intended = sorter_problem(
+        DESK_GRID, DESK_LAYOUT, np.eye(2)[::-1], 2, 5e-3, detection_radius=50e-6)
+    modes = inputs()
+    assert same_fields(targets(modes), modes[::-1])
+    assert np.array_equal(intended, np.eye(2)[::-1])
+    disks = make_aperture_modes(ApertureLayout(2, 50e-6, 300e-6, "line"), DESK_GRID)
+    assert same_fields(detection(modes), disks)
+    _, _, passes, _ = sorter_problem(DESK_GRID, DESK_LAYOUT, np.eye(2), 2, 5e-3)
+    assert same_fields(passes(modes), mask_free_passes(modes, 2, 5e-3))
+
+
 def rescore(out, detection):
     """The design command's scoring redone from its saved stack with
     `score_converter`, against stepwise detection modes; returns the
     metrics.json text and the objective."""
-    args = cli.build_parser().parse_args(TOY_DESIGN + ["--detection", detection])
-    grid, layout, modes = cli._design_geometry(args)
-    targets, intended = cli._design_targets(args, modes)
+    inputs, targets, detection_modes, intended = toy_problem(detection)
+    modes = inputs()
     stack = load_stack(out / "stack.mplc")
     if detection == "disks":
-        outputs = cli._detection_modes(args, grid, layout, modes)
+        outputs = detection_modes(modes)
     else:
-        zero = PhaseMaskStack(grid, np.zeros((stack.planes, 32, 32)), stack.plane_spacing)
-        outputs = [OpticalField(grid, a)
+        zero = PhaseMaskStack(TOY_GRID, np.zeros((stack.planes, 32, 32)), stack.plane_spacing)
+        outputs = [OpticalField(TOY_GRID, a)
                    for a in optics._converter_pass(zero, optics._mode_matrix(modes), 1)]
-    transfer, objective = score_converter(stack, modes, outputs, targets)
+    transfer, objective = score_converter(stack, modes, outputs, targets(modes))
     sorter_metrics(transfer, intended=intended).save_json(out / "rescored.json")
     return (out / "rescored.json").read_text(), objective
 
@@ -915,9 +970,10 @@ def test_each_of_the_six_d5_mubs_gets_a_sorter(tmp_path):
     for i in range(1, 7):
         argv = MUB5_DESIGN + ["--target", f"wh-all:{i}"]
         assert cli.main(argv + ["--out", str(tmp_path / str(i))]) == 0
-        args = cli.build_parser().parse_args(argv)
-        _, _, modes = cli._design_geometry(args)
-        _, intended = cli._design_targets(args, modes)
+        inputs, _, _, intended = sorter_problem(
+            GridSpec(48, 48, 15e-6, 810e-9), ApertureLayout(5, 20e-6, 60e-6, "line"),
+            full_mub_set(5)[i - 1].amplitudes, 3, 5e-3)
+        modes = inputs()
         stack = load_stack(tmp_path / str(i) / "stack.mplc")
         fidelities.append(sorter_metrics(transfer_matrix(stack, modes, modes), intended).fidelity)
     assert min(fidelities) > 0.9
