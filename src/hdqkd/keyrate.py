@@ -282,13 +282,6 @@ def _lane_rates(e, d, side, f, log2_d):
     return log2_d - 2.0 * h
 
 
-def _by_lane(parts):
-    # (lanes, values) pairs joined and sorted by lane, so f = 0 comes first.
-    lane, values = (np.concatenate(column) for column in zip(*parts))
-    order = np.argsort(lane)
-    return lane[order], values[order]
-
-
 def _lockstep_thresholds(dims, fractions) -> np.ndarray:
     """threshold() of the two-basis bound on every lane (dims[i],
     fractions[i]) at once, a lane with fraction > 0 on a perfect-square
@@ -306,7 +299,11 @@ def _lockstep_thresholds(dims, fractions) -> np.ndarray:
     f = np.array(fractions, dtype=float)[order]
     side = np.where(f > 0.0, np.floor(np.sqrt(d)), 0.0)
     log2_d = np.array([math.log2(n) for n in dims])[order]
-    found = np.full(d.size, np.nan)
+    # Per lane, NaN until set: its threshold, where its ternary search
+    # ended, and the upper end of its bisection bracket (a probe past the
+    # root or a minimum below zero).  A stage takes the lanes set in its
+    # array in ascending order, so f = 0 lanes come first.
+    found, e_min, past_root = np.full((3, d.size), np.nan)
     lo = _BISECT_LO
 
     def rates(e, lane):
@@ -315,9 +312,7 @@ def _lockstep_thresholds(dims, fractions) -> np.ndarray:
     # No threshold where the rate is not positive at lo.
     lane = np.flatnonzero(rates(np.full(d.size, lo), slice(None)) > 0.0)
     a, b = np.full(lane.size, lo), np.full(lane.size, _BISECT_HI)
-    # Ternary search, to a probe past the root (bracket [lo, probe]) or
-    # to the rate's minimum.
-    brackets, minima = [], []
+    # Ternary search, to a probe past the root or to the rate's minimum.
     for _ in range(_MAX_ITER):
         if not lane.size:
             break
@@ -330,24 +325,24 @@ def _lockstep_thresholds(dims, fractions) -> np.ndarray:
         lower = r1 < r2
         keep = ordered & ~past
         if not keep.all():
-            brackets.append((lane[past], np.where(past1, m1, m2)[past]))
-            minima.append((lane[~ordered], 0.5 * (a + b)[~ordered]))
+            past_root[lane[past]] = np.where(past1, m1, m2)[past]
+            e_min[lane[~ordered]] = 0.5 * (a + b)[~ordered]
             lane, a, b, m1, m2, lower = (x[keep] for x in (lane, a, b, m1, m2, lower))
         a, b = np.where(lower, a, m1), np.where(lower, m2, b)
-    minima.append((lane, 0.5 * (a + b)))
+    e_min[lane] = 0.5 * (a + b)
 
     # A minimum within ROOT_TOL of zero is the root, one above it means no
     # threshold, one below it is bisected.
-    lane, e_min = _by_lane(minima)
-    r_min = rates(e_min, lane)
+    lane = np.flatnonzero(~np.isnan(e_min))
+    r_min = rates(e_min[lane], lane)
     tangent = np.abs(r_min) < ROOT_TOL
-    found[lane[tangent]] = e_min[tangent]
-    below = ~tangent & ~(r_min > 0.0)
-    brackets.append((lane[below], e_min[below]))
+    found[lane[tangent]] = e_min[lane[tangent]]
+    below = lane[~tangent & ~(r_min > 0.0)]
+    past_root[below] = e_min[below]
 
-    # Bisection of each bracket to |rate| < ROOT_TOL.
-    lane, b = _by_lane(brackets)
-    a = np.full(lane.size, lo)
+    # Bisection of each bracket [lo, past_root] to |rate| < ROOT_TOL.
+    lane = np.flatnonzero(~np.isnan(past_root))
+    a, b = np.full(lane.size, lo), past_root[lane]
     for _ in range(_MAX_ITER):
         if not lane.size:
             break

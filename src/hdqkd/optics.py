@@ -689,7 +689,10 @@ def sorter_problem(grid: GridSpec, layout: ApertureLayout, unitary, planes: int,
     def detection(modes):
         if detection_radius is None:
             return mask_free_passes(modes, planes, plane_spacing)
-        return make_aperture_modes(replace(layout, radius=detection_radius), grid)
+        try:
+            return make_aperture_modes(replace(layout, radius=detection_radius), grid)
+        except GeometryError as exc:  # the layout's checks speak of apertures
+            raise GeometryError(str(exc).replace("aperture", "detection disk")) from None
 
     return (functools.partial(make_aperture_modes, layout, grid),
             functools.partial(superpose_rows, coefficients=rows), detection, rows.T)

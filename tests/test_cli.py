@@ -369,6 +369,27 @@ def test_optics_design_checks_its_detection_modes_before_the_first_sweep(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("action", ["design", "eval"])
+@pytest.mark.parametrize("extra, error", [
+    # apertures of radius 20 um 60 um apart, disks of the default 50 um radius
+    (("--aperture-radius", "20e-6", "--aperture-spacing", "60e-6"),
+     "detection disks overlap: spacing 6e-05 < 2*radius 0.0001"),
+    (("--aperture-spacing", "1e-3", "--detection-radius", "2e-4"),
+     "detection disk at (-5.00e-04, 0.00e+00) m with radius 2.00e-04 m does not fit"),
+])
+def test_optics_names_the_detection_disks_in_what_their_geometry_rejects(
+        tmp_path, capsys, action, extra, error):
+    out = tmp_path / "out"
+    if action == "design":
+        argv = optics_args(out)
+    else:
+        assert run(*optics_args(tmp_path)) == 0
+        argv = eval_args(tmp_path / "stack.mplc", out)
+    assert run(*argv, "--detection", "disks", *extra) == 2
+    assert capsys.readouterr().err.startswith(f"error: {error}")
+    assert not out.exists()
+
+
 def test_optics_design_with_a_nan_transfer_writes_nothing(tmp_path, capsys, monkeypatch):
     from hdqkd import optics
 
@@ -1140,9 +1161,29 @@ def _option_words(action):
 
 
 @st.composite
+def _sorter_geometry(draw):
+    """Optics flags for a sorter that can fit its grid: each size flag from
+    1 (16 for the grid) to its _SIZE_CAPS value, a pitch, the default
+    810 nm wavelength, apertures that do not overlap and detection disks,
+    their radii and the gap between the apertures in half pitches, and the
+    plane spacing in pitch^2 over the wavelength."""
+    sizes = {flag: draw(st.integers(16 if flag in ("--nx", "--ny") else 1, cap))
+             for flag, cap in _SIZE_CAPS.items() if flag != "--rounds"}
+    pitch = draw(st.sampled_from([5e-6, 15e-6]))
+    halves = st.integers(0, 4).map(lambda k: k * pitch / 2)
+    radius = pitch / 2 + draw(halves)
+    return [*(f"{flag}={v}" for flag, v in sizes.items()), f"--pitch={pitch}",
+            "--wavelength=810e-9", f"--aperture-radius={radius}",
+            f"--aperture-spacing={2 * radius + draw(halves)}",
+            f"--detection-radius={pitch / 2 + draw(halves)}",
+            f"--plane-spacing={draw(st.integers(1, 16)) * pitch**2 / 810e-9}"]
+
+
+@st.composite
 def _argvs(draw):
     """An argv for any command of `build_parser()`: its positional choices
-    and a draw for each option that `_option_words` draws."""
+    and a draw for each option that `_option_words` draws; for optics, at
+    times a `_sorter_geometry` after them, which overrides their draws."""
     (commands,) = [action for action in cli.build_parser()._actions
                    if isinstance(action, argparse._SubParsersAction)]
     command = draw(st.sampled_from(sorted(commands.choices)))
@@ -1152,6 +1193,8 @@ def _argvs(draw):
             argv += [draw(st.sampled_from(action.choices))] if action.choices else []
         elif (words := _option_words(action)) is not None:
             argv += draw(words)
+    if command == "optics":
+        argv += draw(st.one_of(st.just([]), _sorter_geometry()))
     return argv
 
 

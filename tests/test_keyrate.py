@@ -397,30 +397,41 @@ def test_lockstep_thresholds_match_threshold():
     assert np.nanmax(np.abs(got - want)) <= 1e-12
 
 
+def lockstep_and_scalar(monkeypatch, rate, lanes):
+    """_lockstep_thresholds and threshold() on lanes, both searching rate(e, d, f)."""
+    monkeypatch.setattr(keyrate, "_lane_rates", lambda e, d, side, f, log2_d: rate(e, d, f))
+    monkeypatch.setattr(keyrate, "_profile_rate", lambda bound, d, f: lambda e: rate(e, d, f))
+    return keyrate._lockstep_thresholds(*zip(*lanes)), scalar_thresholds(lanes)
+
+
 def test_lockstep_threshold_search_takes_the_scalar_steps(monkeypatch):
     # On a rate made of +, - and * alone both searches round alike, so they
     # must agree bit for bit on every branch: a root past a probe, a tangent
     # minimum, a minimum above zero (no threshold) and a start at or below
     # zero (no threshold).
-    def centre_and_depth(d, f):
+    def parabola(e, d, f):
         centre = 0.1 + 0.8 * f
-        return centre, centre * centre * ((d % 4) - 1) * 0.5
+        return (e - centre) * (e - centre) - centre * centre * ((d % 4) - 1) * 0.5
 
-    def lane_rates(e, d, side, f, log2_d):
-        centre, depth = centre_and_depth(d, f)
-        return (e - centre) * (e - centre) - depth
-
-    def profile_rate(bound, d, f):
-        centre, depth = centre_and_depth(d, f)
-        return lambda e: (e - centre) * (e - centre) - depth
-
-    monkeypatch.setattr(keyrate, "_lane_rates", lane_rates)
-    monkeypatch.setattr(keyrate, "_profile_rate", profile_rate)
     lanes = lockstep_lanes(range(2, 40))
-    got = keyrate._lockstep_thresholds(*zip(*lanes))
-    want = scalar_thresholds(lanes)
+    got, want = lockstep_and_scalar(monkeypatch, parabola, lanes)
     assert np.array_equal(got, want, equal_nan=True)
     assert 0 < np.isnan(want).sum() < len(lanes)
+
+    # The rate is 1 but for -1 at the midpoint that nine ternary rounds of
+    # a = m1 end at.  With the searches cut to nine rounds, no probe gets
+    # past the root, the minimum is below zero, and the bisection from
+    # _BISECT_LO runs to its cap and returns a tenth midpoint of [lo, dip].
+    monkeypatch.setattr(keyrate, "_MAX_ITER", 9)
+    a, b = keyrate._BISECT_LO, keyrate._BISECT_HI
+    for _ in range(9):
+        a = a + (b - a) / 3.0
+    dip, capped = 0.5 * (a + b), keyrate._BISECT_LO
+    for _ in range(10):
+        capped = 0.5 * (capped + dip)
+    got, want = lockstep_and_scalar(monkeypatch, lambda e, d, f: 1.0 - 2.0 * (e == dip),
+                                    [(2, 0.0), (4, 0.3), (9, 1.0)])
+    assert np.array_equal(got, want) and np.all(want == capped)
 
 
 def test_threshold_curve_searches_in_few_vectorized_rate_calls(monkeypatch):
