@@ -196,12 +196,6 @@ def rate_on_profile(bound: str, d: int, total_error: float, block_fraction: floa
     return _profile_rate(bound, d, block_fraction)(total_error)
 
 
-def _profile_domain_hi(bound: str, d: int) -> float:
-    if bound == "depolarizing_all_mubs":
-        return d / (d + 1) - 1e-9
-    return _BISECT_HI
-
-
 def threshold(bound: str, d: int, block_fraction: float | None = None) -> float:
     """Smallest total error at which the bound's rate reaches zero.
 
@@ -227,7 +221,8 @@ def threshold(bound: str, d: int, block_fraction: float | None = None) -> float:
     if rate(lo) <= 0.0:
         raise NoThresholdError(f"{bound} rate is not positive at E={lo:.3g}")
 
-    a, b = lo, _profile_domain_hi(bound, d)
+    # The depolarizing rate is defined for E < d/(d+1) only.
+    a, b = lo, (d / (d + 1) - 1e-9 if bound == "depolarizing_all_mubs" else _BISECT_HI)
     for _ in range(_MAX_ITER):
         m1 = a + (b - a) / 3.0
         m2 = b - (b - a) / 3.0

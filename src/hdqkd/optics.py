@@ -110,35 +110,46 @@ class OpticalField:
         return OpticalField(self.grid, self.amplitude / math.sqrt(p))
 
 
+def _shared_grid(fields: list, grid: GridSpec | None = None) -> GridSpec:
+    """`grid`, or else the first field's, checked to be the grid of every
+    field of the list `fields`, which must hold at least one."""
+    if not fields:
+        raise InvalidInputError("need at least one field")
+    grid = grid or fields[0].grid
+    if any(f.grid != grid for f in fields):
+        raise GeometryError("fields live on different grids")
+    return grid
+
+
 def superpose(fields, coefficients) -> OpticalField:
     """Linear combination sum_m c_m * field_m on a common grid."""
     fields = list(fields)
-    if not fields:
-        raise InvalidInputError("need at least one field")
+    grid = _shared_grid(fields)
     coefficients = np.asarray(coefficients)
     if len(fields) != len(coefficients):
         raise InvalidInputError("need one coefficient per field")
     amp = np.zeros_like(fields[0].amplitude)
     for c, f in zip(coefficients, fields):
-        if f.grid != fields[0].grid:
-            raise GeometryError("fields live on different grids")
         amp = amp + c * f.amplitude
-    return OpticalField(fields[0].grid, amp)
+    return OpticalField(grid, amp)
 
 
 def superpose_rows(fields, coefficients) -> list[OpticalField]:
     """`[superpose(fields, row) for row in coefficients]` for fields on one
     grid and a (K, len(fields)) coefficient array, bit for bit, built in
-    one array and only on each field's support.  superpose's sum
-    starts at +0 and so never holds -0: the c * 0 terms (+0 or -0) that it
-    adds off a field's support change nothing.  On it, the terms are added
+    one array and only on each field's support (`_on_supports`).  superpose's
+    sum starts at +0 and so never holds -0: the c * 0 terms (+0 or -0) that
+    it adds off a field's support change nothing.  On it, the terms are added
     in field order, as superpose adds them where two supports share a pixel."""
-    grid = fields[0].grid
+    fields = list(fields)
+    grid = _shared_grid(fields)
+    coefficients = np.asarray(coefficients)
+    if coefficients.ndim != 2 or coefficients.shape[1] != len(fields):
+        raise InvalidInputError(
+            f"need a (K, {len(fields)}) coefficient array, got shape {coefficients.shape}")
     amps = np.zeros((len(coefficients), grid.nx * grid.ny), dtype=np.complex128)
-    for m, field in enumerate(fields):
-        flat = field.amplitude.ravel()
-        support = np.flatnonzero(flat)
-        amps[:, support] += coefficients[:, m, None] * flat[support]
+    for m, (support, entries) in enumerate(_on_supports(f.amplitude for f in fields)):
+        amps[:, support] += coefficients[:, m, None] * entries
     return [OpticalField(grid, amp) for amp in amps.reshape(-1, grid.nx, grid.ny)]
 
 
@@ -306,7 +317,11 @@ def max_propagation_distance(grid: GridSpec, pad_factor: int = 2) -> float:
     return n * grid.pitch**2 * math.sqrt(s) / grid.wavelength
 
 
-def _check_sampling(grid: GridSpec, distance: float, pad_factor: int) -> None:
+def _check_kernel(grid: GridSpec, distance: float, pad_factor: int, steps: int) -> None:
+    if pad_factor < 1:
+        raise InvalidConfigError(f"pad_factor must be >= 1, got {pad_factor}")
+    if steps < 1 or (steps > 1 and pad_factor != 1):
+        raise InvalidConfigError(f"cannot compose {steps} steps at pad factor {pad_factor}")
     z_max = max_propagation_distance(grid, pad_factor)
     if abs(distance) > z_max:
         # the bound grows linearly with the grid size
@@ -317,14 +332,6 @@ def _check_sampling(grid: GridSpec, distance: float, pad_factor: int) -> None:
             f"{n_min} pixels per axis (at pad factor {pad_factor}) or enlarge "
             "the pitch"
         )
-
-
-def _check_kernel(grid: GridSpec, distance: float, pad_factor: int, steps: int) -> None:
-    if pad_factor < 1:
-        raise InvalidConfigError(f"pad_factor must be >= 1, got {pad_factor}")
-    if steps < 1 or (steps > 1 and pad_factor != 1):
-        raise InvalidConfigError(f"cannot compose {steps} steps at pad factor {pad_factor}")
-    _check_sampling(grid, distance, pad_factor)
 
 
 def _warn_clipping(clipped: float, total: float) -> None:
@@ -486,35 +493,29 @@ def mask_free_passes(fields, planes: int, plane_spacing: float) -> list[OpticalF
 def _mode_matrix(fields, grid: GridSpec | None = None) -> np.ndarray:
     """(count, nx, ny) amplitudes of fields that share one grid."""
     fields = list(fields)
-    if not fields:
-        raise InvalidInputError("need at least one field")
-    grid = grid or fields[0].grid
-    if any(f.grid != grid for f in fields):
-        raise GeometryError("fields live on different grids")
+    _shared_grid(fields, grid)
     return np.stack([f.amplitude for f in fields])
 
 
 def _on_supports(amps) -> list:
-    """Each (nx, ny) field of `amps` as (box, entries): the pair of slices
-    that bounds its entries whose bits are not +0.0, and the field on it.
-    A box that covers the whole grid keeps the field itself, uncopied."""
+    """Each (nx, ny) field of `amps` as (support, entries): the flat indices
+    of its entries whose bits are not +0.0, and those entries.  A field live
+    everywhere is kept as (slice(None), the field flattened), uncopied where
+    it is contiguous."""
     held = []
     for amp in amps:
-        live = (amp != 0) | np.signbit(amp.real) | np.signbit(amp.imag)
-        rows, cols = np.flatnonzero(live.any(axis=1)), np.flatnonzero(live.any(axis=0))
-        box = (slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
-               ) if rows.size else (slice(0, 0), slice(0, 0))
-        entries = amp[box]
-        held.append((box, amp if entries.shape == amp.shape else entries.copy()))
+        flat = amp.reshape(-1)
+        support = np.flatnonzero((flat != 0) | np.signbit(flat.real) | np.signbit(flat.imag))
+        held.append((slice(None), flat) if support.size == flat.size else (support, flat[support]))
     return held
 
 
 def _write_dense(held, out):
     """Writes the fields that `_on_supports` holds into the (nx, ny) arrays
-    of `out`, one each, bit for bit: +0.0 off each box.  Returns out."""
-    for (box, entries), field in zip(held, out):
+    of `out`, one each, bit for bit: +0.0 off each support.  Returns out."""
+    for (support, entries), field in zip(held, out):
         field[...] = 0.0
-        field[box] = entries
+        field.flat[support] = entries
     return out
 
 

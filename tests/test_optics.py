@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -126,18 +127,37 @@ def signed_zero_coefficients(rng, d):
     return coeff
 
 
-@pytest.mark.parametrize("grid, layout", [
-    (GridSpec(192, 192, 15e-6, 810e-9), ApertureLayout(25, 100e-6, 300e-6, "grid")),
-    (GridSpec(48, 48, 15e-6, 810e-9), ApertureLayout(5, 20e-6, 60e-6, "line")),
+def with_signed_zeros(modes, rng):
+    """The modes with about a fifth of their pixels, on and off their disks,
+    set to a zero of random signs in its real and its imaginary part."""
+    out = []
+    for mode in modes:
+        amp = mode.amplitude.copy()
+        hit = rng.random(amp.shape) < 0.2
+        amp.real[hit] = np.copysign(0.0, rng.normal(size=hit.sum()))
+        amp.imag[hit] = np.copysign(0.0, rng.normal(size=hit.sum()))
+        out.append(OpticalField(mode.grid, amp))
+    return out
+
+
+@pytest.mark.parametrize("grid, layout, signed_zeros", [
+    (GridSpec(192, 192, 15e-6, 810e-9), ApertureLayout(25, 100e-6, 300e-6, "grid"), False),
+    (GridSpec(48, 48, 15e-6, 810e-9), ApertureLayout(5, 20e-6, 60e-6, "line"), False),
     # touching disks: spacing = 2 * radius, so pairs of modes share pixels
-    (GridSpec(48, 48, 15e-6, 810e-9), ApertureLayout(4, 30e-6, 60e-6, "grid")),
-], ids=["d25-grid", "d5-line", "d4-touching"])
-def test_target_fields_are_superpose_bit_for_bit(grid, layout):
+    (GridSpec(48, 48, 15e-6, 810e-9), ApertureLayout(4, 30e-6, 60e-6, "grid"), False),
+    # and -0.0 entries, which are on the fields' supports
+    (GridSpec(48, 48, 15e-6, 810e-9), ApertureLayout(4, 30e-6, 60e-6, "grid"), True),
+], ids=["d25-grid", "d5-line", "d4-touching", "d4-touching-signed-zeros"])
+def test_target_fields_are_superpose_bit_for_bit(grid, layout, signed_zeros):
     modes = make_aperture_modes(layout, grid)
     d = len(modes)
     if layout.spacing == 2 * layout.radius:
         assert (sum(m.amplitude != 0 for m in modes) > 1).any()
     rng = np.random.default_rng(28)
+    if signed_zeros:
+        modes = with_signed_zeros(modes, rng)
+        assert all(np.signbit(m.amplitude.real).any() for m in modes)
+        assert all(np.signbit(m.amplitude[m.amplitude == 0].imag).any() for m in modes)
     dft = np.fft.fft(np.eye(d)) / math.sqrt(d)
     for coeff in [dft, -dft, *(signed_zero_coefficients(rng, d) for _ in range(3))]:
         got = optics.superpose_rows(modes, coeff.conj())
@@ -146,6 +166,24 @@ def test_target_fields_are_superpose_bit_for_bit(grid, layout):
         for g, w in zip(got, want):
             assert g.grid == w.grid
             assert g.amplitude.tobytes() == w.amplitude.tobytes()
+
+
+def test_superpose_rows_rejects_what_superpose_rejects():
+    modes = make_aperture_modes(TOY_LAYOUT, TOY_GRID)
+    moved = OpticalField(replace(TOY_GRID, pitch=16e-6), modes[1].amplitude)
+    with pytest.raises(GeometryError, match="fields live on different grids"):
+        optics.superpose_rows([modes[0], moved], np.eye(2))
+    with pytest.raises(InvalidInputError, match="need at least one field"):
+        optics.superpose_rows([], np.zeros((1, 0)))
+    for shape in [(1, 3), (1, 1), (2,), (4, 4, 1)]:
+        with pytest.raises(InvalidInputError, match=r"need a \(K, 2\) coefficient array"):
+            optics.superpose_rows(modes[:2], np.ones(shape))
+    # a list of rows is an array of coefficients
+    assert same_fields(optics.superpose_rows(modes[:2], [[1, 0], [0, 1]]), modes[:2])
+    # the sorter of a basis of three states has no targets for four apertures
+    problem = sorter_problem(TOY_GRID, TOY_LAYOUT, np.eye(3), 2, 5e-3)
+    with pytest.raises(InvalidInputError, match=r"need a \(K, 4\) coefficient array"):
+        design_converter(*problem[:3], planes=2, plane_spacing=5e-3, iterations=1)
 
 
 def test_grid_arrangement_order_matches_mode_grid():
@@ -201,7 +239,7 @@ def test_sampling_bound_error_names_required_grid(smooth_field):
 def test_sampling_bound_error_names_the_distance_magnitude(smooth_field):
     z_max = max_propagation_distance(smooth_field.grid, 2)
     with pytest.raises(SamplingError) as caught:
-        optics._check_sampling(smooth_field.grid, -2 * z_max, 2)
+        propagate(smooth_field, -2 * z_max)
     assert f"distance {2 * z_max:.4g} m exceeds" in str(caught.value)
 
 
@@ -761,13 +799,21 @@ def test_inputs_on_their_supports_are_written_back_bit_for_bit():
     signed[10, 5], signed[20, 30], signed[30, 7] = complex(-0.0, 0.0), complex(0.0, -0.0), 1j
     corners = np.zeros((48, 40), dtype=complex)
     corners[0, 0], corners[-1, -1] = 1.0, -1.0
-    amps = disks + [signed, corners]
+    live = np.full((48, 40), complex(0.0, -0.0))
+    amps = disks + [signed, corners, live]
     held = optics._on_supports(amps)
-    # the boxes: each disk's, the signed zeros' with the 1j, and the whole grid
-    assert [entries.shape for _, entries in held] == [(8, 8)] * 4 + [(21, 26), (48, 40)]
-    assert held[-1][1] is corners
-    out = optics._write_dense(held, np.full((6, 48, 40), complex(np.nan, np.nan)))
-    assert np.array_equal(out.view(np.uint64), np.stack(amps).view(np.uint64))
+    # the supports: each disk's 47 pixels, the signed zeros with the 1j, the
+    # two corners, and the whole grid, where the field is kept uncopied
+    assert [np.size(entries) for _, entries in held] == [47] * 4 + [3, 2, 48 * 40]
+    assert held[4][0].tolist() == [10 * 40 + 5, 20 * 40 + 30, 30 * 40 + 7]
+    assert held[-1][0] == slice(None) and np.shares_memory(held[-1][1], live)
+    bits = np.stack(amps).view(np.uint64)
+    out = optics._write_dense(held, np.full((7, 48, 40), complex(np.nan, np.nan)))
+    assert np.array_equal(out.view(np.uint64), bits)
+    # into a strided batch, in place
+    strided = np.full((7, 48, 80), complex(np.nan, np.nan))[:, :, ::2]
+    assert optics._write_dense(held, strided) is strided
+    assert np.array_equal(np.ascontiguousarray(strided).view(np.uint64), bits)
 
 
 def test_wavefront_match_validates_inputs():
