@@ -51,8 +51,12 @@ def unitarity_deviation(amplitudes: np.ndarray) -> float:
 
 def amplitude_matrix(dim: int, values) -> np.ndarray:
     """values as a finite complex dim x dim array; raises InvalidInputError
-    for any other shape or a non-finite entry."""
-    amps = np.asarray(values, dtype=np.complex128)
+    for anything that is not an array of numbers, any other shape or a
+    non-finite entry."""
+    try:
+        amps = np.asarray(values, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"amplitudes must be numbers: {exc}") from None
     if amps.shape != (dim, dim):
         raise InvalidInputError(f"amplitudes must be {dim}x{dim}, got {amps.shape}")
     if not np.isfinite(amps).all():

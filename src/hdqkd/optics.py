@@ -38,7 +38,7 @@ from .errors import (
     check_positive,
     write_json,
 )
-from .mub import mode_grid
+from .mub import amplitude_matrix, mode_grid
 
 TWO_PI = 2.0 * np.pi
 
@@ -121,26 +121,14 @@ def _shared_grid(fields: list, grid: GridSpec | None = None) -> GridSpec:
     return grid
 
 
-def superpose(fields, coefficients) -> OpticalField:
-    """Linear combination sum_m c_m * field_m on a common grid."""
-    fields = list(fields)
-    grid = _shared_grid(fields)
-    coefficients = np.asarray(coefficients)
-    if len(fields) != len(coefficients):
-        raise InvalidInputError("need one coefficient per field")
-    amp = np.zeros_like(fields[0].amplitude)
-    for c, f in zip(coefficients, fields):
-        amp = amp + c * f.amplitude
-    return OpticalField(grid, amp)
-
-
 def superpose_rows(fields, coefficients) -> list[OpticalField]:
-    """`[superpose(fields, row) for row in coefficients]` for fields on one
-    grid and a (K, len(fields)) coefficient array, bit for bit, built in
-    one array and only on each field's support (`_on_supports`).  superpose's
-    sum starts at +0 and so never holds -0: the c * 0 terms (+0 or -0) that
-    it adds off a field's support change nothing.  On it, the terms are added
-    in field order, as superpose adds them where two supports share a pixel."""
+    """The linear combinations sum_m c[k, m] * field_m, one per row k of a
+    (K, len(fields)) coefficient array, of fields on one grid.  They are
+    built in one array and only on each field's support (`_on_supports`),
+    with the bits of the term-by-term sum over the whole grid started at
+    +0: that sum never holds -0, so the c * 0 terms (+0 or -0) it adds off
+    a field's support change nothing.  On it, the terms are added in field
+    order, as that sum adds them where two supports share a pixel."""
     fields = list(fields)
     grid = _shared_grid(fields)
     coefficients = np.asarray(coefficients)
@@ -684,8 +672,9 @@ def sorter_problem(grid: GridSpec, layout: ApertureLayout, unitary, planes: int,
     m being input mode m, so that basis state m ends up in port m; so
     intended is U^H.  detection(modes) builds the detection modes: disks of
     `detection_radius` on the apertures' centres, or without a radius the
-    modes carried mask-free through the `planes` planes."""
-    rows = np.conj(unitary)
+    modes carried mask-free through the `planes` planes.  U is read as
+    `mub.amplitude_matrix(layout.count, unitary)`."""
+    rows = amplitude_matrix(layout.count, unitary).conj()
 
     def detection(modes):
         if detection_radius is None:

@@ -318,10 +318,8 @@ def decompose_errors(
     n_matched = min(table.bases_alice, table.bases_bob)
     if not 1 <= setting <= n_matched:
         raise InvalidInputError(f"no matched setting {setting} in the table")
-    alignments = list(_alignments(None, n_matched))
-    if alignment is not None:
-        alignments[setting - 1] = alignment
-    alignment = _alignments(alignments, n_matched)[setting - 1]
+    alignment = _alignments(None if alignment is None else [alignment] * n_matched,
+                            n_matched)[setting - 1]
     joint = table.probs[:, :, setting - 1, setting - 1]
     total = 1.0 - float(np.trace(joint))  # 1 - sum_a p(a,a|k,k)
     out_of_block = float(joint[~_block_mask(d, alignment)].sum())

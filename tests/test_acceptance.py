@@ -30,7 +30,7 @@ from hdqkd.optics import (
     matching_objective,
     propagate,
     sorter_metrics,
-    superpose,
+    superpose_rows,
     transfer_matrix,
     wavefront_match,
 )
@@ -260,7 +260,7 @@ def test_criterion_8_optics_properties():
     layout = ApertureLayout(5, 100e-6, 300e-6, "line")
     modes = make_aperture_modes(layout, grid)
     u = dft_basis(5).amplitudes
-    targets = [superpose(modes, u[n, :].conj()) for n in range(5)]
+    targets = superpose_rows(modes, u.conj())
     stack = wavefront_match(modes, targets, planes=10, plane_spacing=43.5e-3,
                             iterations=30)
     again = wavefront_match(modes, targets, planes=10, plane_spacing=43.5e-3,

@@ -41,7 +41,6 @@ from hdqkd.optics import (
     score_converter,
     sorter_metrics,
     sorter_problem,
-    superpose,
     transfer_matrix,
     wavefront_match,
 )
@@ -113,11 +112,6 @@ def test_aperture_modes_orthonormal_d25():
             assert abs(ov - want) < 1e-12
 
 
-def test_superpose_needs_at_least_one_field():
-    with pytest.raises(InvalidInputError, match="need at least one field"):
-        superpose([], [])
-
-
 def signed_zero_coefficients(rng, d):
     """A random complex (d, d) matrix with about a third of its real and
     of its imaginary parts set to -0.0."""
@@ -148,7 +142,7 @@ def with_signed_zeros(modes, rng):
     # and -0.0 entries, which are on the fields' supports
     (GridSpec(48, 48, 15e-6, 810e-9), ApertureLayout(4, 30e-6, 60e-6, "grid"), True),
 ], ids=["d25-grid", "d5-line", "d4-touching", "d4-touching-signed-zeros"])
-def test_target_fields_are_superpose_bit_for_bit(grid, layout, signed_zeros):
+def test_target_fields_are_the_term_by_term_sum_bit_for_bit(grid, layout, signed_zeros):
     modes = make_aperture_modes(layout, grid)
     d = len(modes)
     if layout.spacing == 2 * layout.radius:
@@ -161,14 +155,17 @@ def test_target_fields_are_superpose_bit_for_bit(grid, layout, signed_zeros):
     dft = np.fft.fft(np.eye(d)) / math.sqrt(d)
     for coeff in [dft, -dft, *(signed_zero_coefficients(rng, d) for _ in range(3))]:
         got = optics.superpose_rows(modes, coeff.conj())
-        want = [superpose(modes, row.conj()) for row in coeff]
         assert len(got) == d
-        for g, w in zip(got, want):
-            assert g.grid == w.grid
-            assert g.amplitude.tobytes() == w.amplitude.tobytes()
+        for g, row in zip(got, coeff.conj()):
+            # every term added over the whole grid, in field order, from +0
+            want = np.zeros_like(modes[0].amplitude)
+            for c, mode in zip(row, modes):
+                want = want + c * mode.amplitude
+            assert g.grid == grid
+            assert g.amplitude.tobytes() == want.tobytes()
 
 
-def test_superpose_rows_rejects_what_superpose_rejects():
+def test_superpose_rows_rejects_malformed_input():
     modes = make_aperture_modes(TOY_LAYOUT, TOY_GRID)
     moved = OpticalField(replace(TOY_GRID, pitch=16e-6), modes[1].amplitude)
     with pytest.raises(GeometryError, match="fields live on different grids"):
@@ -180,10 +177,12 @@ def test_superpose_rows_rejects_what_superpose_rejects():
             optics.superpose_rows(modes[:2], np.ones(shape))
     # a list of rows is an array of coefficients
     assert same_fields(optics.superpose_rows(modes[:2], [[1, 0], [0, 1]]), modes[:2])
-    # the sorter of a basis of three states has no targets for four apertures
-    problem = sorter_problem(TOY_GRID, TOY_LAYOUT, np.eye(3), 2, 5e-3)
-    with pytest.raises(InvalidInputError, match=r"need a \(K, 4\) coefficient array"):
-        design_converter(*problem[:3], planes=2, plane_spacing=5e-3, iterations=1)
+    # the sorter problem reads its basis as an amplitude matrix: a basis of
+    # three states has no sorter for four apertures, and a string is no basis
+    with pytest.raises(InvalidInputError, match=r"amplitudes must be 4x4, got \(3, 3\)"):
+        sorter_problem(TOY_GRID, TOY_LAYOUT, np.eye(3), 2, 5e-3)
+    with pytest.raises(InvalidInputError, match="amplitudes must be numbers"):
+        sorter_problem(TOY_GRID, TOY_LAYOUT, "x", 2, 5e-3)
 
 
 def test_grid_arrangement_order_matches_mode_grid():
@@ -649,7 +648,7 @@ def test_streamed_sweeps_match_the_batch_reference(monkeypatch, planes, count, w
     grid = GridSpec(48, 48, 15e-6, 810e-9)
     modes = make_aperture_modes(ApertureLayout(count, 20e-6, 60e-6, "line"), grid)
     dft = np.exp(2j * np.pi * np.outer(range(count), range(count)) / count)
-    targets = [superpose(modes, row / math.sqrt(count)) for row in dft]
+    targets = optics.superpose_rows(modes, dft / math.sqrt(count))
     stack, transfer, objective = design_converter(
         lambda: modes, lambda _: targets, lambda m: m, planes=planes, plane_spacing=5e-3,
         iterations=2
@@ -687,7 +686,7 @@ def test_design_builds_output_modes_given_as_a_function_after_its_sweeps(monkeyp
     assert np.array_equal(got[0].masks, want.masks)
     want_transfer, want_objective = score_converter(want, modes, modes, targets)
     assert np.array_equal(got[1], want_transfer) and got[2] == want_objective
-    overlapping = [modes[0], superpose([modes[0], modes[1]], [0.8, 0.6])]
+    overlapping = [modes[0], *optics.superpose_rows(modes[:2], [[0.8, 0.6]])]
     events.clear()
     with pytest.raises(InvalidModeSetError, match="output modes"):
         design_converter(lambda: modes, build_targets, lambda _: overlapping, planes=2,
@@ -703,7 +702,7 @@ def test_sweep_overlaps_do_not_depend_on_temporary_elision(count, n, kib):
     modes = make_aperture_modes(ApertureLayout(count, 60e-6, 180e-6, "line"), grid)
     assert count * n * n * 16 == kib * 1024
     dft = np.exp(2j * np.pi * np.outer(range(count), range(count)) / count)
-    targets = [superpose(modes, row / math.sqrt(count)) for row in dft]
+    targets = optics.superpose_rows(modes, dft / math.sqrt(count))
     stack = wavefront_match(modes, targets, planes=3, plane_spacing=5e-3, iterations=2)
     assert np.array_equal(stack.masks, reference_masks(modes, targets, 3, 5e-3, 2))
     # outside the apertures every plane-1 product is +-0: the sum from +0
@@ -737,7 +736,7 @@ def test_design_holds_its_backward_batches_and_little_else(monkeypatch):
     }
 
     def targets(modes):
-        return [superpose(modes, row / 4) for row in dft]
+        return optics.superpose_rows(modes, dft / 4)
 
     def design():
         return design_converter(lambda: modes, targets, lambda m: m, planes=5,
@@ -778,7 +777,7 @@ def test_design_built_inputs_hold_no_batch_of_them(monkeypatch):
 
     def design():
         return design_converter(lambda: make_aperture_modes(layout, grid),
-                                lambda modes: [superpose(modes, row / 4) for row in dft],
+                                lambda modes: optics.superpose_rows(modes, dft / 4),
                                 lambda modes: modes, planes=5, plane_spacing=5e-3, iterations=2)
 
     design()  # warm: transfer functions cached, FFT plans made
@@ -822,7 +821,7 @@ def test_wavefront_match_validates_inputs():
         wavefront_match(modes, targets, planes=0, plane_spacing=1e-3)
     with pytest.raises(InvalidConfigError):
         wavefront_match(modes, targets, planes=2, plane_spacing=1e-3, iterations=0)
-    overlapping = [modes[0], superpose([modes[0], modes[1]], [0.8, 0.6])]
+    overlapping = [modes[0], *optics.superpose_rows(modes[:2], [[0.8, 0.6]])]
     with pytest.raises(InvalidModeSetError):
         wavefront_match(overlapping, targets, planes=2, plane_spacing=1e-3)
 

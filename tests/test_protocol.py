@@ -257,6 +257,8 @@ def test_decompose_alignment_matters():
     noisy = apply_noise(table, 0.0, 0.3)
     wrong = decompose_errors(noisy, 1, "col")  # noise was row-aligned
     assert abs(wrong.block_error - 0.3) > 0.01
+    with pytest.raises(InvalidInputError, match="one alignment per matched setting"):
+        decompose_errors(noisy, 1, "diag")
 
 
 # --- Poisson sampling ---------------------------------------------------------
